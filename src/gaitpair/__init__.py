@@ -39,7 +39,7 @@ from .gait import (
     split_and_normalize,
 )
 from .protocol import (
-    PakeEngine,
+    Session,
     SessionResult,
     SimulatedPake,
     confirm_key,
@@ -90,7 +90,7 @@ __all__ = [
     "autocorrelate",
     "detect_cycles",
     "split_and_normalize",
-    "PakeEngine",
+    "Session",
     "SessionResult",
     "SimulatedPake",
     "confirm_key",

@@ -1,5 +1,5 @@
-"""Command-line entry point: preprocess recordings, pair two of them over an
-in-memory channel, run evaluation analyses, or generate a synthetic corpus.
+"""Command-line entry point: preprocess recordings, pair two of them with both
+ends in one process, run evaluation analyses, or generate a synthetic corpus.
 
 Exit codes: 0 success, 2 schema errors, 3 signal errors, 4 pairing failure,
 5 insufficient data, 64 usage errors.
@@ -68,12 +68,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="bandpass corners as lo:hi in Hz")
     parser.add_argument("--sample-rate", type=float, default=50.0,
                         help="nominal sample rate in Hz")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for synthetic data and evaluation")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for evaluation")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="stdout summary format")
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
@@ -90,7 +84,6 @@ def _config_from_args(args: argparse.Namespace) -> Config:
         threshold=args.threshold,
         band=band,
         sample_rate=args.sample_rate,
-        seed=args.seed,
     )
 
 
@@ -229,14 +222,6 @@ def _write_pairs_csv(path: Path, pairs) -> None:
                              p.position_b, p.window, repr(p.value)])
 
 
-def _emit(summary: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(summary, indent=2))
-    else:
-        for key, value in summary.items():
-            print(f"{key},{value}")
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.analysis not in ANALYSES:
         print(f"unknown analysis {args.analysis!r}; choose from {ANALYSES}",
@@ -250,7 +235,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report = eval_harness.security_arithmetic(args.session_seconds,
                                                   cfg.threshold, cfg.cutoff)
         _write_json(out_dir / "security.json", report)
-        _emit(report, args.format)
+        print(json.dumps(report, indent=2))
         return EXIT_OK
 
     try:
@@ -261,42 +246,40 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     try:
         if args.analysis == "coherence":
-            rep = eval_harness.coherence_analysis(corpus, cfg, jobs=args.jobs)
+            rep = eval_harness.coherence_analysis(corpus, cfg)
             _write_json(out_dir / "coherence.json", rep.to_dict())
-            _emit({"n_same_pairs": rep.n_same_pairs,
-                   "n_diff_pairs": rep.n_diff_pairs,
-                   "low_band_elevated": rep.low_band_elevated}, args.format)
+            summary = {"n_same_pairs": rep.n_same_pairs,
+                       "n_diff_pairs": rep.n_diff_pairs,
+                       "low_band_elevated": rep.low_band_elevated}
         elif args.analysis == "reliability":
-            rep = eval_harness.reliability_sweep(corpus, N=cfg.cutoff, cfg=cfg,
-                                                 jobs=args.jobs)
+            rep = eval_harness.reliability_sweep(corpus, N=cfg.cutoff, cfg=cfg)
             _write_json(out_dir / "reliability.json", rep.to_dict())
             for entry in rep.entries:
                 _write_pairs_csv(out_dir / f"reliability_M{entry.M}.csv",
                                  entry.pairs)
-            _emit({f"mean_M{e.M}": e.summary.mean for e in rep.entries},
-                  args.format)
+            summary = {f"mean_M{e.M}": e.summary.mean for e in rep.entries}
         elif args.analysis == "discriminability":
-            rep = eval_harness.discriminability(corpus, cfg=cfg, jobs=args.jobs)
+            rep = eval_harness.discriminability(corpus, cfg=cfg)
             _write_json(out_dir / "discriminability.json", rep.to_dict())
             _write_pairs_csv(out_dir / "discriminability_intra.csv", rep.intra_pairs)
             _write_pairs_csv(out_dir / "discriminability_inter.csv", rep.inter_pairs)
-            _emit({"intra_mean": rep.intra.mean,
-                   "inter_mean": float(np.mean([p.value for p in rep.inter_pairs])),
-                   "collision_rate": rep.collision_rate_above_threshold},
-                  args.format)
+            summary = {"intra_mean": rep.intra.mean,
+                       "inter_mean": float(np.mean([p.value for p in rep.inter_pairs])),
+                       "collision_rate": rep.collision_rate_above_threshold}
         elif args.analysis == "positions":
-            rep = eval_harness.position_table(corpus, cfg=cfg, jobs=args.jobs)
+            rep = eval_harness.position_table(corpus, cfg=cfg)
             _write_json(out_dir / "positions.json", rep.to_dict())
-            _emit({"positions": ";".join(rep.positions)}, args.format)
+            summary = {"positions": ";".join(rep.positions)}
         elif args.analysis == "randomness":
-            keys = eval_harness.fingerprint_keys(corpus, cfg, jobs=args.jobs)
+            keys = eval_harness.fingerprint_keys(corpus, cfg)
             rep = eval_harness.randomness_suite(keys)
             _write_json(out_dir / "randomness.json", rep.to_dict())
-            _emit({"passed": rep.passed, **rep.p_values}, args.format)
+            summary = {"passed": rep.passed, **rep.p_values}
     except (InsufficientPairs, InsufficientBits, TooFewKeys, SignalTooShort,
             MissingPosition) as exc:
         print(f"insufficient data: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
+    print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
@@ -313,7 +296,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         n_cycles=args.cycles,
         per_position=tuple(
             (p, dataset_io.PositionSpec(noise_snr_db=args.snr_db)) for p in positions),
-        rng_seed=cfg.seed if cfg.seed is not None else 0,
+        rng_seed=args.seed,
         n_subjects=args.subjects,
         sample_rate=cfg.sample_rate,
     )
@@ -366,6 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--cycles", type=int, default=60)
     p_synth.add_argument("--base-period", type=float, default=2.0)
     p_synth.add_argument("--snr-db", type=float, default=20.0)
+    p_synth.add_argument("--seed", type=int, default=0,
+                         help="seed of the synthetic corpus")
     _add_config_flags(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 

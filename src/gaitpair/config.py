@@ -19,7 +19,6 @@ class Config:
                       at most floor(n * (1 - threshold)) bit errors
     band              bandpass corner frequencies in Hz
     sample_rate       nominal accelerometer rate in Hz
-    seed              optional RNG seed for synthetic data / evaluation
     """
 
     rho: int = 40
@@ -29,7 +28,6 @@ class Config:
     threshold: float = 0.8
     band: tuple[float, float] = (0.5, 12.0)
     sample_rate: float = 50.0
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.rho < 2 or self.bits_per_cycle < 1:

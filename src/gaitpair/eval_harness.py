@@ -8,7 +8,6 @@ alongside the summaries; nothing is aggregated away.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -191,16 +190,13 @@ class RandomnessReport:
 RecordKey = tuple[str, str, str]  # subject, position, recording
 
 
-def _preprocess_corpus(corpus: Corpus, cfg: Config, jobs: int = 1
+def _preprocess_corpus(corpus: Corpus, cfg: Config
                        ) -> dict[RecordKey, tuple[VerticalSignal, CycleDetection]]:
     """Run the signal pipeline plus cycle detection once per record."""
     def work(rec):
         sig = preprocess_record(rec, band=cfg.band)
         return (rec.subject_id, rec.position, rec.recording_id), (sig, detect_cycles(sig))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return dict(pool.map(work, corpus.records))
     return dict(work(rec) for rec in corpus.records)
 
 
@@ -263,8 +259,7 @@ def _group_positions(processed) -> dict[tuple[str, str], list[str]]:
 
 # -- analyses ---------------------------------------------------------------------------
 
-def coherence_analysis(corpus: Corpus, cfg: Config | None = None,
-                       jobs: int = 1) -> CoherenceReport:
+def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceReport:
     """Welch-averaged magnitude-squared coherence of orientation-corrected
     vertical signals: simultaneous same-body pairs against cross-body pairs.
 
@@ -332,7 +327,7 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None,
 
 def reliability_sweep(corpus: Corpus, N: int = 128,
                       extra_bits: tuple[int, ...] = (0, 16, 32, 48, 64, 128),
-                      cfg: Config | None = None, jobs: int = 1) -> SweepReport:
+                      cfg: Config | None = None) -> SweepReport:
     """Mean intra-body similarity for fingerprint sizes M = N + extra, all
     reduced with cutoff N: how much discarding unreliable bits buys."""
     cfg = cfg or Config()
@@ -340,7 +335,7 @@ def reliability_sweep(corpus: Corpus, N: int = 128,
     for extra in extra_bits:
         if (N + extra) % b != 0:
             raise InsufficientBits(f"M={N + extra} not divisible by b={b}")
-    processed = _preprocess_corpus(corpus, cfg, jobs)
+    processed = _preprocess_corpus(corpus, cfg)
     groups = _group_positions(processed)
 
     entries = []
@@ -359,7 +354,7 @@ def reliability_sweep(corpus: Corpus, N: int = 128,
 
 
 def discriminability(corpus: Corpus, M: int | None = None, N: int | None = None,
-                     cfg: Config | None = None, jobs: int = 1) -> SimilarityReport:
+                     cfg: Config | None = None) -> SimilarityReport:
     """Intra-body versus inter-body similarity distributions.
 
     Intra: every position pair within each subject, same window index.
@@ -373,7 +368,7 @@ def discriminability(corpus: Corpus, M: int | None = None, N: int | None = None,
     b = cfg.bits_per_cycle
     if M % b != 0:
         raise InsufficientBits(f"M={M} not divisible by b={b}")
-    processed = _preprocess_corpus(corpus, cfg, jobs)
+    processed = _preprocess_corpus(corpus, cfg)
     groups = _group_positions(processed)
     windows = _windows_by_key(processed, cfg, M // b)
 
@@ -425,7 +420,7 @@ def discriminability(corpus: Corpus, M: int | None = None, N: int | None = None,
 
 
 def position_table(corpus: Corpus, M: int | None = None, N: int | None = None,
-                   cfg: Config | None = None, jobs: int = 1,
+                   cfg: Config | None = None,
                    required_positions: tuple[str, ...] | None = None
                    ) -> PositionTable:
     """Symmetric matrix of mean intra-body similarity per position pair."""
@@ -439,7 +434,7 @@ def position_table(corpus: Corpus, M: int | None = None, N: int | None = None,
             raise MissingPosition(f"corpus lacks positions {missing}")
         positions = sorted(required_positions)
 
-    processed = _preprocess_corpus(corpus, cfg, jobs)
+    processed = _preprocess_corpus(corpus, cfg)
     groups = _group_positions(processed)
     windows = _windows_by_key(processed, cfg, M // cfg.bits_per_cycle)
     pairs = _intra_pairs(windows, groups, cfg, N)
@@ -573,11 +568,10 @@ def _approximate_entropy_p(bits: np.ndarray, m: int = 2) -> float:
     return float(gammaincc(2 ** (m - 1), chi2 / 2.0))
 
 
-def fingerprint_keys(corpus: Corpus, cfg: Config | None = None,
-                     jobs: int = 1) -> list:
+def fingerprint_keys(corpus: Corpus, cfg: Config | None = None) -> list:
     """Reduced fingerprint of every window: the key corpus for bias testing."""
     cfg = cfg or Config()
-    processed = _preprocess_corpus(corpus, cfg, jobs)
+    processed = _preprocess_corpus(corpus, cfg)
     windows = _windows_by_key(processed, cfg, cfg.cycles_per_fingerprint)
     keys = []
     for wins in windows.values():

@@ -94,11 +94,6 @@ class _Field:
             return 0
         return self.exp[self.log[a] + self.log[b]]
 
-    def div(self, a: int, b: int) -> int:
-        if a == 0:
-            return 0
-        return self.exp[(self.log[a] - self.log[b]) % self.n]
-
     def alpha_pow(self, e: int) -> int:
         return self.exp[e % self.n]
 

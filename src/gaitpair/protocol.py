@@ -8,6 +8,14 @@ matching keys into a strong shared secret; explicit key confirmation closes
 the session.  Fingerprint bits and reliability magnitudes never cross the
 wire: only index permutations, random values, PAKE payloads, and MACs do.
 
+One end of a session is a ``Session``: a state machine that does no I/O.
+``start()`` and ``receive(frame)`` return the frames to send, and ``result``
+is set once the session has ended.  Two drivers move its frames:
+``run_pair_in_memory`` runs both ends in one thread, handing each end's frames
+to the other until neither has one left to send; ``run_session`` runs one end
+over any object with ``send_frame`` and ``recv_frame``, such as
+``TcpChannel``, and holds the only timeout.
+
 Wire format (documented bit-exactly in docs/wire-format.md):
   frame   = [1B version=0x01][1B type][2B big-endian payload length][payload]
   reliability exchange payload = [2B M][M x 1B indices][12B value, 90 bits
@@ -16,17 +24,14 @@ Wire format (documented bit-exactly in docs/wire-format.md):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import hmac
-import queue
 import secrets
 import socket
 import struct
 import time
-from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -114,47 +119,9 @@ def decode_reliability_payload(payload: bytes) -> tuple[np.ndarray, int]:
     return order, nonce
 
 
-# -- channels -----------------------------------------------------------------------
+# -- transport ----------------------------------------------------------------------
 
-class Channel(ABC):
-    """Ordered, framed, bidirectional message transport."""
-
-    @abstractmethod
-    def send_frame(self, frame: bytes) -> None: ...
-
-    @abstractmethod
-    def recv_frame(self, timeout: float) -> bytes: ...
-
-
-class InMemoryChannel(Channel):
-    """One endpoint of an in-process duplex channel."""
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue,
-                 capture: list[bytes] | None = None):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._capture = capture
-
-    @classmethod
-    def pair(cls, capture: list[bytes] | None = None
-             ) -> tuple["InMemoryChannel", "InMemoryChannel"]:
-        a_to_b: queue.Queue = queue.Queue()
-        b_to_a: queue.Queue = queue.Queue()
-        return (cls(b_to_a, a_to_b, capture), cls(a_to_b, b_to_a, capture))
-
-    def send_frame(self, frame: bytes) -> None:
-        if self._capture is not None:
-            self._capture.append(frame)
-        self._outbox.put(frame)
-
-    def recv_frame(self, timeout: float) -> bytes:
-        try:
-            return self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise Timeout(f"no message within {timeout}s") from None
-
-
-class TcpChannel(Channel):
+class TcpChannel:
     """Loopback/real TCP transport carrying the framed protocol."""
 
     def __init__(self, sock: socket.socket):
@@ -225,96 +192,45 @@ def verify_confirm(secret: bytes, transcript: bytes, role: str, mac: bytes) -> N
 
 # -- PAKE ------------------------------------------------------------------------------
 
-class PakeEngine(ABC):
-    """Turns a low-entropy shared password into a strong shared secret.
-
-    Contract: both sides derive the same secret iff the passwords match;
-    mismatched passwords must fail, never yield silently unequal secrets.
-    Production deployments should plug in a real balanced PAKE here.
-    """
-
-    @abstractmethod
-    def run(self, password: bytes, role: str, send, recv,
-            transcript: Transcript) -> bytes:
-        """Execute the exchange; returns a 32-byte secret or raises PakeFailure."""
-
-
-class SimulatedPake(PakeEngine):
-    """Commitment-based stand-in for in-process and loopback testing.
+class SimulatedPake:
+    """Commitment-based stand-in for a PAKE, for in-process and loopback use.
 
     Each side commits to hash(role || password || salt), then reveals the
     salt; the peer recomputes the commitment with its *own* password, so the
     exchange fails unless the passwords agree.  The commitment does not resist
     offline dictionary search against very-low-entropy passwords, which is
-    acceptable only in simulation; see PakeEngine for the production contract.
+    acceptable only in simulation.  A production PAKE must keep the same
+    contract: both sides derive the same secret iff the passwords match, and
+    mismatched passwords fail, never yielding silently unequal secrets.
+    ``Session`` runs the two rounds; this class holds the hash constructions.
     """
 
-    def __init__(self, rng: np.random.Generator | None = None):
-        self._rng = rng
-
-    def _salt(self) -> bytes:
-        if self._rng is None:
-            return secrets.token_bytes(16)
-        return self._rng.bytes(16)
+    def __init__(self, password: bytes, role: str,
+                 rng: np.random.Generator | None = None):
+        self._password = password
+        self._peer_role = "B" if role == "A" else "A"
+        self.salt = secrets.token_bytes(16) if rng is None else rng.bytes(16)
+        self.commit = self._commitment(role, password, self.salt)
 
     @staticmethod
     def _commitment(role: str, password: bytes, salt: bytes) -> bytes:
         return hashlib.sha256(
             b"gaitpair-pake-commit-v1" + role.encode() + password + salt).digest()
 
-    def run(self, password: bytes, role: str, send, recv,
-            transcript: Transcript) -> bytes:
-        peer_role = "B" if role == "A" else "A"
-        salt = self._salt()
-        commit = self._commitment(role, password, salt)
-
-        send(commit)
-        peer_commit = recv()
-        if role == "A":
-            transcript.add("pake-commit-A", commit)
-            transcript.add("pake-commit-B", peer_commit)
-        else:
-            transcript.add("pake-commit-A", peer_commit)
-            transcript.add("pake-commit-B", commit)
-
-        send(salt)
-        peer_salt = recv()
+    def verify(self, peer_commit: bytes, peer_salt: bytes) -> None:
+        """Raise unless the peer's commitment opens under our own password."""
         if len(peer_salt) != 16 or len(peer_commit) != 32:
             raise MalformedMessage("bad PAKE payload size")
-        expected = self._commitment(peer_role, password, peer_salt)
+        expected = self._commitment(self._peer_role, self._password, peer_salt)
         if not hmac.compare_digest(expected, peer_commit):
             raise PakeFailure("commitment mismatch: passwords differ")
-        if role == "A":
-            transcript.add("pake-salt-A", salt)
-            transcript.add("pake-salt-B", peer_salt)
-        else:
-            transcript.add("pake-salt-A", peer_salt)
-            transcript.add("pake-salt-B", salt)
 
+    def secret(self, transcript_digest: bytes) -> bytes:
         return hashlib.sha256(
-            b"gaitpair-pake-secret-v1" + password + transcript.digest()).digest()
+            b"gaitpair-pake-secret-v1" + self._password + transcript_digest).digest()
 
 
 # -- session ---------------------------------------------------------------------------
-
-class Phase(Enum):
-    IDLE = "idle"
-    AWAIT_EXCHANGE = "await_exchange"
-    AWAIT_PAKE = "await_pake"
-    ESTABLISHED = "established"
-    FAILED = "failed"
-
-
-@dataclass
-class SessionState:
-    phase: Phase = Phase.IDLE
-    local_nonce: int = 0
-    peer_nonce: int | None = None
-    local_order: ReliabilityOrder | None = None
-    peer_order: np.ndarray | None = None
-    key: FuzzyKey | None = None
-    secret: bytes | None = None
-
 
 @dataclass
 class SessionResult:
@@ -325,7 +241,6 @@ class SessionResult:
     applied_order: np.ndarray | None = field(default=None, repr=False)
     corrected_errors: int | None = None
     elapsed_s: float = 0.0
-    state: SessionState | None = field(default=None, repr=False)
 
 
 def draw_nonce(rng: np.random.Generator | None = None) -> int:
@@ -346,182 +261,202 @@ def compute_fingerprint(seq: GaitSequence, cfg: Config
     return fp, reliability_order(fp)
 
 
-def run_session(local_gait: GaitSequence, channel: Channel, cfg: Config, *,
-                initiator: bool, pake: PakeEngine | None = None,
-                nonce_rng: np.random.Generator | None = None,
-                phase_timeout: float = DEFAULT_PHASE_TIMEOUT) -> SessionResult:
-    """Execute one pairing session over ``channel``.
+class Session:
+    """One end of a pairing session, as a state machine that does no I/O.
 
-    Role-symmetric apart from who opens with the authentication request.  The
-    result carries the shared secret on success or a failure reason; decode
-    failures and dissimilar fingerprints are expected outcomes that simply end
-    the attempt (fresh gait data is required for the next one).
+    ``start()``, called once, and then ``receive(frame)`` for each peer frame
+    return the frames to send, in order.  ``result`` is set once the session
+    has ended; frames received after that are ignored.  The ends are role-symmetric apart from who opens with the
+    authentication request.  Decode failures and dissimilar fingerprints are
+    expected outcomes that simply end the attempt (fresh gait data is
+    required for the next one).  A wrong or malformed frame ends the session;
+    the frame types expected in turn are auth request (responder only),
+    reliability exchange, PAKE commitment, PAKE salt and confirmation.
     """
-    t_start = time.monotonic()
-    state = SessionState()
-    role = "A" if initiator else "B"
-    pake = pake if pake is not None else SimulatedPake()
-    transcript = Transcript()
 
-    def fail(reason: str) -> SessionResult:
-        state.phase = Phase.FAILED
-        return SessionResult(established=False, failure=reason, state=state,
-                             elapsed_s=time.monotonic() - t_start)
-
-    def send(msg_type: int, payload: bytes = b"") -> bytes:
-        frame = encode_frame(msg_type, payload)
-        channel.send_frame(frame)
-        return frame
-
-    def recv(expected_type: int) -> tuple[bytes, bytes]:
-        frame = channel.recv_frame(phase_timeout)
-        msg_type, payload = decode_frame(frame)
-        if msg_type == MSG_ABORT:
-            raise _PeerAbort(payload.decode(errors="replace"))
-        if msg_type != expected_type:
-            raise MalformedMessage(
-                f"expected message type {expected_type}, got {msg_type}")
-        return frame, payload
-
-    def abort(reason: str) -> None:
-        try:
-            send(MSG_ABORT, reason.encode())
-        except Exception:
-            pass
-
-    try:
-        params = session_code_params(cfg)
-        fp, local_order = compute_fingerprint(local_gait, cfg)
-        if fp.M > 256:
-            raise ConfigError(f"M={fp.M} exceeds the wire encoding limit of 256")
-        if fp.M < cfg.cutoff or cfg.cutoff < params.n:
+    def __init__(self, local_gait: GaitSequence, cfg: Config, *, initiator: bool,
+                 nonce_rng: np.random.Generator | None = None,
+                 salt_rng: np.random.Generator | None = None):
+        self._t_start = time.monotonic()
+        self._cfg = cfg
+        self._params = session_code_params(cfg)
+        self._fp, self._local_order = compute_fingerprint(local_gait, cfg)
+        if self._fp.M > 256:
+            raise ConfigError(f"M={self._fp.M} exceeds the wire encoding limit of 256")
+        if self._fp.M < cfg.cutoff or cfg.cutoff < self._params.n:
             raise ConfigError(
-                f"need M >= cutoff >= n, got M={fp.M}, cutoff={cfg.cutoff}, "
-                f"n={params.n}")
-        state.local_order = local_order
-        state.local_nonce = draw_nonce(nonce_rng)
+                f"need M >= cutoff >= n, got M={self._fp.M}, cutoff={cfg.cutoff}, "
+                f"n={self._params.n}")
+        self._initiator = initiator
+        self._role = "A" if initiator else "B"
+        self._nonce = draw_nonce(nonce_rng)
+        self._salt_rng = salt_rng
+        self._transcript = Transcript()
+        self._expect(MSG_AUTH_REQUEST, self._on_auth_request)
+        self.result: SessionResult | None = None
 
-        # -- authentication request --
-        if initiator:
-            auth_frame = send(MSG_AUTH_REQUEST)
-        else:
-            auth_frame, _ = recv(MSG_AUTH_REQUEST)
-        transcript.add("auth-request", auth_frame)
-        state.phase = Phase.AWAIT_EXCHANGE
+    def start(self) -> list[bytes]:
+        if not self._initiator:
+            return []
+        auth_frame = encode_frame(MSG_AUTH_REQUEST)
+        return [auth_frame] + self._on_auth_request(auth_frame, b"")
 
-        # -- reliability exchange --
-        my_payload = encode_reliability_payload(local_order, state.local_nonce)
-        my_frame = send(MSG_RELIABILITY_EXCHANGE, my_payload)
-        peer_frame, peer_payload = recv(MSG_RELIABILITY_EXCHANGE)
-        peer_order, peer_nonce = decode_reliability_payload(peer_payload)
-        if peer_order.shape[0] != fp.M:
-            abort("fingerprint length mismatch")
-            return fail(f"peer M={peer_order.shape[0]} != local M={fp.M}")
-        state.peer_order = peer_order
-        state.peer_nonce = peer_nonce
-        if initiator:
-            transcript.add("exchange-A", my_frame)
-            transcript.add("exchange-B", peer_frame)
-        else:
-            transcript.add("exchange-A", peer_frame)
-            transcript.add("exchange-B", my_frame)
+    def receive(self, frame: bytes) -> list[bytes]:
+        if self.result is not None:
+            return []
+        try:
+            msg_type, payload = decode_frame(frame)
+            if msg_type == MSG_ABORT:
+                return self._end(f"peer abort: {payload.decode(errors='replace')}")
+            if msg_type != self._expected:
+                raise MalformedMessage(
+                    f"expected message type {self._expected}, got {msg_type}")
+            return self._handler(frame, payload)
+        except ProtocolError as exc:
+            return self.fail(exc)
 
-        if peer_nonce == state.local_nonce:
-            abort("nonce tie")
-            return fail("nonce tie; restart the session")
+    def fail(self, exc: ProtocolError) -> list[bytes]:
+        """End the session on ``exc``, which may also come from a driver's own
+        transport (a timeout, a closed stream); returns the frames to send."""
+        if isinstance(exc, Timeout):
+            return self._end(f"timeout: {exc}")
+        if isinstance(exc, (PakeFailure, ConfirmMismatch)):
+            return self._end(f"{type(exc).__name__}: {exc}")
+        if isinstance(exc, MalformedMessage):
+            return self._end(f"malformed message: {exc}", abort="malformed message")
+        return self._end(str(exc))
+
+    def _end(self, failure: str, abort: str | None = None) -> list[bytes]:
+        self.result = SessionResult(established=False, failure=failure,
+                                    elapsed_s=time.monotonic() - self._t_start)
+        return [] if abort is None else [encode_frame(MSG_ABORT, abort.encode())]
+
+    def _expect(self, msg_type: int, handler) -> None:
+        self._expected, self._handler = msg_type, handler
+
+    def _add_both(self, label: str, mine: bytes, peers: bytes) -> None:
+        """Add a pair of values to the transcript, initiator's first."""
+        a, b = (mine, peers) if self._initiator else (peers, mine)
+        self._transcript.add(f"{label}-A", a)
+        self._transcript.add(f"{label}-B", b)
+
+    # -- states, one per expected frame --
+
+    def _on_auth_request(self, frame: bytes, payload: bytes) -> list[bytes]:
+        self._transcript.add("auth-request", frame)
+        self._exchange = encode_frame(
+            MSG_RELIABILITY_EXCHANGE,
+            encode_reliability_payload(self._local_order, self._nonce))
+        self._expect(MSG_RELIABILITY_EXCHANGE, self._on_exchange)
+        return [self._exchange]
+
+    def _on_exchange(self, frame: bytes, payload: bytes) -> list[bytes]:
+        peer_order, peer_nonce = decode_reliability_payload(payload)
+        if peer_order.shape[0] != self._fp.M:
+            return self._end(f"peer M={peer_order.shape[0]} != local M={self._fp.M}",
+                             abort="fingerprint length mismatch")
+        self._add_both("exchange", self._exchange, frame)
+        if peer_nonce == self._nonce:
+            return self._end("nonce tie; restart the session", abort="nonce tie")
 
         # the ordering accompanying the larger value wins on both sides
-        if peer_nonce > state.local_nonce:
-            winning = ReliabilityOrder(order=peer_order)
+        if peer_nonce > self._nonce:
+            self._winning = ReliabilityOrder(order=peer_order)
         else:
-            winning = local_order
-        reduced = reduce(fp, winning, cfg.cutoff)
-        code_input = reduced.bits[: params.n]
-
+            self._winning = self._local_order
+        reduced = reduce(self._fp, self._winning, self._cfg.cutoff)
         try:
-            key = decode(code_input, params)
+            self._key = decode(reduced.bits[: self._params.n], self._params)
         except DecodeFailure:
-            abort("decode failure")
-            return fail("decode failure: fingerprint too far from the codespace")
-        state.key = key
-        state.phase = Phase.AWAIT_PAKE
+            return self._end("decode failure: fingerprint too far from the codespace",
+                             abort="decode failure")
+        self._pake = SimulatedPake(self._key.to_bytes(), self._role, self._salt_rng)
+        self._expect(MSG_PAKE, self._on_pake_commit)
+        return [encode_frame(MSG_PAKE, self._pake.commit)]
 
-        # -- PAKE --
-        def pake_send(payload: bytes) -> None:
-            send(MSG_PAKE, payload)
+    def _on_pake_commit(self, frame: bytes, payload: bytes) -> list[bytes]:
+        self._peer_commit = payload
+        self._add_both("pake-commit", self._pake.commit, payload)
+        self._expect(MSG_PAKE, self._on_pake_salt)
+        return [encode_frame(MSG_PAKE, self._pake.salt)]
 
-        def pake_recv() -> bytes:
-            _, payload = recv(MSG_PAKE)
-            return payload
+    def _on_pake_salt(self, frame: bytes, payload: bytes) -> list[bytes]:
+        self._pake.verify(self._peer_commit, payload)
+        self._add_both("pake-salt", self._pake.salt, payload)
+        self._digest = self._transcript.digest()
+        self._secret = self._pake.secret(self._digest)
+        self._expect(MSG_CONFIRM, self._on_confirm)
+        return [encode_frame(MSG_CONFIRM,
+                             confirm_key(self._secret, self._digest, self._role))]
 
-        secret = pake.run(key.to_bytes(), role, pake_send, pake_recv, transcript)
-
-        # -- key confirmation --
-        digest = transcript.digest()
-        my_mac = confirm_key(secret, digest, role)
-        send(MSG_CONFIRM, my_mac)
-        _, peer_mac = recv(MSG_CONFIRM)
-        peer_role = "B" if initiator else "A"
-        verify_confirm(secret, digest, peer_role, peer_mac)
-
-        state.secret = secret
-        state.phase = Phase.ESTABLISHED
-        return SessionResult(
+    def _on_confirm(self, frame: bytes, payload: bytes) -> list[bytes]:
+        peer_role = "B" if self._initiator else "A"
+        verify_confirm(self._secret, self._digest, peer_role, payload)
+        self.result = SessionResult(
             established=True,
-            secret=secret,
-            key=key,
-            applied_order=np.asarray(winning.order).copy(),
-            corrected_errors=key.corrected_errors,
-            elapsed_s=time.monotonic() - t_start,
-            state=state,
+            secret=self._secret,
+            key=self._key,
+            applied_order=np.asarray(self._winning.order).copy(),
+            corrected_errors=self._key.corrected_errors,
+            elapsed_s=time.monotonic() - self._t_start,
         )
-
-    except _PeerAbort as exc:
-        return fail(f"peer abort: {exc}")
-    except Timeout as exc:
-        return fail(f"timeout: {exc}")
-    except (PakeFailure, ConfirmMismatch) as exc:
-        return fail(f"{type(exc).__name__}: {exc}")
-    except MalformedMessage as exc:
-        abort("malformed message")
-        return fail(f"malformed message: {exc}")
-    except ProtocolError as exc:
-        return fail(str(exc))
+        return []
 
 
-class _PeerAbort(Exception):
-    pass
+# -- drivers ---------------------------------------------------------------------------
+
+def run_session(local_gait: GaitSequence, channel, cfg: Config, *,
+                initiator: bool, nonce_rng: np.random.Generator | None = None,
+                phase_timeout: float = DEFAULT_PHASE_TIMEOUT) -> SessionResult:
+    """Run one end of a session over ``channel``, any object with
+    ``send_frame(frame)`` and ``recv_frame(timeout)`` such as ``TcpChannel``.
+
+    Each wait for a peer frame lasts at most ``phase_timeout`` seconds.
+    """
+    session = Session(local_gait, cfg, initiator=initiator, nonce_rng=nonce_rng)
+    out = session.start()
+    while session.result is None:
+        for frame in out:
+            channel.send_frame(frame)
+        try:
+            frame = channel.recv_frame(phase_timeout)
+        except ProtocolError as exc:
+            out = session.fail(exc)
+        else:
+            out = session.receive(frame)
+    with contextlib.suppress(OSError):  # the closing abort is best effort
+        for frame in out:
+            channel.send_frame(frame)
+    return session.result
 
 
 def run_pair_in_memory(seq_a: GaitSequence, seq_b: GaitSequence, cfg: Config, *,
                        seed: int | None = None,
-                       phase_timeout: float = DEFAULT_PHASE_TIMEOUT,
                        capture: list[bytes] | None = None
                        ) -> tuple[SessionResult, SessionResult]:
-    """Run both endpoints of one session in-process over an in-memory channel.
+    """Run both ends of one session in this thread, handing each end's frames
+    to the other until neither has a frame left to send.
 
     With ``seed`` set, nonces and PAKE salts are drawn deterministically; this
     is for tests and evaluation only and is insecure for real pairing.
+    ``capture``, if given, receives every frame sent.
     """
-    chan_a, chan_b = InMemoryChannel.pair(capture=capture)
     if seed is None:
-        rng_a = rng_b = None
-        pake_a = SimulatedPake()
-        pake_b = SimulatedPake()
+        rngs = [None] * 4
     else:
-        rng_a = np.random.default_rng([seed, 1])
-        rng_b = np.random.default_rng([seed, 2])
-        pake_a = SimulatedPake(rng=np.random.default_rng([seed, 3]))
-        pake_b = SimulatedPake(rng=np.random.default_rng([seed, 4]))
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        fut_a = pool.submit(run_session, seq_a, chan_a, cfg, initiator=True,
-                            pake=pake_a, nonce_rng=rng_a,
-                            phase_timeout=phase_timeout)
-        fut_b = pool.submit(run_session, seq_b, chan_b, cfg, initiator=False,
-                            pake=pake_b, nonce_rng=rng_b,
-                            phase_timeout=phase_timeout)
-        return fut_a.result(), fut_b.result()
+        rngs = [np.random.default_rng([seed, i]) for i in range(1, 5)]
+    a = Session(seq_a, cfg, initiator=True, nonce_rng=rngs[0], salt_rng=rngs[2])
+    b = Session(seq_b, cfg, initiator=False, nonce_rng=rngs[1], salt_rng=rngs[3])
+    a_out, b_out = a.start(), b.start()
+    while a_out or b_out:
+        if capture is not None:
+            capture += a_out + b_out
+        a_out, b_out = ([out for frame in b_out for out in a.receive(frame)],
+                        [out for frame in a_out for out in b.receive(frame)])
+    for session in (a, b):  # a peer that stopped sending leaves this end waiting
+        if session.result is None:
+            session.fail(Timeout(f"no message within {DEFAULT_PHASE_TIMEOUT}s"))
+    return a.result, b.result
 
 
 # -- clock-drift retry ---------------------------------------------------------------

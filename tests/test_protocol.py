@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from gaitpair.config import Config
-from gaitpair.errors import ConfirmMismatch, InsufficientData, MalformedMessage
+from gaitpair.errors import (ConfirmMismatch, InsufficientData, MalformedMessage,
+                             PakeFailure)
 from gaitpair.fingerprint import ReliabilityOrder
 from gaitpair.gait import detect_cycles, split_and_normalize
 from gaitpair.protocol import (
+    MSG_ABORT,
     MSG_AUTH_REQUEST,
     MSG_RELIABILITY_EXCHANGE,
-    InMemoryChannel,
+    Session,
+    SimulatedPake,
     TcpChannel,
     confirm_key,
     decode_frame,
@@ -140,23 +143,40 @@ def test_role_symmetry(cfg, code_params):
     assert ind_fwd[0].established == ind_rev[0].established == False  # noqa: E712
 
 
+def shuttle(a: Session, b: Session) -> None:
+    """Hand frames between two sessions until neither has one to send."""
+    to_b, to_a = a.start(), b.start()
+    while to_a or to_b:
+        to_a, to_b = ([out for frame in to_b for out in b.receive(frame)],
+                      [out for frame in to_a for out in a.receive(frame)])
+
+
 def test_nonce_tie_aborts(cfg, code_params):
     seq_a, seq_b, _ = craft_codeword_pair(14, 0, cfg, code_params)
-    chan_a, chan_b = InMemoryChannel.pair()
-    results = {}
+    # identical RNG stream on both sides forces an exact nonce tie
+    a = Session(seq_a, cfg, initiator=True, nonce_rng=np.random.default_rng(99))
+    b = Session(seq_b, cfg, initiator=False, nonce_rng=np.random.default_rng(99))
+    shuttle(a, b)
+    assert not a.result.established and not b.result.established
+    assert "tie" in (a.result.failure or "") \
+        or "abort" in (a.result.failure or "")
 
-    def side(name, seq, chan, initiator):
-        # identical RNG stream on both sides forces an exact nonce tie
-        results[name] = run_session(seq, chan, cfg, initiator=initiator,
-                                    nonce_rng=np.random.default_rng(99),
-                                    phase_timeout=5.0)
 
-    t1 = threading.Thread(target=side, args=("a", seq_a, chan_a, True))
-    t2 = threading.Thread(target=side, args=("b", seq_b, chan_b, False))
-    t1.start(); t2.start(); t1.join(); t2.join()
-    assert not results["a"].established and not results["b"].established
-    assert "tie" in (results["a"].failure or "") \
-        or "abort" in (results["a"].failure or "")
+def test_in_memory_end_left_waiting_times_out(cfg, code_params, monkeypatch):
+    # the responder fails its PAKE check without an abort, so the initiator
+    # waits for a confirmation that never comes
+    verify = SimulatedPake.verify
+
+    def responder_fails(self, peer_commit, peer_salt):
+        if self._peer_role == "A":
+            raise PakeFailure("commitment mismatch: passwords differ")
+        verify(self, peer_commit, peer_salt)
+
+    monkeypatch.setattr(SimulatedPake, "verify", responder_fails)
+    seq_a, seq_b, _ = craft_codeword_pair(19, 0, cfg, code_params)
+    res_a, res_b = run_pair_in_memory(seq_a, seq_b, cfg, seed=9)
+    assert res_a.failure == "timeout: no message within 5.0s"
+    assert res_b.failure == "PakeFailure: commitment mismatch: passwords differ"
 
 
 def test_no_fingerprint_bits_on_the_wire(cfg, code_params):
@@ -175,28 +195,25 @@ def test_no_fingerprint_bits_on_the_wire(cfg, code_params):
 
 def test_timeout_when_peer_silent(cfg, code_params):
     seq_a, _, _ = craft_codeword_pair(16, 0, cfg, code_params)
-    chan_a, _chan_b = InMemoryChannel.pair()
-    res = run_session(seq_a, chan_a, cfg, initiator=True, phase_timeout=0.1)
+    sock_a, sock_b = socket.socketpair()  # sock_b never writes
+    try:
+        res = run_session(seq_a, TcpChannel(sock_a), cfg, initiator=True,
+                          phase_timeout=0.1)
+    finally:
+        sock_a.close(); sock_b.close()
     assert not res.established
     assert "timeout" in res.failure
 
 
 def test_malformed_message_fails_session(cfg, code_params):
     seq_b, _, _ = craft_codeword_pair(17, 0, cfg, code_params)
-    chan_a, chan_b = InMemoryChannel.pair()
-    result = {}
-
-    def responder():
-        result["b"] = run_session(seq_b, chan_b, cfg, initiator=False,
-                                  phase_timeout=2.0)
-
-    t = threading.Thread(target=responder)
-    t.start()
-    chan_a.send_frame(encode_frame(MSG_AUTH_REQUEST))
-    chan_a.send_frame(encode_frame(0x7F, b"junk"))
-    t.join()
-    assert not result["b"].established
-    assert "malformed" in result["b"].failure
+    b = Session(seq_b, cfg, initiator=False)
+    assert b.start() == []
+    b.receive(encode_frame(MSG_AUTH_REQUEST))
+    out = b.receive(encode_frame(0x7F, b"junk"))
+    assert not b.result.established
+    assert "malformed" in b.result.failure
+    assert [decode_frame(f)[0] for f in out] == [MSG_ABORT]
 
 
 def test_tcp_loopback_session(cfg, code_params):
