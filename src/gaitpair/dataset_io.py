@@ -22,7 +22,7 @@ from .errors import (
     SchemaMismatch,
     SignalTooShort,
 )
-from .gait import CycleDetection, GaitSequence, cycles_from_bounds, detect_cycles
+from .gait import CycleDetection, GaitSequence, detect_cycles, split_and_normalize
 from .signals import GRAVITY, ImuRecord, VerticalSignal
 
 CSV_COLUMNS = ("timestamp_ms", "ax", "ay", "az", "gx", "gy", "gz")
@@ -317,35 +317,49 @@ def sliding_windows(sig: VerticalSignal, window_cycles: int,
     """Cut a processed signal into half-overlapping runs of full gait cycles.
 
     Windows are aligned to detected half-cycle boundaries, so every window
-    covers an integer number of half cycles.
+    covers an integer number of half cycles.  The record's cycles are
+    resampled once; see ``cut_windows``.
     """
+    _check_window(window_cycles, overlap)
+    det = detection if detection is not None else detect_cycles(sig)
+    total_cycles = (det.minima_indices.shape[0] - 1) // 2
+    if total_cycles < window_cycles:
+        raise SignalTooShort(
+            f"{total_cycles} cycles available, window needs {window_cycles}")
+    return cut_windows(split_and_normalize(sig, det, rho), window_cycles, overlap)
+
+
+def cut_windows(seq: GaitSequence, window_cycles: int,
+                overlap: float = 0.5) -> list[Window]:
+    """Runs of ``window_cycles`` consecutive cycles of a resampled record.
+
+    Each window's cycles are a read-only slice of ``seq.cycles``, so cycle i
+    of the window starting at cycle s is the record's cycle s + i.  A record
+    shorter than one window gives no windows.
+    """
+    _check_window(window_cycles, overlap)
+    step = max(1, int(round(window_cycles * (1.0 - overlap))))
+    windows = []
+    for index, start in enumerate(range(0, seq.q - window_cycles + 1, step)):
+        lo = 2 * start
+        hi = 2 * (start + window_cycles)
+        sub_bounds = seq.half_cycle_bounds[lo:hi + 1]
+        cycles = seq.cycles[start:start + window_cycles]
+        cycles.setflags(write=False)
+        window_seq = GaitSequence(
+            cycles=cycles,
+            rho=seq.rho,
+            source_span=(int(sub_bounds[0]), int(sub_bounds[-1])),
+            source_signal=seq.source_signal,
+            half_cycle_bounds=sub_bounds.copy(),
+            origin_half_cycle=seq.origin_half_cycle + lo,
+        )
+        windows.append(Window(index=index, start_cycle=start, sequence=window_seq))
+    return windows
+
+
+def _check_window(window_cycles: int, overlap: float) -> None:
     if not 0.0 <= overlap < 1.0:
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
     if window_cycles < 1:
         raise ValueError("window_cycles must be >= 1")
-    det = detection if detection is not None else detect_cycles(sig)
-    bounds = det.minima_indices
-    total_cycles = (bounds.shape[0] - 1) // 2
-    if total_cycles < window_cycles:
-        raise SignalTooShort(
-            f"{total_cycles} cycles available, window needs {window_cycles}")
-    step = max(1, int(round(window_cycles * (1.0 - overlap))))
-    windows = []
-    index = 0
-    start = 0
-    while start + window_cycles <= total_cycles:
-        lo = 2 * start
-        hi = 2 * (start + window_cycles)
-        sub_bounds = bounds[lo:hi + 1]
-        seq = GaitSequence(
-            cycles=cycles_from_bounds(sig.z, sub_bounds, rho),
-            rho=rho,
-            source_span=(int(sub_bounds[0]), int(sub_bounds[-1])),
-            source_signal=sig,
-            half_cycle_bounds=sub_bounds.copy(),
-            origin_half_cycle=lo,
-        )
-        windows.append(Window(index=index, start_cycle=start, sequence=seq))
-        index += 1
-        start += step
-    return windows

@@ -15,15 +15,23 @@ from scipy import signal as sps
 from scipy.special import erfc, gammaincc
 
 from .config import Config
-from .dataset_io import Corpus, Window, sliding_windows
+from .dataset_io import Corpus, Window, cut_windows
 from .errors import (
     InsufficientBits,
     InsufficientPairs,
     MissingPosition,
     TooFewKeys,
 )
-from .fingerprint import quantize, average_cycle, reduce, reliability_order, similarity
-from .gait import CycleDetection, detect_cycles
+from .fingerprint import (
+    Fingerprint,
+    ReliabilityOrder,
+    average_cycle,
+    quantize,
+    reduce,
+    reliability_order,
+    similarity,
+)
+from .gait import GaitSequence, detect_cycles, split_and_normalize
 from .signals import (
     VerticalSignal,
     bandpass,
@@ -191,38 +199,40 @@ RecordKey = tuple[str, str, str]  # subject, position, recording
 
 
 def _preprocess_corpus(corpus: Corpus, cfg: Config
-                       ) -> dict[RecordKey, tuple[VerticalSignal, CycleDetection]]:
-    """Run the signal pipeline plus cycle detection once per record."""
+                       ) -> dict[RecordKey, GaitSequence | None]:
+    """Run the signal pipeline, cycle detection and cycle resampling once per
+    record.  Every window of every size is a slice of the record's one
+    resampled sequence, which is None for a record without a full cycle."""
     def work(rec):
         sig = preprocess_record(rec, band=cfg.band)
-        return (rec.subject_id, rec.position, rec.recording_id), (sig, detect_cycles(sig))
+        det = detect_cycles(sig)
+        seq = (split_and_normalize(sig, det, cfg.rho)
+               if det.minima_indices.shape[0] >= 3 else None)
+        return (rec.subject_id, rec.position, rec.recording_id), seq
 
     return dict(work(rec) for rec in corpus.records)
 
 
-def _windows_by_key(processed, cfg: Config, window_cycles: int
-                    ) -> dict[RecordKey, list[Window]]:
-    out: dict[RecordKey, list[Window]] = {}
-    for key, (sig, det) in processed.items():
-        total = (det.minima_indices.shape[0] - 1) // 2
-        if total < window_cycles:
-            out[key] = []
-            continue
-        out[key] = sliding_windows(sig, window_cycles, overlap=0.5,
-                                   rho=cfg.rho, detection=det)
+def _windows_by_key(processed, window_cycles: int) -> dict[RecordKey, list[Window]]:
+    """Half-overlapping windows of every record; [] for a record shorter than
+    one window."""
+    return {key: cut_windows(seq, window_cycles, overlap=0.5) if seq is not None else []
+            for key, seq in processed.items()}
+
+
+def _fingerprints(processed, cfg: Config, window_cycles: int
+                  ) -> dict[RecordKey, list[tuple[Fingerprint, ReliabilityOrder]]]:
+    """Each window's fingerprint and own reliability order, computed once per
+    analysis; list position is the window index."""
+    out = {}
+    for key, wins in _windows_by_key(processed, window_cycles).items():
+        fps = [quantize(w.sequence, average_cycle(w.sequence), cfg.bits_per_cycle)
+               for w in wins]
+        out[key] = [(fp, reliability_order(fp)) for fp in fps]
     return out
 
 
-def _reduced_bits(window: Window, cfg: Config, N: int,
-                  order=None) -> tuple[np.ndarray, object]:
-    fp = quantize(window.sequence, average_cycle(window.sequence), cfg.bits_per_cycle)
-    own_order = reliability_order(fp)
-    applied = order if order is not None else own_order
-    return reduce(fp, applied, N).bits, own_order
-
-
-def _intra_pairs(windows_by_key, subjects_positions, cfg: Config, N: int
-                 ) -> list[PairSimilarity]:
+def _intra_pairs(fingerprints, subjects_positions, N: int) -> list[PairSimilarity]:
     """Same subject+recording, different positions, same window index.
 
     The reliability ordering of the lexicographically first position is
@@ -234,17 +244,11 @@ def _intra_pairs(windows_by_key, subjects_positions, cfg: Config, N: int
         for i in range(len(positions)):
             for j in range(i + 1, len(positions)):
                 pa, pb = positions[i], positions[j]
-                wins_a = windows_by_key.get((subject, pa, recording), [])
-                wins_b = windows_by_key.get((subject, pb, recording), [])
-                for wa, wb in zip(wins_a, wins_b):
-                    fp_a = quantize(wa.sequence, average_cycle(wa.sequence),
-                                    cfg.bits_per_cycle)
-                    fp_b = quantize(wb.sequence, average_cycle(wb.sequence),
-                                    cfg.bits_per_cycle)
-                    order = reliability_order(fp_a)
+                fps_a = fingerprints.get((subject, pa, recording), [])
+                fps_b = fingerprints.get((subject, pb, recording), [])
+                for w, ((fp_a, order), (fp_b, _)) in enumerate(zip(fps_a, fps_b)):
                     sim = similarity(reduce(fp_a, order, N), reduce(fp_b, order, N))
-                    pairs.append(PairSimilarity(subject, pa, subject, pb,
-                                                wa.index, sim))
+                    pairs.append(PairSimilarity(subject, pa, subject, pb, w, sim))
     return pairs
 
 
@@ -341,8 +345,8 @@ def reliability_sweep(corpus: Corpus, N: int = 128,
     entries = []
     for extra in sorted(extra_bits):
         m_total = N + extra
-        windows = _windows_by_key(processed, cfg, m_total // b)
-        pairs = _intra_pairs(windows, groups, cfg, N)
+        fingerprints = _fingerprints(processed, cfg, m_total // b)
+        pairs = _intra_pairs(fingerprints, groups, N)
         if not pairs:
             raise InsufficientBits(
                 f"no intra-body window pairs at M={m_total}: corpus too short")
@@ -370,17 +374,12 @@ def discriminability(corpus: Corpus, M: int | None = None, N: int | None = None,
         raise InsufficientBits(f"M={M} not divisible by b={b}")
     processed = _preprocess_corpus(corpus, cfg)
     groups = _group_positions(processed)
-    windows = _windows_by_key(processed, cfg, M // b)
+    fingerprints = _fingerprints(processed, cfg, M // b)
 
-    intra = _intra_pairs(windows, groups, cfg, N)
+    intra = _intra_pairs(fingerprints, groups, N)
 
-    reduced: dict[RecordKey, list[tuple[int, np.ndarray]]] = {}
-    for key, wins in windows.items():
-        lst = []
-        for w in wins:
-            bits, _ = _reduced_bits(w, cfg, N)
-            lst.append((w.index, bits))
-        reduced[key] = lst
+    reduced = {key: [reduce(fp, order, N).bits for fp, order in fps]
+               for key, fps in fingerprints.items()}
 
     inter: list[PairSimilarity] = []
     keys = sorted(reduced)
@@ -388,12 +387,8 @@ def discriminability(corpus: Corpus, M: int | None = None, N: int | None = None,
         for kb in keys[i + 1:]:
             if ka[0] == kb[0] or ka[1] != kb[1]:
                 continue
-            bits_b = dict(reduced[kb])
-            for w_idx, bits_a in reduced[ka]:
-                if w_idx not in bits_b:
-                    continue
-                agree = 1.0 - float(np.count_nonzero(
-                    bits_a != bits_b[w_idx])) / N
+            for w_idx, (bits_a, bits_b) in enumerate(zip(reduced[ka], reduced[kb])):
+                agree = 1.0 - float(np.count_nonzero(bits_a != bits_b)) / N
                 inter.append(PairSimilarity(ka[0], ka[1], kb[0], kb[1],
                                             w_idx, agree))
 
@@ -436,8 +431,8 @@ def position_table(corpus: Corpus, M: int | None = None, N: int | None = None,
 
     processed = _preprocess_corpus(corpus, cfg)
     groups = _group_positions(processed)
-    windows = _windows_by_key(processed, cfg, M // cfg.bits_per_cycle)
-    pairs = _intra_pairs(windows, groups, cfg, N)
+    fingerprints = _fingerprints(processed, cfg, M // cfg.bits_per_cycle)
+    pairs = _intra_pairs(fingerprints, groups, N)
     if not pairs:
         raise InsufficientPairs("no intra-body pairs for the position table")
 
@@ -572,14 +567,9 @@ def fingerprint_keys(corpus: Corpus, cfg: Config | None = None) -> list:
     """Reduced fingerprint of every window: the key corpus for bias testing."""
     cfg = cfg or Config()
     processed = _preprocess_corpus(corpus, cfg)
-    windows = _windows_by_key(processed, cfg, cfg.cycles_per_fingerprint)
-    keys = []
-    for wins in windows.values():
-        for w in wins:
-            fp = quantize(w.sequence, average_cycle(w.sequence),
-                          cfg.bits_per_cycle)
-            keys.append(reduce(fp, reliability_order(fp), cfg.cutoff))
-    return keys
+    fingerprints = _fingerprints(processed, cfg, cfg.cycles_per_fingerprint)
+    return [reduce(fp, order, cfg.cutoff)
+            for fps in fingerprints.values() for fp, order in fps]
 
 
 def randomness_suite(keys, alpha: float = RANDOMNESS_ALPHA) -> RandomnessReport:

@@ -67,6 +67,11 @@ MSG_PAKE = 0x03
 MSG_CONFIRM = 0x04
 MSG_ABORT = 0x05
 
+# the reasons a Session itself sends in an Abort; any other reason a peer
+# sends is reported by its length alone, so peer text never reaches the result
+ABORT_REASONS = frozenset({"decode failure", "malformed message", "nonce tie",
+                           "fingerprint length mismatch"})
+
 DEFAULT_PHASE_TIMEOUT = 5.0
 
 
@@ -307,7 +312,10 @@ class Session:
         try:
             msg_type, payload = decode_frame(frame)
             if msg_type == MSG_ABORT:
-                return self._end(f"peer abort: {payload.decode(errors='replace')}")
+                reason = payload.decode(errors="replace")
+                if reason not in ABORT_REASONS:
+                    reason = f"unrecognised reason ({len(payload)} bytes)"
+                return self._end(f"peer abort: {reason}")
             if msg_type != self._expected:
                 raise MalformedMessage(
                     f"expected message type {self._expected}, got {msg_type}")

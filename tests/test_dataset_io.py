@@ -22,7 +22,7 @@ from gaitpair.errors import (
     SignalTooShort,
 )
 from gaitpair.fingerprint import average_cycle, quantize, reduce, reliability_order, similarity
-from gaitpair.gait import detect_cycles
+from gaitpair.gait import cycles_from_bounds, detect_cycles
 from gaitpair.signals import preprocess_record
 
 
@@ -205,6 +205,32 @@ def test_windows_cover_whole_half_cycles():
         bounds = w.sequence.half_cycle_bounds
         assert len(bounds) == 2 * 6 + 1
         assert set(bounds.tolist()) <= minima
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.5])
+@pytest.mark.parametrize("window_cycles", [32, 36, 40, 44, 48, 64])
+def test_windows_equal_per_window_resampling(window_cycles, overlap):
+    # reference: resample each window's own cycles from its half-cycle bounds
+    sig = processed_signal(seed=8, n_cycles=150)
+    det = detect_cycles(sig)
+    windows = sliding_windows(sig, window_cycles, overlap=overlap, rho=40,
+                              detection=det)
+    assert windows
+    for w in windows:
+        lo = 2 * w.start_cycle
+        bounds = w.sequence.half_cycle_bounds
+        assert np.array_equal(bounds,
+                              det.minima_indices[lo:lo + 2 * window_cycles + 1])
+        assert w.sequence.origin_half_cycle == lo
+        assert np.array_equal(w.sequence.cycles,
+                              cycles_from_bounds(sig.z, bounds, 40))
+
+
+def test_window_cycles_are_read_only():
+    sig = processed_signal(seed=8, n_cycles=40)
+    windows = sliding_windows(sig, 8, overlap=0.5)
+    with pytest.raises(ValueError):
+        windows[0].sequence.cycles[-1, 0] = 0.0
 
 
 def test_window_too_short():

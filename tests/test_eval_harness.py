@@ -7,6 +7,8 @@ from scipy import signal as sps
 from gaitpair.config import Config
 from gaitpair.dataset_io import Corpus, PositionSpec, SyntheticGaitSpec, generate_synthetic
 from gaitpair.errors import InsufficientPairs, MissingPosition, TooFewKeys
+from gaitpair.fingerprint import average_cycle, quantize, reduce, reliability_order, similarity
+from gaitpair.gait import GaitSequence, cycles_from_bounds, detect_cycles
 from gaitpair.eval_harness import (
     CoherenceReport,
     coherence_analysis,
@@ -16,7 +18,7 @@ from gaitpair.eval_harness import (
     reliability_sweep,
     security_arithmetic,
 )
-from gaitpair.signals import GRAVITY, ImuRecord
+from gaitpair.signals import GRAVITY, ImuRecord, preprocess_record
 
 
 # -- coherence -------------------------------------------------------------------------
@@ -91,6 +93,71 @@ def test_coherence_needs_simultaneous_pairs():
         coherence_analysis(corpus)
 
 
+# -- reference: windows resampled one by one ------------------------------------------
+
+def _reference_fingerprints(corpus, cfg, window_cycles):
+    """Each window's fingerprint, its cycles resampled from its own bounds."""
+    out = {}
+    step = max(1, int(round(window_cycles * 0.5)))
+    for rec in corpus.records:
+        sig = preprocess_record(rec, band=cfg.band)
+        bounds = detect_cycles(sig).minima_indices
+        total = (bounds.shape[0] - 1) // 2
+        fps = []
+        for start in range(0, total - window_cycles + 1, step):
+            cycles = cycles_from_bounds(
+                sig.z, bounds[2 * start:2 * (start + window_cycles) + 1], cfg.rho)
+            seq = GaitSequence(cycles=cycles, rho=cfg.rho)
+            fps.append(quantize(seq, average_cycle(seq), cfg.bits_per_cycle))
+        out[rec.subject_id, rec.position, rec.recording_id] = fps
+    return out
+
+
+def _reference_intra(fps, N):
+    values = {}
+    for sa, pa, ra in fps:
+        for sb, pb, rb in fps:
+            if (sa, ra) != (sb, rb) or pa >= pb:
+                continue
+            for w, (fa, fb) in enumerate(zip(fps[sa, pa, ra], fps[sb, pb, rb])):
+                order = reliability_order(fa)
+                values[sa, pa, sb, pb, w] = similarity(reduce(fa, order, N),
+                                                       reduce(fb, order, N))
+    return values
+
+
+def _reference_inter(fps, N):
+    values = {}
+    for ka in fps:
+        for kb in fps:
+            if ka[0] >= kb[0] or ka[1] != kb[1]:
+                continue
+            for w, (fa, fb) in enumerate(zip(fps[ka], fps[kb])):
+                values[ka[0], ka[1], kb[0], kb[1], w] = similarity(
+                    reduce(fa, reliability_order(fa), N),
+                    reduce(fb, reliability_order(fb), N))
+    return values
+
+
+def _pair_values(pairs):
+    return {(p.subject_a, p.position_a, p.subject_b, p.position_b, p.window): p.value
+            for p in pairs}
+
+
+def test_sweep_equals_per_window_resampling(small_corpus, cfg):
+    rep = reliability_sweep(small_corpus, N=128, cfg=cfg)
+    for entry in rep.entries:
+        fps = _reference_fingerprints(small_corpus, cfg, entry.M // cfg.bits_per_cycle)
+        assert _pair_values(entry.pairs) == _reference_intra(fps, 128), entry.M
+
+
+def test_discriminability_equals_per_window_resampling(small_corpus, cfg):
+    rep = discriminability(small_corpus, cfg=cfg)
+    fps = _reference_fingerprints(small_corpus, cfg, cfg.cycles_per_fingerprint)
+    assert _pair_values(rep.intra_pairs) == _reference_intra(fps, cfg.cutoff)
+    assert _pair_values(rep.inter_pairs) == _reference_inter(fps, cfg.cutoff)
+
+
 # -- reliability sweep -------------------------------------------------------------------
 
 def test_sweep_grid_and_direction(small_corpus, cfg):
@@ -112,7 +179,7 @@ def test_sweep_baseline_is_pure_truncation(small_corpus, cfg):
 
     rep = reliability_sweep(small_corpus, N=128, extra_bits=(0,), cfg=cfg)
     processed = _preprocess_corpus(small_corpus, cfg)
-    windows = _windows_by_key(processed, cfg, 128 // cfg.bits_per_cycle)
+    windows = _windows_by_key(processed, 128 // cfg.bits_per_cycle)
     pair = rep.entries[0].pairs[0]
     key_a = (pair.subject_a, pair.position_a, "r0")
     key_b = (pair.subject_b, pair.position_b, "r0")

@@ -216,6 +216,17 @@ def test_malformed_message_fails_session(cfg, code_params):
     assert [decode_frame(f)[0] for f in out] == [MSG_ABORT]
 
 
+def test_peer_abort_text_is_bounded(cfg, code_params):
+    seq_b, _, _ = craft_codeword_pair(17, 0, cfg, code_params)
+    b = Session(seq_b, cfg, initiator=False)
+    b.receive(encode_frame(MSG_AUTH_REQUEST))
+    control = bytes(i % 32 for i in range(60_000))
+    assert b.receive(encode_frame(MSG_ABORT, control)) == []
+    failure = b.result.failure
+    assert failure == "peer abort: unrecognised reason (60000 bytes)"
+    assert len(failure) <= 64 and failure.isprintable()
+
+
 def test_tcp_loopback_session(cfg, code_params):
     seq_a, seq_b, _ = craft_codeword_pair(18, 3, cfg, code_params)
     sock_a, sock_b = socket.socketpair()
