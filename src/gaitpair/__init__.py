@@ -1,7 +1,7 @@
 """Gait-based device-to-device pairing toolkit.
 
 Body-worn devices derive always-fresh shared secrets from the wearer's
-instantaneous gait: IMU streams are orientation-corrected and band-limited,
+instantaneous gait: IMU streams are gravity-aligned and band-limited,
 segmented into normalized gait cycles, quantized into reliability-ranked
 binary fingerprints, and error-corrected into matching keys that seed a
 password-authenticated key exchange.
@@ -49,11 +49,9 @@ from .protocol import (
 )
 from .signals import (
     ImuRecord,
-    Orientation,
     VerticalSignal,
     bandpass,
     extract_vertical,
-    fuse_orientation,
     preprocess_record,
 )
 
@@ -98,10 +96,8 @@ __all__ = [
     "run_session",
     "shift_retry",
     "ImuRecord",
-    "Orientation",
     "VerticalSignal",
     "bandpass",
     "extract_vertical",
-    "fuse_orientation",
     "preprocess_record",
 ]

@@ -77,10 +77,8 @@ def _read_recording_csv(path: Path) -> np.ndarray:
     return data
 
 
-def load_csv(path: str | Path, schema: tuple[str, ...] = CSV_COLUMNS) -> Corpus:
+def load_csv(path: str | Path) -> Corpus:
     """Load a corpus from a manifest file or a directory containing one."""
-    if schema != CSV_COLUMNS:
-        raise SchemaMismatch(f"unsupported schema {schema}")
     path = Path(path)
     manifest_path = path / MANIFEST_NAME if path.is_dir() else path
     if not manifest_path.exists():

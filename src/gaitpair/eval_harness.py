@@ -36,7 +36,6 @@ from .signals import (
     VerticalSignal,
     bandpass,
     extract_vertical,
-    fuse_orientation,
     preprocess_record,
     resample_uniform,
 )
@@ -264,7 +263,7 @@ def _group_positions(processed) -> dict[tuple[str, str], list[str]]:
 # -- analyses ---------------------------------------------------------------------------
 
 def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceReport:
-    """Welch-averaged magnitude-squared coherence of orientation-corrected
+    """Welch-averaged magnitude-squared coherence of gravity-aligned
     vertical signals: simultaneous same-body pairs against cross-body pairs.
 
     Uses the unfiltered vertical signal; the report flags whether cross-body
@@ -273,10 +272,8 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
     cfg = cfg or Config()
     verticals: dict[RecordKey, VerticalSignal] = {}
     for rec in corpus.records:
-        rec2 = resample_uniform(rec)
-        ori = fuse_orientation(rec2)
         verticals[(rec.subject_id, rec.position, rec.recording_id)] = \
-            extract_vertical(rec2, ori)
+            extract_vertical(resample_uniform(rec))
 
     keys = sorted(verticals)
     same_pairs = [(a, b) for i, a in enumerate(keys) for b in keys[i + 1:]

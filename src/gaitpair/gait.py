@@ -18,6 +18,9 @@ from scipy import signal as sps
 from .errors import CycleTooShort, NoPeriodicity, TooFewMaxima, ZeroVariance
 from .signals import VerticalSignal
 
+#: Least prominence of an autocorrelation maximum that counts as a step.
+MIN_PROMINENCE = 0.1
+
 
 @dataclass
 class CycleDetection:
@@ -77,23 +80,19 @@ def autocorrelate(sig: VerticalSignal) -> np.ndarray:
     return raw / denom
 
 
-def detect_cycles(sig: VerticalSignal, tau_search: int | None = None,
-                  min_prominence: float = 0.1) -> CycleDetection:
+def detect_cycles(sig: VerticalSignal) -> CycleDetection:
     """Locate half-cycle boundaries via autocorrelation-guided minima selection.
 
     Steps:
       1. autocorrelate and pick non-ambiguous maxima: peak prominence at least
-         ``min_prominence`` and inter-peak distance at least half the lag of
+         ``MIN_PROMINENCE`` and inter-peak distance at least half the lag of
          the first significant peak (suppresses intra-cycle wiggle maxima);
       2. delta_mean = ceil(mean spacing of the maxima) estimates the step
          length in samples;
       3. around each maximum lag, take the signal argmin over
-         [zeta_i - tau, zeta_i + delta_mean + tau] as a half-cycle boundary.
-
-    ``tau_search`` defaults to ceil(0.1 * delta_mean).
+         [zeta_i - tau, zeta_i + delta_mean + tau] as a half-cycle boundary,
+         with slack tau = ceil(0.1 * delta_mean).
     """
-    if tau_search is not None and tau_search < 0:
-        raise ValueError("tau_search must be >= 0")
     acorr = autocorrelate(sig)
     z = sig.z
     n = z.shape[0]
@@ -102,10 +101,10 @@ def detect_cycles(sig: VerticalSignal, tau_search: int | None = None,
     # normalization leaves too few product terms and noise alone crosses any
     # fixed prominence floor
     near = acorr[: max(4, n // 2)]
-    if float(np.max(near[1:])) < min_prominence:
+    if float(np.max(near[1:])) < MIN_PROMINENCE:
         raise NoPeriodicity(
-            f"no off-zero autocorrelation above {min_prominence}")
-    first_peaks, _ = sps.find_peaks(near[1:], prominence=min_prominence)
+            f"no off-zero autocorrelation above {MIN_PROMINENCE}")
+    first_peaks, _ = sps.find_peaks(near[1:], prominence=MIN_PROMINENCE)
     if first_peaks.size == 0:
         raise NoPeriodicity("no prominent autocorrelation peak found")
     delta_rough = int(first_peaks[0]) + 1
@@ -113,7 +112,7 @@ def detect_cycles(sig: VerticalSignal, tau_search: int | None = None,
     # the far tail has too few product terms for the peak estimate to matter;
     # keep one rough period of headroom for the minima search window
     lag_cap = max(2, n - delta_rough)
-    peaks, _ = sps.find_peaks(acorr[:lag_cap], prominence=min_prominence,
+    peaks, _ = sps.find_peaks(acorr[:lag_cap], prominence=MIN_PROMINENCE,
                               distance=max(1, delta_rough // 2))
     peaks = peaks[peaks > 0]
     m = peaks.size
@@ -122,7 +121,7 @@ def detect_cycles(sig: VerticalSignal, tau_search: int | None = None,
 
     spacing = np.diff(peaks)
     delta_mean = int(math.ceil(float(np.sum(spacing)) / (m - 1)))
-    tau = tau_search if tau_search is not None else int(math.ceil(0.1 * delta_mean))
+    tau = int(math.ceil(0.1 * delta_mean))
 
     # consecutive search windows overlap; forcing each search to start past
     # the previous pick keeps one boundary per step instead of letting a deep

@@ -1,16 +1,17 @@
-"""Raw IMU streams -> orientation-normalized, band-limited vertical acceleration.
+"""Raw IMU streams -> gravity-aligned, band-limited vertical acceleration.
 
-The chain is: gradient-descent orientation fusion of accelerometer + gyroscope
-(no magnetometer, so heading stays unconstrained), rotation of the acceleration
-into the world frame keeping only the component opposing gravity, then a
-zero-phase Type-II Chebyshev bandpass to strip DC/drift below the step band and
-sensor noise above it.
+The chain is: compose the gyroscope's rotations into a frame that holds still
+while the device turns, rotate the acceleration into that frame, estimate
+gravity there as the acceleration's slow part, keep each sample's component
+along it, then a zero-phase Type-II Chebyshev bandpass to strip DC/drift below
+the step band and sensor noise above it.  There is no magnetometer, so heading
+stays unconstrained; only the vertical component is used.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
@@ -25,14 +26,14 @@ from .errors import (
 
 GRAVITY = 9.81  # m/s^2, nominal
 
-POSITIONS = ("chest", "forearm", "head", "shin", "thigh", "upperarm", "waist", "other")
+#: Corner of the zero-phase 2nd-order Butterworth low-pass that estimates
+#: gravity in the gyro-stabilised frame.  It sits below the step band, and
+#: above the slow turn that gyro bias gives the frame.
+GRAVITY_CUTOFF_HZ = 0.3
 
-#: Default gradient gain for the orientation filter.  Standard published value
-#: for ~50 Hz fusion; convergence, not accuracy, is what downstream relies on.
-DEFAULT_FUSION_GAIN = 0.1
-
-#: Seconds of filtered output discarded before gait detection: orientation
-#: convergence plus filter warm-up corrupt the leading samples.
+#: Seconds of filtered output discarded before gait detection: the gravity
+#: low-pass and the bandpass both warm up at the record's edges, which
+#: corrupts the leading samples.
 TRANSIENT_DISCARD_S = 2.0
 
 
@@ -84,9 +85,9 @@ class ImuRecord:
     def n_samples(self) -> int:
         return int(self.t.shape[0])
 
-    def is_uniform(self, rel_tol: float = 1e-6) -> bool:
+    def is_uniform(self) -> bool:
         dt = np.diff(self.t)
-        return bool(np.allclose(dt, dt[0], rtol=rel_tol, atol=1e-12))
+        return bool(np.allclose(dt, dt[0], rtol=1e-6, atol=1e-12))
 
 
 @dataclass
@@ -107,113 +108,7 @@ class VerticalSignal:
         return int(self.z.shape[0])
 
 
-@dataclass
-class Orientation:
-    """Per-sample unit quaternions, scalar first, shape (n, 4)."""
-
-    q: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.q = np.asarray(self.q, dtype=float)
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.q.shape[0])
-
-
-# -- orientation fusion -----------------------------------------------------------
-
-def _initial_quaternion(acc: np.ndarray) -> tuple[float, float, float, float]:
-    """Quaternion rotating the first accelerometer reading onto world +z.
-
-    Anchors the filter at the measured tilt so convergence does not have to
-    walk across a large initial error; heading is left at zero.
-    """
-    norm = math.sqrt(float(acc[0] ** 2 + acc[1] ** 2 + acc[2] ** 2))
-    if norm < 1e-9:
-        return 1.0, 0.0, 0.0, 0.0
-    ax, ay, az = (float(v) / norm for v in acc)
-    # axis = a x e_z, angle between a and e_z
-    cx, cy = ay, -ax
-    s = math.sqrt(cx * cx + cy * cy)
-    c = az
-    if s < 1e-12:
-        if c > 0.0:
-            return 1.0, 0.0, 0.0, 0.0
-        return 0.0, 1.0, 0.0, 0.0  # flipped: 180 deg about x
-    angle = math.atan2(s, c)
-    half = 0.5 * angle
-    k = math.sin(half) / s
-    return math.cos(half), cx * k, cy * k, 0.0
-
-
-def fuse_orientation(rec: ImuRecord, gain: float = DEFAULT_FUSION_GAIN) -> Orientation:
-    """Estimate per-sample device orientation from accelerometer + gyroscope.
-
-    Gradient-descent fusion: the gyroscope propagates the quaternion while the
-    accelerometer pulls the estimate toward the pose whose world z-axis opposes
-    gravity.  Only the z-axis is meaningful afterwards; the horizontal axes are
-    unconstrained because no second fixed reference direction is available.
-
-    Returns quaternions q (scalar first) such that ``q * v_device * q^-1``
-    expresses a device-frame vector in the world frame.
-    """
-    rec.validate()
-    if gain <= 0:
-        raise ValueError("gain must be positive")
-
-    n = rec.n_samples
-    out = np.empty((n, 4), dtype=float)
-    q0, q1, q2, q3 = _initial_quaternion(rec.acc[0])
-    out[0] = (q0, q1, q2, q3)
-
-    t = rec.t
-    acc = rec.acc
-    gyro = rec.gyro
-    for i in range(1, n):
-        dt = float(t[i] - t[i - 1])
-        gx, gy, gz = float(gyro[i, 0]), float(gyro[i, 1]), float(gyro[i, 2])
-        ax, ay, az = float(acc[i, 0]), float(acc[i, 1]), float(acc[i, 2])
-
-        # quaternion rate from angular velocity
-        qd0 = 0.5 * (-q1 * gx - q2 * gy - q3 * gz)
-        qd1 = 0.5 * (q0 * gx + q2 * gz - q3 * gy)
-        qd2 = 0.5 * (q0 * gy - q1 * gz + q3 * gx)
-        qd3 = 0.5 * (q0 * gz + q1 * gy - q2 * gx)
-
-        norm = math.sqrt(ax * ax + ay * ay + az * az)
-        if norm > 1e-9:
-            ax /= norm
-            ay /= norm
-            az /= norm
-            # objective: predicted gravity direction in device frame minus measurement
-            f1 = 2.0 * (q1 * q3 - q0 * q2) - ax
-            f2 = 2.0 * (q0 * q1 + q2 * q3) - ay
-            f3 = 1.0 - 2.0 * (q1 * q1 + q2 * q2) - az
-            s0 = -2.0 * q2 * f1 + 2.0 * q1 * f2
-            s1 = 2.0 * q3 * f1 + 2.0 * q0 * f2 - 4.0 * q1 * f3
-            s2 = -2.0 * q0 * f1 + 2.0 * q3 * f2 - 4.0 * q2 * f3
-            s3 = 2.0 * q1 * f1 + 2.0 * q2 * f2
-            snorm = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
-            if snorm > 1e-12:
-                qd0 -= gain * s0 / snorm
-                qd1 -= gain * s1 / snorm
-                qd2 -= gain * s2 / snorm
-                qd3 -= gain * s3 / snorm
-
-        q0 += qd0 * dt
-        q1 += qd1 * dt
-        q2 += qd2 * dt
-        q3 += qd3 * dt
-        qn = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
-        q0 /= qn
-        q1 /= qn
-        q2 /= qn
-        q3 /= qn
-        out[i] = (q0, q1, q2, q3)
-
-    return Orientation(out)
-
+# -- gravity alignment -------------------------------------------------------------
 
 def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate row vectors v (n, 3) by quaternions q (n, 4), scalar first."""
@@ -231,15 +126,63 @@ def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([rx, ry, rz], axis=1)
 
 
-def extract_vertical(rec: ImuRecord, ori: Orientation) -> VerticalSignal:
-    """World-frame z component of the acceleration, sample for sample."""
-    if ori.n_samples != rec.n_samples:
-        raise LengthMismatch(
-            f"orientation has {ori.n_samples} samples, record {rec.n_samples}")
-    world = rotate_vectors(ori.q, rec.acc)
+def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Hamilton products a * b of quaternions (m, 4), scalar first."""
+    aw, ax, ay, az = a.T
+    bw, bx, by, bz = b.T
+    return np.stack([aw * bw - ax * bx - ay * by - az * bz,
+                     aw * bx + ax * bw + ay * bz - az * by,
+                     aw * by - ax * bz + ay * bw + az * bx,
+                     aw * bz + ax * by - ay * bx + az * bw], axis=1)
+
+
+def _gyro_frame(rec: ImuRecord) -> np.ndarray:
+    """Quaternions (n, 4) from each sample's device frame to the first one's.
+
+    Sample i turns the device by the body-frame rate ``gyro[i]`` over
+    ``t[i] - t[i-1]``; composing those turns in order is a prefix product,
+    done in log2 n doubling passes and normalised once at the end.
+    """
+    n = rec.n_samples
+    q = np.empty((n, 4))
+    q[0] = (1.0, 0.0, 0.0, 0.0)
+    dt = np.diff(rec.t)[:, None]
+    angle = np.linalg.norm(rec.gyro[1:], axis=1, keepdims=True) * dt
+    q[1:, :1] = np.cos(0.5 * angle)
+    # axis * sin(angle / 2), written with sinc so a zero rate needs no division
+    q[1:, 1:] = 0.5 * dt * rec.gyro[1:] * np.sinc(angle / (2.0 * np.pi))
+    shift = 1
+    while shift < n:
+        q[shift:] = _quat_mul(q[:-shift], q[shift:])
+        shift *= 2
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+def extract_vertical(rec: ImuRecord) -> VerticalSignal:
+    """Acceleration along the gravity estimate, sample for sample.
+
+    The gyro-stabilised frame (``_gyro_frame``) stays fixed in the world while
+    the device swings, so gravity in it is the acceleration's slow part: its
+    zero-phase 2nd-order Butterworth low-pass at ``GRAVITY_CUTOFF_HZ``.  Each
+    sample's projection onto that estimate is gravity plus the vertical
+    motion; a sample whose estimate has zero norm reads 0.  Gyro bias turns
+    the frame slowly, and the low-pass follows it.
+    """
+    rec.validate()
+    acc = rotate_vectors(_gyro_frame(rec), rec.acc)
+    sos = sps.butter(2, GRAVITY_CUTOFF_HZ, fs=rec.sample_rate, output="sos")
+    try:
+        gravity = sps.sosfiltfilt(sos, acc, axis=0)
+    except ValueError as exc:  # fewer samples than the filter's edge padding
+        raise EmptyStream(
+            f"record {rec.recording_id!r} has {rec.n_samples} samples, too few "
+            "for the gravity low-pass") from exc
+    norm = np.linalg.norm(gravity, axis=1)
+    z = np.divide(np.einsum("ij,ij->i", acc, gravity), norm,
+                  out=np.zeros_like(norm), where=norm > 0.0)
     return VerticalSignal(
         sample_rate=rec.sample_rate,
-        z=world[:, 2],
+        z=z,
         subject_id=rec.subject_id,
         position=rec.position,
         recording_id=rec.recording_id,
@@ -248,9 +191,9 @@ def extract_vertical(rec: ImuRecord, ori: Orientation) -> VerticalSignal:
 
 # -- bandpass ---------------------------------------------------------------------
 
-def design_bandpass(sample_rate: float, lo: float, hi: float,
-                    order: int = 4, stop_atten_db: float = 40.0) -> np.ndarray:
-    """Second-order sections for a Type-II Chebyshev bandpass.
+def design_bandpass(sample_rate: float, lo: float, hi: float) -> np.ndarray:
+    """Second-order sections for a 4th-order Type-II Chebyshev bandpass with a
+    40 dB stopband.
 
     Type II keeps the passband ripple-free and drops steeply at the corners,
     which is what the step band needs: everything below ``lo`` is correlated
@@ -259,7 +202,7 @@ def design_bandpass(sample_rate: float, lo: float, hi: float,
     nyq = sample_rate / 2.0
     if not 0.0 < lo < hi < nyq:
         raise InvalidBand(f"need 0 < lo < hi < {nyq} Hz, got ({lo}, {hi})")
-    sos = sps.cheby2(order, stop_atten_db, [lo, hi], btype="bandpass",
+    sos = sps.cheby2(4, 40.0, [lo, hi], btype="bandpass",
                      fs=sample_rate, output="sos")
     # poles of each biquad must sit strictly inside the unit circle
     for section in sos:
@@ -270,8 +213,7 @@ def design_bandpass(sample_rate: float, lo: float, hi: float,
     return sos
 
 
-def bandpass(sig: VerticalSignal, lo: float = 0.5, hi: float = 12.0,
-             order: int = 4, stop_atten_db: float = 40.0) -> VerticalSignal:
+def bandpass(sig: VerticalSignal, lo: float = 0.5, hi: float = 12.0) -> VerticalSignal:
     """Zero-phase bandpass of the vertical signal.
 
     Filtering runs forward and backward so minima used for cycle splitting are
@@ -279,7 +221,7 @@ def bandpass(sig: VerticalSignal, lo: float = 0.5, hi: float = 12.0,
     stopband handles the rest of the sub-``lo`` content.  Output length equals
     input length.
     """
-    sos = design_bandpass(sig.sample_rate, lo, hi, order, stop_atten_db)
+    sos = design_bandpass(sig.sample_rate, lo, hi)
     z = sig.z - float(np.mean(sig.z))
     filtered = sps.sosfiltfilt(sos, z)
     return VerticalSignal(
@@ -307,17 +249,15 @@ def resample_uniform(rec: ImuRecord) -> ImuRecord:
                      rec.subject_id, rec.position, rec.recording_id)
 
 
-def preprocess_record(rec: ImuRecord, band: tuple[float, float] = (0.5, 12.0),
-                      gain: float = DEFAULT_FUSION_GAIN,
-                      discard_s: float = TRANSIENT_DISCARD_S) -> VerticalSignal:
-    """Full preprocessing chain: fuse, extract vertical, bandpass, trim warm-up."""
+def preprocess_record(rec: ImuRecord, band: tuple[float, float] = (0.5, 12.0)
+                      ) -> VerticalSignal:
+    """Full preprocessing chain: align to gravity, bandpass, trim warm-up."""
     rec = resample_uniform(rec)
-    ori = fuse_orientation(rec, gain=gain)
-    vertical = extract_vertical(rec, ori)
-    filtered = bandpass(vertical, band[0], band[1])
-    skip = int(round(discard_s * rec.sample_rate))
-    if skip >= filtered.n_samples:
+    skip = int(round(TRANSIENT_DISCARD_S * rec.sample_rate))
+    if skip >= rec.n_samples:  # before filtering, which needs a few samples
         raise EmptyStream(
-            f"record {rec.recording_id!r} shorter than the {discard_s}s warm-up")
+            f"record {rec.recording_id!r} shorter than the "
+            f"{TRANSIENT_DISCARD_S}s warm-up")
+    filtered = bandpass(extract_vertical(rec), band[0], band[1])
     filtered.z = filtered.z[skip:]
     return filtered

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from gaitpair.config import Config
+from gaitpair.dataset_io import synthetic_vertical_signal
 from gaitpair.fuzzy_ecc import CodeParams, encode
 from gaitpair.gait import GaitSequence
 from gaitpair.signals import GRAVITY, ImuRecord
@@ -71,6 +72,39 @@ def vertical_motion_record(motion: np.ndarray, pose_q: np.ndarray | None = None,
         acc = world @ rotation_matrix(pose_q)
     return ImuRecord(sample_rate=fs, t=t, acc=acc, gyro=np.zeros((n, 3)),
                      subject_id="test")
+
+
+def swinging_record(seed: int = 0, n_cycles: int = 20, swing_deg: float = 30.0,
+                    turn_rate: float = 0.0, fs: float = 50.0
+                    ) -> tuple[ImuRecord, np.ndarray]:
+    """Walking record from a device that also swings like a limb.
+
+    The body moves only vertically (``synthetic_vertical_signal``, one gait
+    cycle per 2 s).  The device, at a random base pose, swings
+    +-``swing_deg`` about the horizontal world x axis at the gait-cycle rate;
+    its gyro reads the matching body-frame rate, theta'(t) times the swing
+    axis in device coordinates.  With ``turn_rate`` (rad/s) the walker also
+    turns about the world vertical, carrying the swing axis round with it,
+    so the order in which rotations compose matters.  Returns (record, true
+    vertical motion).
+    """
+    rng = np.random.default_rng(seed)
+    motion = synthetic_vertical_signal(seed, n_cycles=n_cycles, sample_rate=fs).z
+    t = np.arange(motion.shape[0]) / fs
+    w = 2.0 * np.pi / 2.0  # gait-cycle rate, rad/s
+    amp = np.deg2rad(swing_deg)
+    theta = amp * np.sin(w * t)
+    base = rotation_matrix(random_unit_quaternion(rng))
+    # device-to-world pose Rz(turn_rate t) @ Rx(theta) @ base; its transpose
+    # maps the world vertical (0, 0, a) to base^T (0, a sin theta, a cos theta)
+    # and the world rate (turn_rate e_z + theta' Rz e_x) to
+    # base^T (theta', turn_rate sin theta, turn_rate cos theta)
+    swung = (GRAVITY + motion)[:, None] * np.stack(
+        [np.zeros_like(theta), np.sin(theta), np.cos(theta)], axis=1)
+    acc = swung @ base  # rows v @ base == base^T v
+    gyro = np.stack([amp * w * np.cos(w * t), turn_rate * np.sin(theta),
+                     turn_rate * np.cos(theta)], axis=1) @ base
+    return ImuRecord(sample_rate=fs, t=t, acc=acc, gyro=gyro, subject_id="test"), motion
 
 
 # -- crafted gait sequences ----------------------------------------------------------------

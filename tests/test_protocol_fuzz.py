@@ -2,10 +2,15 @@
 
 Decoders either return a value or raise ``MalformedMessage``.  A ``Session``
 fed any sequence of frames never raises, never establishes, and only ever
-emits well-formed frames.
+emits well-formed frames.  Two sessions talking through a relay that drops,
+duplicates, reorders and truncates frames never raise, only emit well-formed
+frames, and any end that establishes holds the undisturbed run's secret.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,6 +32,7 @@ from gaitpair.protocol import (
     decode_reliability_payload,
     encode_frame,
     encode_reliability_payload,
+    run_pair_in_memory,
     session_code_params,
 )
 
@@ -99,3 +105,72 @@ def test_session_on_arbitrary_frames_never_raises_or_establishes(
         assert session.result is None or not session.result.established
     for frame in sent:
         decode_frame(frame)
+
+
+# crafted pairs that establish (0 and t flips) and one that fails (t + 1 flips)
+PARAMS = session_code_params(CFG)
+PAIRS = [craft_codeword_pair(30 + i, flips, CFG, PARAMS)[:2]
+         for i, flips in enumerate((0, PARAMS.t, PARAMS.t + 1))]
+
+
+@lru_cache(maxsize=None)
+def undisturbed(pair: int, seed: int):
+    return run_pair_in_memory(*PAIRS[pair], CFG, seed=seed)
+
+
+relay_ops = st.lists(st.tuples(
+    st.integers(0, 9),      # frames delivered cleanly first, so any phase is hit
+    st.sampled_from(["drop", "duplicate", "reorder", "truncate"]),
+    st.booleans(),          # the end whose inbound queue the op acts on
+    st.integers(0, 300)),   # kept length for a truncation
+    max_size=6)
+
+
+@settings(deadline=None)
+@given(st.integers(0, len(PAIRS) - 1), st.integers(0, 7), relay_ops)
+def test_two_sessions_through_a_mangling_relay(pair, seed, ops):
+    rngs = [np.random.default_rng([seed, i]) for i in range(1, 5)]
+    ends = (Session(PAIRS[pair][0], CFG, initiator=True,
+                    nonce_rng=rngs[0], salt_rng=rngs[2]),
+            Session(PAIRS[pair][1], CFG, initiator=False,
+                    nonce_rng=rngs[1], salt_rng=rngs[3]))
+    inbound = (deque(), deque())  # frames in flight to end 0 and to end 1
+
+    def send(sender: int, frames: list[bytes]) -> None:
+        for frame in frames:
+            decode_frame(frame)
+        inbound[1 - sender].extend(frames)
+
+    def feed(end: int, frame: bytes) -> None:
+        send(end, ends[end].receive(frame))
+
+    def deliver_clean(n: int) -> None:
+        while n > 0 and (inbound[0] or inbound[1]):
+            for end in (0, 1):
+                if inbound[end] and n > 0:
+                    feed(end, inbound[end].popleft())
+                    n -= 1
+
+    send(0, ends[0].start())
+    send(1, ends[1].start())
+    for clean, op, to_b, keep in ops:
+        deliver_clean(clean)
+        end = int(to_b) if inbound[int(to_b)] else 1 - int(to_b)
+        queue = inbound[end]
+        if not queue:
+            break
+        if op == "reorder":
+            queue.rotate(-1)
+            continue
+        frame = queue.popleft()
+        if op == "truncate":
+            frame = frame[:keep % len(frame)]
+        if op != "drop":
+            feed(end, frame)
+        if op == "duplicate":
+            feed(end, frame)
+    deliver_clean(float("inf"))  # then the relay behaves
+
+    for end, reference in zip(ends, undisturbed(pair, seed)):
+        if end.result is not None and end.result.established:
+            assert end.result.secret == reference.secret

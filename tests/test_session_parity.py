@@ -6,8 +6,8 @@ crossed the wire.  The frames are hashed in sorted order: a seeded session
 fixes which frames each end sends, not how the two ends' frames interleave.
 A change to the session core that alters any seeded session shows here.
 
-The gait case runs the signal front end too, so a change to fusion,
-filtering or segmentation numerics also moves its pinned frames.
+The gait case runs the signal front end too, so a change to gravity
+alignment, filtering or segmentation numerics also moves its pinned frames.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ GOLDEN = {
     "gait-window": (
         (False, "decode failure: fingerprint too far from the codespace", None),
         (False, "decode failure: fingerprint too far from the codespace", None),
-        "714185dba46389929f3045115cb553e3858821996d1b8ee4ede6b3634a12a884"),
+        "99acf2c2725731f1a5590f07a5c1c9e5d2e259690dbab7917d30c378a1482ca7"),
     "independent-1-2": (
         (False, "decode failure: fingerprint too far from the codespace", None),
         (False, "decode failure: fingerprint too far from the codespace", None),
