@@ -9,8 +9,14 @@ exists without redistributing any third-party data.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
+import tempfile
+import zipfile
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -27,6 +33,7 @@ from .signals import GRAVITY, ImuRecord, VerticalSignal
 
 CSV_COLUMNS = ("timestamp_ms", "ax", "ay", "az", "gx", "gy", "gz")
 MANIFEST_NAME = "manifest.json"
+CACHE_DIR = ".gaitpair-cache"
 SCHEMA_VERSION = 1
 
 _OSAKA_WARNINGS = (
@@ -59,22 +66,70 @@ class Corpus:
 
 # -- CSV corpus -------------------------------------------------------------------
 
-def _read_recording_csv(path: Path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        cols = tuple(c.strip() for c in header.split(","))
-        missing = [c for c in CSV_COLUMNS if c not in cols]
-        if missing:
-            raise MissingColumns(f"{path.name}: missing columns {missing}")
-        if cols != CSV_COLUMNS:
-            raise SchemaMismatch(
-                f"{path.name}: header {cols} != {CSV_COLUMNS}")
+def _read_recording_csv(base: Path, name: str) -> np.ndarray:
+    """The (n, 7) samples of one recording, parsed once per file content.
+
+    The file is read once.  The SHA-256 of its bytes keys a binary copy of
+    the parse at ``.gaitpair-cache/<csv name>.npz`` beside the CSV, one entry
+    per CSV name; a missing, unreadable or stale entry means a fresh parse,
+    which rewrites it.  Header and timestamp checks run on both paths, and a
+    file that fails one is never cached.
+    """
+    path = base / name
+    raw = path.read_bytes()
+    fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    header = fh.readline().strip()
+    cols = tuple(c.strip() for c in header.split(","))
+    missing = [c for c in CSV_COLUMNS if c not in cols]
+    if missing:
+        raise MissingColumns(f"{path.name}: missing columns {missing}")
+    if cols != CSV_COLUMNS:
+        raise SchemaMismatch(
+            f"{path.name}: header {cols} != {CSV_COLUMNS}")
+    digest = hashlib.sha256(raw).digest()
+    entry = path.parent / CACHE_DIR / f"{path.name}.npz"
+    data = _cached_parse(entry, digest)
+    parsed = data is None
+    if parsed:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        return np.empty((0, len(CSV_COLUMNS)))
-    if data.shape[1] != len(CSV_COLUMNS):
-        raise SchemaMismatch(f"{path.name}: row width {data.shape[1]}")
+        if data.size == 0:
+            data = np.empty((0, len(CSV_COLUMNS)))
+        elif data.shape[1] != len(CSV_COLUMNS):
+            raise SchemaMismatch(f"{path.name}: row width {data.shape[1]}")
+    if data.shape[0] >= 2 and (np.diff(data[:, 0] / 1000.0) <= 0).any():
+        raise NonMonotoneTimestamps(f"{name}: timestamps not increasing")
+    if parsed:
+        _store_parse(entry, digest, data)
     return data
+
+
+def _cached_parse(entry: Path, digest: bytes) -> np.ndarray | None:
+    """The cached samples of a CSV whose bytes hash to ``digest``, or None."""
+    try:
+        with np.load(entry, allow_pickle=False) as npz:
+            if npz["sha256"].tobytes() != digest:
+                return None
+            data = npz["data"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    if data.dtype != np.float64 or data.ndim != 2 or data.shape[1] != len(CSV_COLUMNS):
+        return None
+    return data
+
+
+def _store_parse(entry: Path, digest: bytes, data: np.ndarray) -> None:
+    """Write a cache entry atomically; skipped where it cannot be written."""
+    tmp = None
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=entry.name, suffix=".tmp", dir=entry.parent)
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, sha256=np.frombuffer(digest, dtype=np.uint8), data=data)
+        os.replace(tmp, entry)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def load_csv(path: str | Path) -> Corpus:
@@ -97,13 +152,10 @@ def load_csv(path: str | Path) -> Corpus:
         for key in ("file", "subject_id", "position", "recording_id", "sample_rate_hz"):
             if key not in entry:
                 raise SchemaMismatch(f"manifest entry missing {key!r}: {entry}")
-        data = _read_recording_csv(base / entry["file"])
-        t = data[:, 0] / 1000.0
-        if t.size >= 2 and (np.diff(t) <= 0).any():
-            raise NonMonotoneTimestamps(f"{entry['file']}: timestamps not increasing")
+        data = _read_recording_csv(base, entry["file"])
         records.append(ImuRecord(
             sample_rate=float(entry["sample_rate_hz"]),
-            t=t,
+            t=data[:, 0] / 1000.0,
             acc=data[:, 1:4],
             gyro=data[:, 4:7],
             subject_id=str(entry["subject_id"]),
@@ -126,14 +178,14 @@ def save_csv(corpus: Corpus, out_dir: str | Path) -> Path:
     entries = []
     for i, rec in enumerate(corpus.records):
         name = f"rec_{i:04d}.csv"
+        samples = np.column_stack([rec.t * 1000.0, rec.acc, rec.gyro])
         with open(out / name, "w", encoding="utf-8") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for j in range(rec.n_samples):
-                # repr of a Python float is the shortest exact round-trip form
-                row = [repr(float(rec.t[j]) * 1000.0)]
-                row += [repr(float(v)) for v in rec.acc[j]]
-                row += [repr(float(v)) for v in rec.gyro[j]]
-                fh.write(",".join(row) + "\n")
+            # blocks of rows bound the text held at once; repr of a Python
+            # float is the shortest exact round-trip form
+            for start in range(0, samples.shape[0], 1024):
+                rows = samples[start:start + 1024].tolist()
+                fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
         entries.append({
             "file": name,
             "subject_id": rec.subject_id,

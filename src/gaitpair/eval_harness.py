@@ -31,6 +31,7 @@ from .fingerprint import (
     reliability_order,
     similarity,
 )
+from .fuzzy_ecc import choose_params
 from .gait import GaitSequence, detect_cycles, split_and_normalize
 from .signals import (
     VerticalSignal,
@@ -610,13 +611,15 @@ def randomness_suite(keys, alpha: float = RANDOMNESS_ALPHA) -> RandomnessReport:
 # -- security arithmetic ---------------------------------------------------------------
 
 def security_arithmetic(session_seconds: float, threshold: float, N: int) -> dict:
-    """Attempt budget per day and the implied error-correction capacity.
+    """Attempt budget per day and the error-correction capacity.
 
     An attacker bound to full sessions gets floor(86400 / session length)
-    tries per day; the code corrects up to floor(N * (1 - threshold)) bits.
+    tries per day.  ``t`` is the budget floor(N * (1 - threshold)) bits;
+    ``code_t`` is what the deployed code corrects, on its length 2^m - 1 <= N.
     """
     if session_seconds <= 0:
         raise ValueError("session_seconds must be positive")
     tries = int(SECONDS_PER_DAY // session_seconds)
     t = int(math.floor(N * (1.0 - threshold) + 1e-9))
-    return {"tries_per_day": tries, "t": t}
+    return {"tries_per_day": tries, "t": t,
+            "code_t": choose_params(N, 1.0 - threshold).t}

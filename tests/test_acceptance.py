@@ -254,7 +254,7 @@ def test_end_to_end_protocol():
 def test_security_arithmetic_exact():
     with criterion("security-arithmetic"):
         result = security_arithmetic(200.0, 0.8, 128)
-        assert result == {"tries_per_day": 432, "t": 25}
+        assert result == {"tries_per_day": 432, "t": 25, "code_t": 23}
 
 
 # -- 8: randomness suite calibration ---------------------------------------------------------------

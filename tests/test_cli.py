@@ -123,7 +123,7 @@ def test_eval_security_defaults(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     report = json.loads((tmp_path / "security.json").read_text())
-    assert report == {"tries_per_day": 432, "t": 25}
+    assert report == {"tries_per_day": 432, "t": 25, "code_t": 23}
     assert "432" in out and "25" in out
 
 

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from gaitpair import cli, dataset_io
 from gaitpair.config import Config
 from gaitpair.dataset_io import (
+    CACHE_DIR,
     CSV_COLUMNS,
     Corpus,
     PositionSpec,
@@ -91,6 +95,14 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(orig.gyro, back.gyro)
 
 
+def test_save_csv_format_is_pinned(tmp_path):
+    # digest of the per-sample repr writer's output; the format must not drift
+    spec = SyntheticGaitSpec(n_cycles=5, rng_seed=4, n_subjects=1)
+    save_csv(generate_synthetic(spec), tmp_path)
+    assert hashlib.sha256((tmp_path / "rec_0000.csv").read_bytes()).hexdigest() == \
+        "d89af1fda361195541b861107480e19afc606b802d2040b414d1952700581363"
+
+
 def test_load_accepts_directory_path(tmp_path):
     corpus = generate_synthetic(SyntheticGaitSpec(n_cycles=5, rng_seed=4,
                                                   n_subjects=1))
@@ -155,6 +167,177 @@ def test_osaka_family_warnings(tmp_path):
     corpus = load_csv(tmp_path)
     assert any("harness" in w for w in corpus.warnings)
     assert any("6-8" in w for w in corpus.warnings)
+
+
+# -- parse cache ---------------------------------------------------------------------
+
+MANIFEST_ENTRY = {"file": "rec.csv", "subject_id": "s", "position": "waist",
+                  "recording_id": "0", "sample_rate_hz": 50.0}
+
+
+@pytest.fixture
+def saved_corpus(tmp_path):
+    save_csv(generate_synthetic(SyntheticGaitSpec(n_cycles=5, rng_seed=4,
+                                                  n_subjects=1)), tmp_path)
+    return tmp_path
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    calls = []
+    real = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    return calls
+
+
+def assert_same_records(a, b):
+    assert len(a.records) == len(b.records)
+    for ra, rb in zip(a.records, b.records):
+        for name in ("t", "acc", "gyro"):
+            x, y = getattr(ra, name), getattr(rb, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def cache_entries(corpus_dir):
+    return sorted(p.name for p in (corpus_dir / CACHE_DIR).iterdir())
+
+
+def test_warm_load_equals_cold_load(saved_corpus):
+    cold = load_csv(saved_corpus)
+    assert cache_entries(saved_corpus) == [f"rec_{i:04d}.csv.npz" for i in range(3)]
+    assert_same_records(load_csv(saved_corpus), cold)
+
+
+def test_warm_load_does_not_parse(saved_corpus, loadtxt_calls):
+    load_csv(saved_corpus)
+    assert len(loadtxt_calls) == 3
+    load_csv(saved_corpus)
+    assert len(loadtxt_calls) == 3
+
+
+def test_edit_with_size_and_mtime_restored_is_reparsed(saved_corpus, loadtxt_calls):
+    csv = saved_corpus / "rec_0000.csv"
+    before = load_csv(saved_corpus).records[0]
+    stat = csv.stat()
+    lines = csv.read_text().split("\n")
+    cells = lines[1].split(",")
+    cells[1] = cells[1][:-1] + str((int(cells[1][-1]) + 1) % 10)  # ax, same length
+    lines[1] = ",".join(cells)
+    csv.write_text("\n".join(lines))
+    os.utime(csv, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert csv.stat().st_size == stat.st_size
+    assert csv.stat().st_mtime_ns == stat.st_mtime_ns
+
+    calls = len(loadtxt_calls)
+    after = load_csv(saved_corpus).records[0]
+    assert len(loadtxt_calls) == calls + 1
+    assert after.acc[0, 0] == float(cells[1]) != before.acc[0, 0]
+    assert cache_entries(saved_corpus) == [f"rec_{i:04d}.csv.npz" for i in range(3)]
+    assert load_csv(saved_corpus).records[0].acc[0, 0] == after.acc[0, 0]
+    assert len(loadtxt_calls) == calls + 1
+
+
+@pytest.mark.parametrize("damage", ["truncate", "garbage", "wrong-digest"])
+def test_damaged_entry_falls_back_and_is_rewritten(saved_corpus, loadtxt_calls, damage):
+    cold = load_csv(saved_corpus)
+    entry = saved_corpus / CACHE_DIR / "rec_0001.csv.npz"
+    if damage == "truncate":
+        entry.write_bytes(entry.read_bytes()[:1000])
+    elif damage == "garbage":
+        entry.write_bytes(b"not a cache entry")
+    else:
+        with np.load(entry) as npz:
+            data = npz["data"]
+        np.savez(entry, sha256=np.zeros(32, dtype=np.uint8), data=data + 1.0)
+
+    calls = len(loadtxt_calls)
+    assert_same_records(load_csv(saved_corpus), cold)
+    assert len(loadtxt_calls) == calls + 1
+    assert_same_records(load_csv(saved_corpus), cold)
+    assert len(loadtxt_calls) == calls + 1
+
+
+def test_failed_cache_write_still_loads(saved_corpus, monkeypatch):
+    cold = load_csv(saved_corpus)
+    for entry in (saved_corpus / CACHE_DIR).iterdir():
+        entry.unlink()
+
+    def refuse(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(dataset_io.os, "replace", refuse)
+    assert_same_records(load_csv(saved_corpus), cold)
+    assert cache_entries(saved_corpus) == []
+
+
+def test_unusable_cache_directory_still_loads(saved_corpus):
+    cold = load_csv(saved_corpus)
+    for entry in (saved_corpus / CACHE_DIR).iterdir():
+        entry.unlink()
+    (saved_corpus / CACHE_DIR).rmdir()
+    (saved_corpus / CACHE_DIR).write_text("a file where the cache directory goes")
+    assert_same_records(load_csv(saved_corpus), cold)
+
+
+def write_one_recording(corpus_dir, text):
+    (corpus_dir / "rec.csv").write_text(text)
+    (corpus_dir / "manifest.json").write_text(json.dumps({
+        "schema_version": 1, "recordings": [MANIFEST_ENTRY]}))
+
+
+GOOD_ROWS = ["0,0,0,9.81,0,0,0", "20,0,0,9.81,0,0,0", "40,0,0,9.81,0,0,0"]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("timestamp_ms,ax,ay,az,gx,gy\n" + "\n".join(r[:-2] for r in GOOD_ROWS),
+     MissingColumns),
+    ("ax,timestamp_ms,ay,az,gx,gy,gz\n" + "\n".join(GOOD_ROWS), SchemaMismatch),
+    (",".join(CSV_COLUMNS) + ",extra\n" + "\n".join(r + ",0" for r in GOOD_ROWS),
+     SchemaMismatch),
+    (",".join(CSV_COLUMNS) + "\n" + "\n".join(r[:-2] for r in GOOD_ROWS),
+     SchemaMismatch),
+    (",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS[::-1]), NonMonotoneTimestamps),
+])
+def test_invalid_file_raises_and_is_not_cached(tmp_path, text, error):
+    write_one_recording(tmp_path, text)
+    for _ in range(2):
+        with pytest.raises(error):
+            load_csv(tmp_path)
+    assert not (tmp_path / CACHE_DIR).exists()
+
+
+def test_cache_hit_still_checks_timestamps(tmp_path):
+    write_one_recording(tmp_path, ",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS))
+    load_csv(tmp_path)
+    rows = GOOD_ROWS[::-1]
+    text = ",".join(CSV_COLUMNS) + "\n" + "\n".join(rows)
+    write_one_recording(tmp_path, text)
+    # an entry for exactly these bytes, as if the check had once been skipped
+    np.savez(tmp_path / CACHE_DIR / "rec.csv.npz",
+             sha256=np.frombuffer(hashlib.sha256(text.encode()).digest(), dtype=np.uint8),
+             data=np.array([[float(v) for v in r.split(",")] for r in rows]))
+    with pytest.raises(NonMonotoneTimestamps):
+        load_csv(tmp_path)
+
+
+def test_cold_and_warm_eval_reports_are_byte_identical(tmp_path, capsys, loadtxt_calls):
+    corpus_dir = tmp_path / "corpus"
+    save_csv(generate_synthetic(SyntheticGaitSpec(n_cycles=100, n_subjects=2,
+                                                  rng_seed=21)), corpus_dir)
+    for run in ("cold", "warm"):
+        assert cli.main(["eval", str(corpus_dir), "--analysis", "discriminability",
+                         "--out", str(tmp_path / run)]) == 0
+        assert len(loadtxt_calls) == 6  # the warm run parses nothing
+    names = sorted(p.name for p in (tmp_path / "cold").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "warm").iterdir())
+    for name in names:
+        assert (tmp_path / "cold" / name).read_bytes() == \
+            (tmp_path / "warm" / name).read_bytes()
 
 
 # -- sliding windows --------------------------------------------------------------------

@@ -305,7 +305,8 @@ def test_fingerprint_keys_monobit_within_3_sigma(small_corpus, cfg):
 # -- security arithmetic ---------------------------------------------------------------------------
 
 def test_security_arithmetic_deployment_values():
-    assert security_arithmetic(200.0, 0.8, 128) == {"tries_per_day": 432, "t": 25}
+    assert security_arithmetic(200.0, 0.8, 128) == {"tries_per_day": 432, "t": 25,
+                                                  "code_t": 23}
 
 
 def test_security_arithmetic_one_try_per_day():
