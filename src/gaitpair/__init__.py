@@ -17,7 +17,6 @@ from .dataset_io import (
     load_csv,
     save_csv,
     sliding_windows,
-    synthetic_vertical_signal,
 )
 from .fingerprint import (
     AverageCycle,
@@ -45,7 +44,6 @@ from .protocol import (
     confirm_key,
     run_pair_in_memory,
     run_session,
-    shift_retry,
 )
 from .signals import (
     ImuRecord,
@@ -67,7 +65,6 @@ __all__ = [
     "load_csv",
     "save_csv",
     "sliding_windows",
-    "synthetic_vertical_signal",
     "AverageCycle",
     "Fingerprint",
     "ReducedFingerprint",
@@ -94,7 +91,6 @@ __all__ = [
     "confirm_key",
     "run_pair_in_memory",
     "run_session",
-    "shift_retry",
     "ImuRecord",
     "VerticalSignal",
     "bandpass",

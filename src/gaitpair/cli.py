@@ -66,8 +66,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="similarity required for pairing")
     parser.add_argument("--band", type=str, default="0.5:12",
                         help="bandpass corners as lo:hi in Hz")
-    parser.add_argument("--sample-rate", type=float, default=50.0,
-                        help="nominal sample rate in Hz")
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
@@ -83,7 +81,6 @@ def _config_from_args(args: argparse.Namespace) -> Config:
         cutoff=args.cutoff,
         threshold=args.threshold,
         band=band,
-        sample_rate=args.sample_rate,
     )
 
 
@@ -279,6 +276,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             MissingPosition) as exc:
         print(f"insufficient data: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
+    except GaitPairError as exc:
+        print(f"signal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SIGNAL
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -286,7 +286,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # -- synth -----------------------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
     positions = tuple(p.strip() for p in args.positions.split(",") if p.strip())
     if not positions:
         print("no positions given", file=sys.stderr)
@@ -298,7 +297,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             (p, dataset_io.PositionSpec(noise_snr_db=args.snr_db)) for p in positions),
         rng_seed=args.seed,
         n_subjects=args.subjects,
-        sample_rate=cfg.sample_rate,
+        sample_rate=args.sample_rate,
     )
     corpus = dataset_io.generate_synthetic(spec)
     manifest = dataset_io.save_csv(corpus, args.out)
@@ -351,6 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--snr-db", type=float, default=20.0)
     p_synth.add_argument("--seed", type=int, default=0,
                          help="seed of the synthetic corpus")
+    p_synth.add_argument("--sample-rate", type=float, default=50.0,
+                         help="sample rate of the generated recordings in Hz")
     _add_config_flags(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 

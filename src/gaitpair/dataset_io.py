@@ -15,7 +15,7 @@ import io
 import json
 import math
 import os
-import tempfile
+import secrets
 import zipfile
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -118,18 +118,24 @@ def _cached_parse(entry: Path, digest: bytes) -> np.ndarray | None:
 
 
 def _store_parse(entry: Path, digest: bytes, data: np.ndarray) -> None:
-    """Write a cache entry atomically; skipped where it cannot be written."""
-    tmp = None
+    """Write a cache entry atomically; skipped where it cannot be written.
+
+    The entry is written under a unique temporary name that ``open`` creates,
+    so its mode follows the umask and other users of the corpus can read it.
+    """
+    tmp = entry.with_name(f"{entry.name}.{secrets.token_hex(8)}.tmp")
     try:
         entry.parent.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=entry.name, suffix=".tmp", dir=entry.parent)
-        with os.fdopen(fd, "wb") as fh:
+        fh = open(tmp, "xb")
+    except OSError:
+        return
+    try:
+        with fh:
             np.savez(fh, sha256=np.frombuffer(digest, dtype=np.uint8), data=data)
         os.replace(tmp, entry)
     except OSError:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def load_csv(path: str | Path) -> Corpus:
@@ -391,20 +397,10 @@ def cut_windows(seq: GaitSequence, window_cycles: int,
     step = max(1, int(round(window_cycles * (1.0 - overlap))))
     windows = []
     for index, start in enumerate(range(0, seq.q - window_cycles + 1, step)):
-        lo = 2 * start
-        hi = 2 * (start + window_cycles)
-        sub_bounds = seq.half_cycle_bounds[lo:hi + 1]
         cycles = seq.cycles[start:start + window_cycles]
         cycles.setflags(write=False)
-        window_seq = GaitSequence(
-            cycles=cycles,
-            rho=seq.rho,
-            source_span=(int(sub_bounds[0]), int(sub_bounds[-1])),
-            source_signal=seq.source_signal,
-            half_cycle_bounds=sub_bounds.copy(),
-            origin_half_cycle=seq.origin_half_cycle + lo,
-        )
-        windows.append(Window(index=index, start_cycle=start, sequence=window_seq))
+        windows.append(Window(index=index, start_cycle=start,
+                              sequence=GaitSequence(cycles=cycles, rho=seq.rho)))
     return windows
 
 

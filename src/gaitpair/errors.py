@@ -95,10 +95,6 @@ class ConfirmMismatch(ProtocolError):
     """Key-confirmation MAC did not verify."""
 
 
-class InsufficientData(GaitPairError):
-    """Not enough gait material for the requested operation."""
-
-
 # -- dataset I/O ---------------------------------------------------------------
 
 class SchemaMismatch(GaitPairError):

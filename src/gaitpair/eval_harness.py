@@ -7,6 +7,7 @@ alongside the summaries; nothing is aggregated away.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -232,33 +233,34 @@ def _fingerprints(processed, cfg: Config, window_cycles: int
     return out
 
 
-def _intra_pairs(fingerprints, subjects_positions, N: int) -> list[PairSimilarity]:
-    """Same subject+recording, different positions, same window index.
+def _window_pairs(fingerprints, key_pairs, N: int) -> list[PairSimilarity]:
+    """Similarity of each same-index window pair of every (key_a, key_b).
 
-    The reliability ordering of the lexicographically first position is
-    applied to both sides, mirroring the protocol's winner-order rule
-    deterministically.
+    The reliability order of key_a's window is applied to both sides,
+    mirroring the protocol's winner-order rule deterministically.
     """
     pairs: list[PairSimilarity] = []
-    for (subject, recording), positions in subjects_positions.items():
-        for i in range(len(positions)):
-            for j in range(i + 1, len(positions)):
-                pa, pb = positions[i], positions[j]
-                fps_a = fingerprints.get((subject, pa, recording), [])
-                fps_b = fingerprints.get((subject, pb, recording), [])
-                for w, ((fp_a, order), (fp_b, _)) in enumerate(zip(fps_a, fps_b)):
-                    sim = similarity(reduce(fp_a, order, N), reduce(fp_b, order, N))
-                    pairs.append(PairSimilarity(subject, pa, subject, pb, w, sim))
+    for ka, kb in key_pairs:
+        for w, ((fp_a, order), (fp_b, _)) in enumerate(
+                zip(fingerprints.get(ka, []), fingerprints.get(kb, []))):
+            sim = similarity(reduce(fp_a, order, N), reduce(fp_b, order, N))
+            pairs.append(PairSimilarity(ka[0], ka[1], kb[0], kb[1], w, sim))
     return pairs
 
 
-def _group_positions(processed) -> dict[tuple[str, str], list[str]]:
+def _intra_keys(processed) -> list[tuple[RecordKey, RecordKey]]:
+    """Same subject and recording, different positions, in position order."""
     groups: dict[tuple[str, str], list[str]] = {}
     for subject, position, recording in processed:
         groups.setdefault((subject, recording), []).append(position)
-    for v in groups.values():
-        v.sort()
-    return groups
+    return [((s, a, r), (s, b, r)) for (s, r), positions in groups.items()
+            for a, b in itertools.combinations(sorted(positions), 2)]
+
+
+def _inter_keys(processed) -> list[tuple[RecordKey, RecordKey]]:
+    """Same position, different subjects, in key order."""
+    return [(a, b) for a, b in itertools.combinations(sorted(processed), 2)
+            if a[0] != b[0] and a[1] == b[1]]
 
 
 # -- analyses ---------------------------------------------------------------------------
@@ -268,7 +270,8 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
     vertical signals: simultaneous same-body pairs against cross-body pairs.
 
     Uses the unfiltered vertical signal; the report flags whether cross-body
-    coherence is elevated below 0.5 Hz, the band the bandpass later removes.
+    coherence is elevated below ``cfg.band``'s lower corner, the band the
+    bandpass later removes.
     """
     cfg = cfg or Config()
     verticals: dict[RecordKey, VerticalSignal] = {}
@@ -313,8 +316,9 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
     n = min(freqs_s.shape[0], freqs_d.shape[0])
     freqs, mean_same, mean_diff = freqs_s[:n], mean_same[:n], mean_diff[:n]
 
-    low = freqs < 0.5
-    high = (freqs >= 0.5) & (freqs <= 12.0)
+    lo, hi = cfg.band
+    low = freqs < lo
+    high = (freqs >= lo) & (freqs <= hi)
     elevated = bool(low.any() and high.any()
                     and mean_diff[low].mean() > mean_diff[high].mean())
     return CoherenceReport(
@@ -323,6 +327,7 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
         mean_different_subject=mean_diff,
         n_same_pairs=len(same_pairs),
         n_diff_pairs=len(diff_pairs),
+        low_band_hz=lo,
         low_band_elevated=elevated,
     )
 
@@ -338,13 +343,13 @@ def reliability_sweep(corpus: Corpus, N: int = 128,
         if (N + extra) % b != 0:
             raise InsufficientBits(f"M={N + extra} not divisible by b={b}")
     processed = _preprocess_corpus(corpus, cfg)
-    groups = _group_positions(processed)
+    intra_keys = _intra_keys(processed)
 
     entries = []
     for extra in sorted(extra_bits):
         m_total = N + extra
         fingerprints = _fingerprints(processed, cfg, m_total // b)
-        pairs = _intra_pairs(fingerprints, groups, N)
+        pairs = _window_pairs(fingerprints, intra_keys, N)
         if not pairs:
             raise InsufficientBits(
                 f"no intra-body window pairs at M={m_total}: corpus too short")
@@ -361,6 +366,7 @@ def discriminability(corpus: Corpus, M: int | None = None, N: int | None = None,
 
     Intra: every position pair within each subject, same window index.
     Inter: same position across different subjects, same window index.
+    Both sides of a pair are reduced by the first record's reliability order.
     The collision rate counts inter-body similarities above the pairing
     threshold.
     """
@@ -371,24 +377,9 @@ def discriminability(corpus: Corpus, M: int | None = None, N: int | None = None,
     if M % b != 0:
         raise InsufficientBits(f"M={M} not divisible by b={b}")
     processed = _preprocess_corpus(corpus, cfg)
-    groups = _group_positions(processed)
     fingerprints = _fingerprints(processed, cfg, M // b)
-
-    intra = _intra_pairs(fingerprints, groups, N)
-
-    reduced = {key: [reduce(fp, order, N).bits for fp, order in fps]
-               for key, fps in fingerprints.items()}
-
-    inter: list[PairSimilarity] = []
-    keys = sorted(reduced)
-    for i, ka in enumerate(keys):
-        for kb in keys[i + 1:]:
-            if ka[0] == kb[0] or ka[1] != kb[1]:
-                continue
-            for w_idx, (bits_a, bits_b) in enumerate(zip(reduced[ka], reduced[kb])):
-                agree = 1.0 - float(np.count_nonzero(bits_a != bits_b)) / N
-                inter.append(PairSimilarity(ka[0], ka[1], kb[0], kb[1],
-                                            w_idx, agree))
+    intra = _window_pairs(fingerprints, _intra_keys(processed), N)
+    inter = _window_pairs(fingerprints, _inter_keys(processed), N)
 
     if not intra:
         raise InsufficientPairs("no intra-body pairs (need >= 2 positions)")
@@ -428,9 +419,8 @@ def position_table(corpus: Corpus, M: int | None = None, N: int | None = None,
         positions = sorted(required_positions)
 
     processed = _preprocess_corpus(corpus, cfg)
-    groups = _group_positions(processed)
     fingerprints = _fingerprints(processed, cfg, M // cfg.bits_per_cycle)
-    pairs = _intra_pairs(fingerprints, groups, N)
+    pairs = _window_pairs(fingerprints, _intra_keys(processed), N)
     if not pairs:
         raise InsufficientPairs("no intra-body pairs for the position table")
 

@@ -42,18 +42,10 @@ class CycleDetection:
 
 @dataclass
 class GaitSequence:
-    """q contiguous full gait cycles, each resampled to rho samples.
-
-    Provenance (the source signal and the half-cycle boundaries it was cut at)
-    is retained so a sequence can be re-segmented at a shifted origin.
-    """
+    """q contiguous full gait cycles, each resampled to rho samples."""
 
     cycles: np.ndarray = field(repr=False)  # shape (q, rho)
     rho: int = 0
-    source_span: tuple[int, int] = (0, 0)
-    source_signal: VerticalSignal | None = field(default=None, repr=False)
-    half_cycle_bounds: np.ndarray | None = field(default=None, repr=False)
-    origin_half_cycle: int = 0
 
     @property
     def q(self) -> int:
@@ -180,13 +172,4 @@ def split_and_normalize(sig: VerticalSignal, det: CycleDetection,
     if bounds.shape[0] < 3:
         raise TooFewMaxima(
             f"need >= 3 half-cycle boundaries, got {bounds.shape[0]}")
-    q = (bounds.shape[0] - 1) // 2
-    cycles = cycles_from_bounds(sig.z, bounds, rho)
-    return GaitSequence(
-        cycles=cycles,
-        rho=rho,
-        source_span=(int(bounds[0]), int(bounds[2 * q])),
-        source_signal=sig,
-        half_cycle_bounds=bounds.copy(),
-        origin_half_cycle=0,
-    )
+    return GaitSequence(cycles=cycles_from_bounds(sig.z, bounds, rho), rho=rho)

@@ -40,7 +40,6 @@ from .errors import (
     ConfigError,
     ConfirmMismatch,
     DecodeFailure,
-    InsufficientData,
     MalformedMessage,
     PakeFailure,
     ProtocolError,
@@ -55,7 +54,7 @@ from .fingerprint import (
     reliability_order,
 )
 from .fuzzy_ecc import CodeParams, FuzzyKey, choose_params, decode
-from .gait import GaitSequence, cycles_from_bounds
+from .gait import GaitSequence
 
 PROTOCOL_VERSION = 0x01
 NONCE_BITS = 90
@@ -466,30 +465,3 @@ def run_pair_in_memory(seq_a: GaitSequence, seq_b: GaitSequence, cfg: Config, *,
             session.fail(Timeout(f"no message within {DEFAULT_PHASE_TIMEOUT}s"))
     return a.result, b.result
 
-
-# -- clock-drift retry ---------------------------------------------------------------
-
-def shift_retry(seq: GaitSequence, half_cycles: int) -> GaitSequence:
-    """Re-segment a sequence with its origin advanced by whole half cycles.
-
-    Devices with relative clock drift can retry pairing on shifted sequences;
-    shifting by two half cycles equals dropping the first full cycle.
-    """
-    if half_cycles < 0:
-        raise ValueError("half_cycles must be >= 0")
-    if seq.source_signal is None or seq.half_cycle_bounds is None:
-        raise InsufficientData("sequence carries no segmentation provenance")
-    bounds = seq.half_cycle_bounds[half_cycles:]
-    if bounds.shape[0] < 3:
-        raise InsufficientData(
-            f"only {max(0, bounds.shape[0] - 1)} half cycles left after shift")
-    q = (bounds.shape[0] - 1) // 2
-    cycles = cycles_from_bounds(seq.source_signal.z, bounds, seq.rho)
-    return GaitSequence(
-        cycles=cycles,
-        rho=seq.rho,
-        source_span=(int(bounds[0]), int(bounds[2 * q])),
-        source_signal=seq.source_signal,
-        half_cycle_bounds=bounds.copy(),
-        origin_half_cycle=seq.origin_half_cycle + half_cycles,
-    )

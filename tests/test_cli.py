@@ -70,6 +70,56 @@ def test_preprocess_constant_trace_exits_3(tmp_path, capsys):
     assert "ZeroVariance" in err
 
 
+def test_eval_constant_trace_exits_3(tmp_path, capsys):
+    rows = "\n".join(f"{i * 20},0,0,9.81,0,0,0" for i in range(600))
+    for name in ("a.csv", "b.csv"):
+        (tmp_path / name).write_text(",".join(CSV_COLUMNS) + "\n" + rows)
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "schema_version": 1,
+        "recordings": [{"file": name, "subject_id": "s", "position": position,
+                        "recording_id": "0", "sample_rate_hz": 50.0}
+                       for name, position in (("a.csv", "waist"), ("b.csv", "chest"))]}))
+    rc = cli.main(["eval", str(tmp_path), "--analysis", "discriminability",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "ZeroVariance" in capsys.readouterr().err
+
+
+def test_band_above_nyquist_of_recording_exits_3(corpus_dir, tmp_path, capsys):
+    # 30 Hz lies above the 25 Hz Nyquist rate of the corpus's 50 Hz records
+    rc = cli.main(["eval", str(corpus_dir), "--analysis", "discriminability",
+                   "--band", "0.5:30", "--out", str(tmp_path / "eval")])
+    assert rc == 3
+    assert "InvalidBand" in capsys.readouterr().err
+    rc = cli.main(["preprocess", str(corpus_dir), str(tmp_path / "pre"),
+                   "--band", "0.5:30"])
+    assert rc == 3
+    assert "InvalidBand" in capsys.readouterr().err
+
+
+def test_band_is_checked_against_each_recording_rate(tmp_path, capsys):
+    corpus = tmp_path / "c100"
+    assert cli.main(["synth", str(corpus), "--subjects", "2", "--cycles", "60",
+                     "--seed", "4", "--sample-rate", "100"]) == 0
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    assert {r["sample_rate_hz"] for r in manifest["recordings"]} == {100.0}
+    rc = cli.main(["eval", str(corpus), "--analysis", "discriminability",
+                   "--band", "0.5:30", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "discriminability.json").read_text())
+    assert report["n_intra"] > 0 and report["n_inter"] > 0
+
+
+@pytest.mark.parametrize("command", [["preprocess", "in", "out"],
+                                     ["pair", "a.json", "b.json"],
+                                     ["eval", "corpus", "--analysis", "coherence"]])
+def test_only_synth_takes_sample_rate(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--sample-rate", "100"])
+    assert exc.value.code == 2
+    assert "--sample-rate" in capsys.readouterr().err
+
+
 def test_pair_same_recording_is_deterministic(preprocessed_dir, capsys):
     rec = sorted(str(p) for p in preprocessed_dir.glob("*.json"))[0]
     rc = cli.main(["pair", rec, rec, "--insecure-session-seed", "11"])

@@ -275,6 +275,17 @@ def test_failed_cache_write_still_loads(saved_corpus, monkeypatch):
     assert cache_entries(saved_corpus) == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+def test_cache_entry_mode_follows_umask(saved_corpus, umask):
+    old = os.umask(umask)
+    try:
+        load_csv(saved_corpus)
+    finally:
+        os.umask(old)
+    for entry in (saved_corpus / CACHE_DIR).iterdir():
+        assert entry.stat().st_mode & 0o777 == 0o666 & ~umask, entry.name
+
+
 def test_unusable_cache_directory_still_loads(saved_corpus):
     cold = load_csv(saved_corpus)
     for entry in (saved_corpus / CACHE_DIR).iterdir():
@@ -364,11 +375,11 @@ def test_zero_overlap_tiles_signal():
     w = 8
     windows = sliding_windows(sig, w, overlap=0.0, detection=det)
     assert len(windows) == total // w
-    for a, b in zip(windows, windows[1:]):
-        assert a.sequence.source_span[1] == b.sequence.source_span[0]
-    covered = windows[-1].sequence.source_span[1] - windows[0].sequence.source_span[0]
-    full_span = det.minima_indices[2 * (total // w) * w] - det.minima_indices[0]
-    assert covered == full_span
+    # each window starts at the boundary where the previous one ends
+    assert [win.start_cycle for win in windows] == list(range(0, len(windows) * w, w))
+    tiled = np.concatenate([win.sequence.cycles for win in windows])
+    covered = det.minima_indices[: 2 * (total // w) * w + 1]
+    assert np.array_equal(tiled, cycles_from_bounds(sig.z, covered, 40))
 
 
 def test_half_overlap_advances_half_window():
@@ -383,11 +394,11 @@ def test_windows_cover_whole_half_cycles():
     sig = processed_signal(seed=4, n_cycles=30)
     det = detect_cycles(sig)
     windows = sliding_windows(sig, 6, overlap=0.5, detection=det)
-    minima = set(det.minima_indices.tolist())
     for w in windows:
-        bounds = w.sequence.half_cycle_bounds
+        bounds = det.minima_indices[2 * w.start_cycle:2 * w.start_cycle + 2 * 6 + 1]
         assert len(bounds) == 2 * 6 + 1
-        assert set(bounds.tolist()) <= minima
+        assert w.sequence.q == 6
+        assert np.array_equal(w.sequence.cycles, cycles_from_bounds(sig.z, bounds, 40))
 
 
 @pytest.mark.parametrize("overlap", [0.0, 0.5])
@@ -401,10 +412,8 @@ def test_windows_equal_per_window_resampling(window_cycles, overlap):
     assert windows
     for w in windows:
         lo = 2 * w.start_cycle
-        bounds = w.sequence.half_cycle_bounds
-        assert np.array_equal(bounds,
-                              det.minima_indices[lo:lo + 2 * window_cycles + 1])
-        assert w.sequence.origin_half_cycle == lo
+        bounds = det.minima_indices[lo:lo + 2 * window_cycles + 1]
+        assert len(bounds) == 2 * window_cycles + 1
         assert np.array_equal(w.sequence.cycles,
                               cycles_from_bounds(sig.z, bounds, 40))
 

@@ -83,6 +83,17 @@ def test_same_body_coherence_elevated_in_band(tiny_corpus):
         float(np.mean(rep.mean_different_subject[band])) + 0.1
 
 
+@pytest.mark.parametrize("band", [(0.5, 12.0), (1.0, 12.0), (1.0, 6.0)])
+def test_coherence_low_band_follows_config(tiny_corpus, band):
+    rep = coherence_analysis(tiny_corpus, Config(band=band))
+    lo, hi = band
+    low = rep.freqs < lo
+    high = (rep.freqs >= lo) & (rep.freqs <= hi)
+    assert rep.low_band_hz == lo
+    assert rep.low_band_elevated == bool(
+        rep.mean_different_subject[low].mean() > rep.mean_different_subject[high].mean())
+
+
 def test_coherence_needs_simultaneous_pairs():
     rng = np.random.default_rng(2)
     corpus = Corpus(records=[
@@ -133,9 +144,9 @@ def _reference_inter(fps, N):
             if ka[0] >= kb[0] or ka[1] != kb[1]:
                 continue
             for w, (fa, fb) in enumerate(zip(fps[ka], fps[kb])):
+                order = reliability_order(fa)
                 values[ka[0], ka[1], kb[0], kb[1], w] = similarity(
-                    reduce(fa, reliability_order(fa), N),
-                    reduce(fb, reliability_order(fb), N))
+                    reduce(fa, order, N), reduce(fb, order, N))
     return values
 
 

@@ -115,7 +115,7 @@ def test_walking_trace_half_cycle_near_fifty_samples():
     det = detect_cycles(sig)
     assert abs(det.delta_mean - 50) <= 5
     seq = split_and_normalize(sig, det, rho=40)
-    spans = np.diff(seq.half_cycle_bounds)[: 2 * seq.q]
+    spans = np.diff(det.minima_indices)[: 2 * seq.q]
     full = spans[0::2] + spans[1::2]
     assert abs(float(np.mean(full)) - 100.0) <= 10.0
 
@@ -180,12 +180,14 @@ def test_reconstruction_ordering_contiguous():
     sig = walking_signal(seed=6, n_cycles=25)
     det = detect_cycles(sig)
     seq = split_and_normalize(sig, det, rho=40)
-    bounds = seq.half_cycle_bounds
+    bounds = det.minima_indices
+    assert seq.q == (bounds.shape[0] - 1) // 2
     starts = bounds[0: 2 * seq.q: 2]
     ends = bounds[2: 2 * seq.q + 1: 2]
-    # each cycle starts where the previous one ends
+    # each cycle starts where the previous one ends, in signal order
     assert np.array_equal(starts[1:], ends[:-1])
-    assert seq.source_span == (int(bounds[0]), int(ends[-1]))
+    for i in range(seq.q):
+        assert np.array_equal(seq.cycles[i], resample_cycle(sig.z[starts[i]:ends[i]], 40))
 
 
 @pytest.mark.parametrize("period,seed", [(20, 0), (36, 1), (60, 2), (100, 3)])
@@ -207,7 +209,7 @@ def test_energy_preserved_by_resampling():
     sig = walking_signal(seed=8, n_cycles=25)
     det = detect_cycles(sig)
     seq = split_and_normalize(sig, det, rho=40)
-    bounds = seq.half_cycle_bounds
+    bounds = det.minima_indices
     for i in range(seq.q):
         raw = sig.z[bounds[2 * i]: bounds[2 * i + 2]]
         rms_raw = np.sqrt(np.mean(raw ** 2))

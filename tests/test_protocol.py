@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from gaitpair.config import Config
-from gaitpair.errors import (ConfirmMismatch, InsufficientData, MalformedMessage,
-                             PakeFailure)
+from gaitpair.errors import ConfirmMismatch, MalformedMessage, PakeFailure
 from gaitpair.fingerprint import ReliabilityOrder
-from gaitpair.gait import detect_cycles, split_and_normalize
 from gaitpair.protocol import (
     MSG_ABORT,
     MSG_AUTH_REQUEST,
@@ -24,10 +22,8 @@ from gaitpair.protocol import (
     encode_reliability_payload,
     run_pair_in_memory,
     run_session,
-    shift_retry,
     verify_confirm,
 )
-from gaitpair.signals import VerticalSignal, bandpass
 
 from helpers import craft_codeword_pair, random_delta_sequence
 
@@ -288,61 +284,3 @@ def test_confirm_role_separation():
     mac = confirm_key(secret, b"tr", "A")
     with pytest.raises(ConfirmMismatch):
         verify_confirm(secret, b"tr", "B", mac)
-
-
-# -- shift retry -----------------------------------------------------------------------
-
-def organic_sequence(seed=0, n_cycles=24):
-    from gaitpair.dataset_io import synthetic_vertical_signal
-    sig = bandpass(synthetic_vertical_signal(seed=seed, n_cycles=n_cycles,
-                                             lead_s=2.0))
-    det = detect_cycles(sig)
-    return split_and_normalize(sig, det, rho=40)
-
-
-def test_shift_retry_zero_is_identity():
-    seq = organic_sequence(1)
-    shifted = shift_retry(seq, 0)
-    assert np.array_equal(shifted.cycles, seq.cycles)
-    assert shifted.origin_half_cycle == seq.origin_half_cycle
-
-
-def test_shift_retry_two_drops_first_cycle():
-    seq = organic_sequence(2)
-    shifted = shift_retry(seq, 2)
-    assert shifted.q == seq.q - 1
-    assert np.allclose(shifted.cycles, seq.cycles[1:], atol=1e-12)
-    assert shifted.origin_half_cycle == 2
-
-
-def test_shift_retry_one_advances_phase_by_half_cycle():
-    # composite wave with true two-step cycles: one half-cycle shift advances
-    # every cycle by half its length
-    fs, step = 50.0, 25
-    n = 40 * step
-    t = np.arange(n)
-    z = np.sin(2 * np.pi * t / step) + 0.3 * np.sin(np.pi * t / step)
-    sig = bandpass(VerticalSignal(fs, z))
-    det = detect_cycles(sig)
-    seq = split_and_normalize(sig, det, rho=40)
-    shifted = shift_retry(seq, 1)
-    # structural: the new origin is exactly one half-cycle boundary later
-    assert shifted.origin_half_cycle == 1
-    assert shifted.source_span[0] == int(seq.half_cycle_bounds[1])
-    # shape: the content is the original advanced by half a cycle (pi);
-    # boundary jitter before resampling keeps this from being exact
-    rolled = np.roll(seq.cycles[1], 20)
-    corr = np.corrcoef(shifted.cycles[0], rolled)[0, 1]
-    assert corr > 0.95
-
-
-def test_shift_retry_requires_provenance(cfg):
-    seq = random_delta_sequence(5, cfg)  # carries no source signal
-    with pytest.raises(InsufficientData):
-        shift_retry(seq, 1)
-
-
-def test_shift_retry_exhausts_data():
-    seq = organic_sequence(3, n_cycles=6)
-    with pytest.raises(InsufficientData):
-        shift_retry(seq, 2 * seq.q + 10)
