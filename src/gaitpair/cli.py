@@ -30,16 +30,9 @@ from .errors import (
     SignalTooShort,
     TooFewKeys,
 )
-from .fingerprint import (
-    ReliabilityOrder,
-    average_cycle,
-    quantize,
-    reduce,
-    reliability_order,
-    similarity,
-)
+from .fingerprint import ReliabilityOrder, reduce, similarity
 from .gait import detect_cycles
-from .protocol import run_pair_in_memory, session_code_params
+from .protocol import compute_fingerprint, run_pair_in_memory, session_code_params
 from .signals import VerticalSignal, preprocess_record
 
 EXIT_OK = 0
@@ -53,35 +46,35 @@ ANALYSES = ("coherence", "reliability", "discriminability", "positions",
             "randomness", "security")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rho", type=int, default=40,
-                        help="samples per normalized gait cycle")
-    parser.add_argument("--bits-per-cycle", type=int, default=4,
-                        help="fingerprint bits per gait cycle")
-    parser.add_argument("--fingerprint-bits", type=int, default=192,
-                        help="total fingerprint length M")
-    parser.add_argument("--cutoff", type=int, default=128,
-                        help="reliability cutoff N")
-    parser.add_argument("--threshold", type=float, default=0.8,
-                        help="similarity required for pairing")
-    parser.add_argument("--band", type=str, default="0.5:12",
-                        help="bandpass corners as lo:hi in Hz")
+#: Config field -> (flag type, help); every default lives in ``Config``.
+CONFIG_FLAGS = {
+    "rho": (int, "samples per normalized gait cycle"),
+    "bits_per_cycle": (int, "fingerprint bits per gait cycle"),
+    "fingerprint_bits": (int, "total fingerprint length M"),
+    "cutoff": (int, "reliability cutoff N"),
+    "threshold": (float, "similarity required for pairing"),
+    "band": (str, "bandpass corners as lo:hi in Hz"),
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
+    """Add the flags of ``fields``; an unset flag leaves its ``Config``
+    default in place."""
+    for name in fields:
+        kind, text = CONFIG_FLAGS[name]
+        parser.add_argument("--" + name.replace("_", "-"), type=kind, help=text,
+                            default=argparse.SUPPRESS)
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
-    try:
-        lo_s, hi_s = args.band.split(":")
-        band = (float(lo_s), float(hi_s))
-    except ValueError:
-        raise ConfigError(f"--band must look like lo:hi, got {args.band!r}")
-    return Config(
-        rho=args.rho,
-        bits_per_cycle=args.bits_per_cycle,
-        fingerprint_bits=args.fingerprint_bits,
-        cutoff=args.cutoff,
-        threshold=args.threshold,
-        band=band,
-    )
+    given = {name: getattr(args, name) for name in CONFIG_FLAGS if hasattr(args, name)}
+    if "band" in given:
+        try:
+            lo_s, hi_s = given["band"].split(":")
+            given["band"] = (float(lo_s), float(hi_s))
+        except ValueError:
+            raise ConfigError(f"--band must look like lo:hi, got {given['band']!r}")
+    return Config(**given)
 
 
 # -- preprocess -----------------------------------------------------------------------
@@ -108,8 +101,7 @@ def _signal_from_json(path: Path) -> VerticalSignal:
     )
 
 
-def cmd_preprocess(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
     try:
         corpus = dataset_io.load_csv(args.input)
     except (MissingColumns, SchemaMismatch, NonMonotoneTimestamps) as exc:
@@ -141,8 +133,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 # -- pair ------------------------------------------------------------------------------
 
-def cmd_pair(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
     try:
         sig_a = _signal_from_json(Path(args.record_a))
         sig_b = _signal_from_json(Path(args.record_b))
@@ -168,20 +159,16 @@ def cmd_pair(args: argparse.Namespace) -> int:
                                       seed=args.insecure_session_seed)
     elapsed = time.monotonic() - t0
 
-    # out-of-band diagnostic: similarity under the order actually applied
-    fp_a = quantize(seq_a, average_cycle(seq_a), cfg.bits_per_cycle)
-    fp_b = quantize(seq_b, average_cycle(seq_b), cfg.bits_per_cycle)
-    diag_similarity = None
+    # out-of-band diagnostic: similarity under the order actually applied,
+    # None when the session ended before either end applied one
     applied = res_a.applied_order if res_a.applied_order is not None \
         else res_b.applied_order
-    if applied is None:
-        applied = reliability_order(fp_a).order
-    try:
-        order = ReliabilityOrder(order=np.asarray(applied))
+    diag_similarity = None
+    if applied is not None:
+        order = ReliabilityOrder(order=applied)
+        fp_a, fp_b = (compute_fingerprint(seq, cfg)[0] for seq in (seq_a, seq_b))
         diag_similarity = similarity(reduce(fp_a, order, cfg.cutoff),
                                      reduce(fp_b, order, cfg.cutoff))
-    except GaitPairError:
-        pass
 
     params = session_code_params(cfg)
     result = {
@@ -219,12 +206,11 @@ def _write_pairs_csv(path: Path, pairs) -> None:
                              p.position_b, p.window, repr(p.value)])
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     if args.analysis not in ANALYSES:
         print(f"unknown analysis {args.analysis!r}; choose from {ANALYSES}",
               file=sys.stderr)
         return EXIT_USAGE
-    cfg = _config_from_args(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -249,7 +235,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                        "n_diff_pairs": rep.n_diff_pairs,
                        "low_band_elevated": rep.low_band_elevated}
         elif args.analysis == "reliability":
-            rep = eval_harness.reliability_sweep(corpus, N=cfg.cutoff, cfg=cfg)
+            rep = eval_harness.reliability_sweep(corpus, cfg=cfg)
             _write_json(out_dir / "reliability.json", rep.to_dict())
             for entry in rep.entries:
                 _write_pairs_csv(out_dir / f"reliability_M{entry.M}.csv",
@@ -285,7 +271,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 # -- synth -----------------------------------------------------------------------------
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace, cfg: Config) -> int:
     positions = tuple(p.strip() for p in args.positions.split(",") if p.strip())
     if not positions:
         print("no positions given", file=sys.stderr)
@@ -316,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre = sub.add_parser("preprocess", help="IMU CSV corpus -> vertical signals")
     p_pre.add_argument("input", help="corpus directory or manifest.json")
     p_pre.add_argument("output", help="output directory")
-    _add_config_flags(p_pre)
+    _add_config_flags(p_pre, "band")
     p_pre.set_defaults(func=cmd_preprocess)
 
     p_pair = sub.add_parser("pair", help="pair two preprocessed recordings")
@@ -327,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("--insecure-session-seed", type=int, default=None,
                         help="INSECURE: derive nonces and PAKE salts from this "
                              "seed (reproducible sessions for testing only)")
-    _add_config_flags(p_pair)
+    _add_config_flags(p_pair, "rho", "bits_per_cycle", "fingerprint_bits", "cutoff",
+                      "threshold")
     p_pair.set_defaults(func=cmd_pair)
 
     p_eval = sub.add_parser("eval", help="run an evaluation analysis")
@@ -338,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default=".", help="report output directory")
     p_eval.add_argument("--session-seconds", type=float, default=200.0,
                         help="session length used by the security analysis")
-    _add_config_flags(p_eval)
+    _add_config_flags(p_eval, *CONFIG_FLAGS)
     p_eval.set_defaults(func=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -352,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seed of the synthetic corpus")
     p_synth.add_argument("--sample-rate", type=float, default=50.0,
                          help="sample rate of the generated recordings in Hz")
-    _add_config_flags(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 
     return parser
@@ -366,12 +352,11 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        cfg_check = _config_from_args(args)  # validate before touching files
+        cfg = _config_from_args(args)  # validate before touching files
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    del cfg_check
-    return args.func(args)
+    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

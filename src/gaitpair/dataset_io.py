@@ -217,7 +217,6 @@ class PositionSpec:
     """Per-position distortion of the shared latent gait."""
 
     phase_jitter: float = 0.01      # max time offset, seconds
-    amplitude_scale: float = 1.0
     noise_snr_db: float = 20.0
 
 
@@ -330,7 +329,7 @@ def generate_synthetic(spec: SyntheticGaitSpec) -> Corpus:
             rec_rng = np.random.default_rng([spec.rng_seed, 104729, s_idx, p_idx])
             offset = rec_rng.uniform(-ps.phase_jitter, ps.phase_jitter) \
                 if ps.phase_jitter > 0 else 0.0
-            motion = ps.amplitude_scale * np.interp(t + offset, t_latent, latent)
+            motion = np.interp(t + offset, t_latent, latent)
 
             world = np.zeros((n, 3))
             world[:, 2] = GRAVITY + motion

@@ -145,8 +145,8 @@ class CoherenceReport:
     mean_different_subject: np.ndarray
     n_same_pairs: int
     n_diff_pairs: int
-    low_band_hz: float = 0.5
-    low_band_elevated: bool = False
+    low_band_hz: float
+    low_band_elevated: bool
 
     def to_dict(self) -> dict:
         return {
@@ -279,11 +279,8 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
         verticals[(rec.subject_id, rec.position, rec.recording_id)] = \
             extract_vertical(resample_uniform(rec))
 
-    keys = sorted(verticals)
-    same_pairs = [(a, b) for i, a in enumerate(keys) for b in keys[i + 1:]
-                  if a[0] == b[0] and a[2] == b[2] and a[1] != b[1]]
-    diff_pairs = [(a, b) for i, a in enumerate(keys) for b in keys[i + 1:]
-                  if a[0] != b[0] and a[1] == b[1]]
+    same_pairs = _intra_keys(verticals)
+    diff_pairs = _inter_keys(verticals)
     if not same_pairs:
         raise InsufficientPairs("need >= 2 simultaneous same-subject recordings")
     if not diff_pairs:
@@ -332,13 +329,14 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
     )
 
 
-def reliability_sweep(corpus: Corpus, N: int = 128,
+def reliability_sweep(corpus: Corpus,
                       extra_bits: tuple[int, ...] = (0, 16, 32, 48, 64, 128),
                       cfg: Config | None = None) -> SweepReport:
     """Mean intra-body similarity for fingerprint sizes M = N + extra, all
-    reduced with cutoff N: how much discarding unreliable bits buys."""
+    reduced with cutoff N = ``cfg.cutoff``: how much discarding unreliable
+    bits buys."""
     cfg = cfg or Config()
-    b = cfg.bits_per_cycle
+    N, b = cfg.cutoff, cfg.bits_per_cycle
     for extra in extra_bits:
         if (N + extra) % b != 0:
             raise InsufficientBits(f"M={N + extra} not divisible by b={b}")
@@ -360,9 +358,9 @@ def reliability_sweep(corpus: Corpus, N: int = 128,
     return SweepReport(N=N, entries=entries)
 
 
-def discriminability(corpus: Corpus, M: int | None = None, N: int | None = None,
-                     cfg: Config | None = None) -> SimilarityReport:
-    """Intra-body versus inter-body similarity distributions.
+def discriminability(corpus: Corpus, cfg: Config | None = None) -> SimilarityReport:
+    """Intra-body versus inter-body similarity distributions at
+    M = ``cfg.fingerprint_bits``, reduced to N = ``cfg.cutoff``.
 
     Intra: every position pair within each subject, same window index.
     Inter: same position across different subjects, same window index.
@@ -371,15 +369,10 @@ def discriminability(corpus: Corpus, M: int | None = None, N: int | None = None,
     threshold.
     """
     cfg = cfg or Config()
-    M = M if M is not None else cfg.fingerprint_bits
-    N = N if N is not None else cfg.cutoff
-    b = cfg.bits_per_cycle
-    if M % b != 0:
-        raise InsufficientBits(f"M={M} not divisible by b={b}")
     processed = _preprocess_corpus(corpus, cfg)
-    fingerprints = _fingerprints(processed, cfg, M // b)
-    intra = _window_pairs(fingerprints, _intra_keys(processed), N)
-    inter = _window_pairs(fingerprints, _inter_keys(processed), N)
+    fingerprints = _fingerprints(processed, cfg, cfg.cycles_per_fingerprint)
+    intra = _window_pairs(fingerprints, _intra_keys(processed), cfg.cutoff)
+    inter = _window_pairs(fingerprints, _inter_keys(processed), cfg.cutoff)
 
     if not intra:
         raise InsufficientPairs("no intra-body pairs (need >= 2 positions)")
@@ -403,14 +396,11 @@ def discriminability(corpus: Corpus, M: int | None = None, N: int | None = None,
     )
 
 
-def position_table(corpus: Corpus, M: int | None = None, N: int | None = None,
-                   cfg: Config | None = None,
+def position_table(corpus: Corpus, cfg: Config | None = None,
                    required_positions: tuple[str, ...] | None = None
                    ) -> PositionTable:
     """Symmetric matrix of mean intra-body similarity per position pair."""
     cfg = cfg or Config()
-    M = M if M is not None else cfg.fingerprint_bits
-    N = N if N is not None else cfg.cutoff
     positions = sorted(corpus.positions)
     if required_positions:
         missing = [p for p in required_positions if p not in positions]
@@ -419,8 +409,8 @@ def position_table(corpus: Corpus, M: int | None = None, N: int | None = None,
         positions = sorted(required_positions)
 
     processed = _preprocess_corpus(corpus, cfg)
-    fingerprints = _fingerprints(processed, cfg, M // cfg.bits_per_cycle)
-    pairs = _window_pairs(fingerprints, _intra_keys(processed), N)
+    fingerprints = _fingerprints(processed, cfg, cfg.cycles_per_fingerprint)
+    pairs = _window_pairs(fingerprints, _intra_keys(processed), cfg.cutoff)
     if not pairs:
         raise InsufficientPairs("no intra-body pairs for the position table")
 
@@ -551,31 +541,24 @@ def _approximate_entropy_p(bits: np.ndarray, m: int = 2) -> float:
     return float(gammaincc(2 ** (m - 1), chi2 / 2.0))
 
 
-def fingerprint_keys(corpus: Corpus, cfg: Config | None = None) -> list:
-    """Reduced fingerprint of every window: the key corpus for bias testing."""
+def fingerprint_keys(corpus: Corpus, cfg: Config | None = None) -> list[np.ndarray]:
+    """Reduced fingerprint bits of every window: the key corpus for bias
+    testing."""
     cfg = cfg or Config()
     processed = _preprocess_corpus(corpus, cfg)
     fingerprints = _fingerprints(processed, cfg, cfg.cycles_per_fingerprint)
-    return [reduce(fp, order, cfg.cutoff)
+    return [reduce(fp, order, cfg.cutoff).bits
             for fps in fingerprints.values() for fp, order in fps]
 
 
-def randomness_suite(keys, alpha: float = RANDOMNESS_ALPHA) -> RandomnessReport:
-    """Six frequency/pattern tests over the pooled key bitstream.
-
-    ``keys`` may be FuzzyKey objects, reduced fingerprints, or raw bit arrays.
-    The suite fails if any test's p-value on the pooled stream drops below
-    ``alpha``.
+def randomness_suite(keys: list[np.ndarray]) -> RandomnessReport:
+    """Six frequency/pattern tests over the pooled stream of ``keys``, a list
+    of bit arrays.  The suite fails if any test's p-value on the pooled stream
+    drops below ``RANDOMNESS_ALPHA``.
     """
     if len(keys) < 100:
         raise TooFewKeys(f"need >= 100 keys, got {len(keys)}")
-    arrays = []
-    for k in keys:
-        bits = getattr(k, "key_bits", None)
-        if bits is None:
-            bits = getattr(k, "bits", k)
-        arrays.append(np.asarray(bits).astype(np.uint8).ravel())
-    pooled = np.concatenate(arrays)
+    pooled = np.concatenate(keys).astype(np.uint8)
 
     serial_p1, serial_p2 = _serial_p(pooled)
     p_values = {
@@ -587,10 +570,10 @@ def randomness_suite(keys, alpha: float = RANDOMNESS_ALPHA) -> RandomnessReport:
         "approximate_entropy": _approximate_entropy_p(pooled),
     }
     failures = [name for name, p in p_values.items()
-                if not math.isnan(p) and p < alpha]
+                if not math.isnan(p) and p < RANDOMNESS_ALPHA]
     return RandomnessReport(
         n_bits=int(pooled.size),
-        alpha=alpha,
+        alpha=RANDOMNESS_ALPHA,
         p_values=p_values,
         details={"serial_p1": serial_p1, "serial_p2": serial_p2},
         passed=not failures,

@@ -26,14 +26,12 @@ MIN_PROMINENCE = 0.1
 class CycleDetection:
     """Intermediate artifacts of cycle detection.
 
-    acorr           normalized autocorrelation, lag 0..n-1
     maxima_indices  lags of the selected autocorrelation maxima (one per step)
     delta_mean      estimated half-cycle (step) length in samples
     minima_indices  indices into the signal separating half cycles
     search_slack    slack applied around each maximum when locating minima
     """
 
-    acorr: np.ndarray = field(repr=False)
     maxima_indices: np.ndarray
     delta_mean: int
     minima_indices: np.ndarray
@@ -132,7 +130,6 @@ def detect_cycles(sig: VerticalSignal) -> CycleDetection:
             minima.append(idx)
 
     return CycleDetection(
-        acorr=acorr,
         maxima_indices=peaks.astype(int),
         delta_mean=delta_mean,
         minima_indices=np.asarray(minima, dtype=int),

@@ -297,6 +297,7 @@ class Session:
         self._salt_rng = salt_rng
         self._transcript = Transcript()
         self._expect(MSG_AUTH_REQUEST, self._on_auth_request)
+        self._winning: ReliabilityOrder | None = None
         self.result: SessionResult | None = None
 
     def start(self) -> list[bytes]:
@@ -335,8 +336,13 @@ class Session:
 
     def _end(self, failure: str, abort: str | None = None) -> list[bytes]:
         self.result = SessionResult(established=False, failure=failure,
+                                    applied_order=self._applied_order(),
                                     elapsed_s=time.monotonic() - self._t_start)
         return [] if abort is None else [encode_frame(MSG_ABORT, abort.encode())]
+
+    def _applied_order(self) -> np.ndarray | None:
+        """The winning order once the exchange has chosen one, else None."""
+        return None if self._winning is None else np.asarray(self._winning.order).copy()
 
     def _expect(self, msg_type: int, handler) -> None:
         self._expected, self._handler = msg_type, handler
@@ -403,7 +409,7 @@ class Session:
             established=True,
             secret=self._secret,
             key=self._key,
-            applied_order=np.asarray(self._winning.order).copy(),
+            applied_order=self._applied_order(),
             corrected_errors=self._key.corrected_errors,
             elapsed_s=time.monotonic() - self._t_start,
         )

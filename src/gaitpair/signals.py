@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
+from .config import Config
 from .errors import (
     EmptyStream,
     InvalidBand,
@@ -249,7 +250,7 @@ def resample_uniform(rec: ImuRecord) -> ImuRecord:
                      rec.subject_id, rec.position, rec.recording_id)
 
 
-def preprocess_record(rec: ImuRecord, band: tuple[float, float] = (0.5, 12.0)
+def preprocess_record(rec: ImuRecord, band: tuple[float, float] = Config.band
                       ) -> VerticalSignal:
     """Full preprocessing chain: align to gravity, bandpass, trim warm-up."""
     rec = resample_uniform(rec)

@@ -179,7 +179,7 @@ def test_reliability_benefit_direction():
         t0 = time.monotonic()
         corpus = generate_synthetic(
             SyntheticGaitSpec(n_cycles=150, n_subjects=4, rng_seed=11))
-        report = reliability_sweep(corpus, N=CFG.cutoff, cfg=CFG)
+        report = reliability_sweep(corpus, cfg=CFG)
         means = report.mean_by_extra()
         margin = means[64] - means[0]
         print(f"  reliability sweep means: "
@@ -299,11 +299,11 @@ def test_mannheim_dataset_conditional():
                     "converted corpus directory (see docs/datasets.md)")
     with criterion("mannheim-dataset"):
         corpus = load_csv(corpus_dir)
-        report = discriminability(corpus, M=192, N=128, cfg=CFG)
+        report = discriminability(corpus, cfg=CFG)
         inter_mean = float(np.mean([p.value for p in report.inter_pairs]))
         assert 0.77 <= report.intra.mean <= 0.87, report.intra.mean
         assert 0.48 <= inter_mean <= 0.52, inter_mean
-        table = position_table(corpus, M=192, N=128, cfg=CFG,
+        table = position_table(corpus, cfg=CFG,
                                required_positions=("chest", "forearm", "head",
                                                    "shin", "thigh", "upperarm",
                                                    "waist"))

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from gaitpair import cli
-from gaitpair.dataset_io import CSV_COLUMNS, SyntheticGaitSpec, generate_synthetic, save_csv
-from gaitpair.protocol import SessionResult
+from gaitpair.config import Config
+from gaitpair.dataset_io import (CSV_COLUMNS, SyntheticGaitSpec, generate_synthetic,
+                                 save_csv, sliding_windows)
+from gaitpair.fingerprint import (average_cycle, quantize, reduce, reliability_order,
+                                  similarity)
+from gaitpair.protocol import SessionResult, draw_nonce
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +122,73 @@ def test_only_synth_takes_sample_rate(command, capsys):
         cli.main(command + ["--sample-rate", "100"])
     assert exc.value.code == 2
     assert "--sample-rate" in capsys.readouterr().err
+
+
+FLAG_VALUES = {"--rho": "20", "--bits-per-cycle": "2", "--fingerprint-bits": "160",
+                "--cutoff": "96", "--threshold": "0.7", "--band": "1:10"}
+
+
+UNREAD_FLAGS = [
+    *((["synth", "out"], flag) for flag in FLAG_VALUES),
+    *((["preprocess", "in", "out"], flag) for flag in FLAG_VALUES if flag != "--band"),
+    (["pair", "a.json", "b.json"], "--band"),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS,
+                         ids=[command[0] + flag for command, flag in UNREAD_FLAGS])
+def test_commands_reject_config_flags_they_do_not_read(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + [flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def _config_handed_to_eval(monkeypatch, flags):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args, cfg: seen.append(cfg) or 0)
+    assert cli.main(["eval", "corpus", "--analysis", "coherence"] + flags) == 0
+    return seen[0]
+
+
+def test_eval_without_config_flags_builds_default_config(monkeypatch):
+    assert _config_handed_to_eval(monkeypatch, []) == Config()
+
+
+def test_eval_config_flags_set_their_fields(monkeypatch):
+    flags = [part for item in FLAG_VALUES.items() for part in item]
+    assert _config_handed_to_eval(monkeypatch, flags) == Config(
+        rho=20, bits_per_cycle=2, fingerprint_bits=160, cutoff=96, threshold=0.7,
+        band=(1.0, 10.0))
+
+
+def _window_fingerprint(path, cfg):
+    seq = sliding_windows(cli._signal_from_json(path), cfg.cycles_per_fingerprint,
+                          overlap=0.5, rho=cfg.rho)[0].sequence
+    return quantize(seq, average_cycle(seq), cfg.bits_per_cycle)
+
+
+def test_pair_similarity_uses_the_winning_order(preprocessed_dir, capsys):
+    cfg = Config()
+    a, b = sorted(preprocessed_dir.glob("s00_*.json"))[:2]
+    fp_a, fp_b = _window_fingerprint(a, cfg), _window_fingerprint(b, cfg)
+    under = {}
+    for side, fp in (("initiator", fp_a), ("responder", fp_b)):
+        order = reliability_order(fp)
+        under[side] = similarity(reduce(fp_a, order, cfg.cutoff),
+                                 reduce(fp_b, order, cfg.cutoff))
+    assert under["initiator"] != under["responder"]
+    winners = set()
+    for seed in range(8):
+        # nonces as run_pair_in_memory draws them; the larger one's order wins
+        nonce_a, nonce_b = (draw_nonce(np.random.default_rng([seed, i]))
+                            for i in (1, 2))
+        winner = "initiator" if nonce_a > nonce_b else "responder"
+        winners.add(winner)
+        cli.main(["pair", str(a), str(b), "--insecure-session-seed", str(seed)])
+        out = json.loads(capsys.readouterr().out)
+        assert out["similarity"] == under[winner], (seed, winner)
+    assert winners == {"initiator", "responder"}
 
 
 def test_pair_same_recording_is_deterministic(preprocessed_dir, capsys):
@@ -259,6 +330,7 @@ def test_config_validated_before_io(tmp_path, capsys):
     rc = cli.main(["preprocess", str(missing), str(out), "--band", "banana"])
     assert rc == 64
     assert not out.exists()  # no partial outputs on invalid config
-    rc = cli.main(["preprocess", str(missing), str(out), "--cutoff", "300"])
+    rc = cli.main(["eval", str(missing), "--analysis", "discriminability",
+                   "--out", str(out), "--cutoff", "300"])
     assert rc == 64
     assert not out.exists()

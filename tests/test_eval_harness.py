@@ -156,7 +156,7 @@ def _pair_values(pairs):
 
 
 def test_sweep_equals_per_window_resampling(small_corpus, cfg):
-    rep = reliability_sweep(small_corpus, N=128, cfg=cfg)
+    rep = reliability_sweep(small_corpus, cfg=cfg)
     for entry in rep.entries:
         fps = _reference_fingerprints(small_corpus, cfg, entry.M // cfg.bits_per_cycle)
         assert _pair_values(entry.pairs) == _reference_intra(fps, 128), entry.M
@@ -172,7 +172,7 @@ def test_discriminability_equals_per_window_resampling(small_corpus, cfg):
 # -- reliability sweep -------------------------------------------------------------------
 
 def test_sweep_grid_and_direction(small_corpus, cfg):
-    rep = reliability_sweep(small_corpus, N=128, cfg=cfg)
+    rep = reliability_sweep(small_corpus, cfg=cfg)
     assert [e.extra_bits for e in rep.entries] == [0, 16, 32, 48, 64, 128]
     assert [e.M for e in rep.entries] == [128, 144, 160, 176, 192, 256]
     means = rep.mean_by_extra()
@@ -188,7 +188,7 @@ def test_sweep_baseline_is_pure_truncation(small_corpus, cfg):
     from gaitpair.eval_harness import _preprocess_corpus, _windows_by_key
     from gaitpair.fingerprint import average_cycle, quantize
 
-    rep = reliability_sweep(small_corpus, N=128, extra_bits=(0,), cfg=cfg)
+    rep = reliability_sweep(small_corpus, extra_bits=(0,), cfg=cfg)
     processed = _preprocess_corpus(small_corpus, cfg)
     windows = _windows_by_key(processed, 128 // cfg.bits_per_cycle)
     pair = rep.entries[0].pairs[0]
@@ -200,6 +200,14 @@ def test_sweep_baseline_is_pure_truncation(small_corpus, cfg):
     fb = quantize(wb, average_cycle(wb), cfg.bits_per_cycle)
     raw_agreement = 1.0 - np.count_nonzero(fa.bits != fb.bits) / 128
     assert pair.value == pytest.approx(raw_agreement, abs=1e-12)
+
+
+def test_sweep_reduces_to_config_cutoff(small_corpus):
+    rep = reliability_sweep(small_corpus, cfg=Config(cutoff=64))
+    assert rep.N == 64
+    assert [e.M for e in rep.entries] == [64, 80, 96, 112, 128, 192]
+    for entry in rep.entries:
+        assert all((p.value * 64).is_integer() for p in entry.pairs), entry.M
 
 
 # -- discriminability -----------------------------------------------------------------------
@@ -308,7 +316,7 @@ def test_too_few_keys():
 def test_fingerprint_keys_monobit_within_3_sigma(small_corpus, cfg):
     from gaitpair.eval_harness import fingerprint_keys
     keys = fingerprint_keys(small_corpus, cfg)
-    pooled = np.concatenate([k.bits for k in keys])
+    pooled = np.concatenate(keys)
     sigma = 0.5 / math.sqrt(pooled.size)
     assert abs(float(pooled.mean()) - 0.5) < 3 * sigma + 1e-12
 

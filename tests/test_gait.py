@@ -133,8 +133,8 @@ def test_minima_lie_inside_search_windows():
 
 # -- split & normalize ----------------------------------------------------------------
 
-def _manual_detection(minima, n):
-    return CycleDetection(acorr=np.zeros(n), maxima_indices=np.asarray(minima),
+def _manual_detection(minima):
+    return CycleDetection(maxima_indices=np.asarray(minima),
                           delta_mean=int(np.diff(minima).mean()),
                           minima_indices=np.asarray(minima), search_slack=2)
 
@@ -142,7 +142,7 @@ def _manual_detection(minima, n):
 def test_cycle_of_exact_length_is_unchanged():
     rng = np.random.default_rng(1)
     z = rng.standard_normal(200)
-    det = _manual_detection([0, 20, 40, 60, 80], 200)
+    det = _manual_detection([0, 20, 40, 60, 80])
     seq = split_and_normalize(VerticalSignal(50.0, z), det, rho=40)
     assert seq.q == 2
     assert np.allclose(seq.cycles[0], z[0:40], atol=1e-9)
@@ -164,7 +164,7 @@ def test_resample_idempotent_on_target_length():
 
 def test_cycle_too_short():
     z = np.arange(30.0)
-    det = _manual_detection([0, 1, 3, 5, 7], 30)
+    det = _manual_detection([0, 1, 3, 5, 7])
     with pytest.raises(CycleTooShort):
         split_and_normalize(VerticalSignal(50.0, z), det, rho=40)
 
