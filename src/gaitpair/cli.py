@@ -1,8 +1,7 @@
 """Command-line entry point: preprocess recordings, pair two of them with both
 ends in one process, run evaluation analyses, or generate a synthetic corpus.
 
-Exit codes: 0 success, 2 schema errors, 3 signal errors, 4 pairing failure,
-5 insufficient data, 64 usage errors.
+Exit codes: 0 success, 4 pairing failure, and ``EXIT_CODES`` for every error.
 """
 
 from __future__ import annotations
@@ -18,29 +17,24 @@ import numpy as np
 
 from . import dataset_io, eval_harness
 from .config import Config
-from .errors import (
-    ConfigError,
-    GaitPairError,
-    InsufficientBits,
-    InsufficientPairs,
-    MissingColumns,
-    MissingPosition,
-    NonMonotoneTimestamps,
-    SchemaMismatch,
-    SignalTooShort,
-    TooFewKeys,
-)
+from .errors import (ConfigError, GaitPairError, InsufficientData, SchemaMismatch,
+                     SignalTooShort)
 from .fingerprint import ReliabilityOrder, reduce, similarity
 from .gait import detect_cycles
 from .protocol import compute_fingerprint, run_pair_in_memory, session_code_params
 from .signals import VerticalSignal, preprocess_record
 
 EXIT_OK = 0
-EXIT_SCHEMA = 2
 EXIT_SIGNAL = 3
 EXIT_PAIRING = 4
-EXIT_INSUFFICIENT = 5
-EXIT_USAGE = 64
+
+#: (error family, exit code, stderr label); the first family that matches wins
+EXIT_CODES = (
+    (ConfigError, 64, "config error"),
+    (SchemaMismatch, 2, "schema error"),
+    (InsufficientData, 5, "insufficient data"),
+    (GaitPairError, EXIT_SIGNAL, "signal error"),
+)
 
 ANALYSES = ("coherence", "reliability", "discriminability", "positions",
             "randomness", "security")
@@ -90,24 +84,32 @@ def _signal_to_json(sig: VerticalSignal) -> dict:
 
 
 def _signal_from_json(path: Path) -> VerticalSignal:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        sample_rate = float(data["sample_rate_hz"])
+        z = np.asarray(data["z"], dtype=float)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise SchemaMismatch(f"{path}: not a preprocessed signal: {exc!r}") from exc
+    if z.ndim != 1:
+        raise SchemaMismatch(f"{path}: 'z' is not a list of numbers")
     return VerticalSignal(
-        sample_rate=float(data["sample_rate_hz"]),
-        z=np.asarray(data["z"], dtype=float),
+        sample_rate=sample_rate,
+        z=z,
         subject_id=str(data.get("subject_id", "")),
         position=str(data.get("position", "other")),
         recording_id=str(data.get("recording_id", "0")),
     )
 
 
-def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
-    try:
-        corpus = dataset_io.load_csv(args.input)
-    except (MissingColumns, SchemaMismatch, NonMonotoneTimestamps) as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+def _load_corpus(path: str) -> dataset_io.Corpus:
+    corpus = dataset_io.load_csv(path)
+    for text in corpus.warnings:
+        print(f"warning: {text}", file=sys.stderr)
+    return corpus
 
+
+def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
+    corpus = _load_corpus(args.input)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
@@ -134,25 +136,18 @@ def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
 # -- pair ------------------------------------------------------------------------------
 
 def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
-    try:
-        sig_a = _signal_from_json(Path(args.record_a))
-        sig_b = _signal_from_json(Path(args.record_b))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-
+    if args.window < 0:
+        raise ConfigError(f"--window must be >= 0, got {args.window}")
+    sig_a = _signal_from_json(Path(args.record_a))
+    sig_b = _signal_from_json(Path(args.record_b))
     q = cfg.cycles_per_fingerprint
-    try:
-        wins_a = dataset_io.sliding_windows(sig_a, q, overlap=0.5, rho=cfg.rho)
-        wins_b = dataset_io.sliding_windows(sig_b, q, overlap=0.5, rho=cfg.rho)
-        seq_a = wins_a[args.window].sequence
-        seq_b = wins_b[args.window].sequence
-    except (SignalTooShort, IndexError) as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except GaitPairError as exc:
-        print(f"signal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SIGNAL
+    wins_a = dataset_io.sliding_windows(sig_a, q, overlap=0.5, rho=cfg.rho)
+    wins_b = dataset_io.sliding_windows(sig_b, q, overlap=0.5, rho=cfg.rho)
+    if args.window >= min(len(wins_a), len(wins_b)):
+        raise SignalTooShort(f"no window {args.window}: the records have "
+                             f"{len(wins_a)} and {len(wins_b)} windows")
+    seq_a = wins_a[args.window].sequence
+    seq_b = wins_b[args.window].sequence
 
     t0 = time.monotonic()
     res_a, res_b = run_pair_in_memory(seq_a, seq_b, cfg,
@@ -208,9 +203,9 @@ def _write_pairs_csv(path: Path, pairs) -> None:
 
 def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     if args.analysis not in ANALYSES:
-        print(f"unknown analysis {args.analysis!r}; choose from {ANALYSES}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"unknown analysis {args.analysis!r}; choose from {ANALYSES}")
+    if args.analysis != "security" and not args.corpus:
+        raise ConfigError("eval (other than --analysis security) requires a corpus path")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -221,50 +216,36 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
         print(json.dumps(report, indent=2))
         return EXIT_OK
 
-    try:
-        corpus = dataset_io.load_csv(args.corpus)
-    except (SchemaMismatch, NonMonotoneTimestamps) as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-
-    try:
-        if args.analysis == "coherence":
-            rep = eval_harness.coherence_analysis(corpus, cfg)
-            _write_json(out_dir / "coherence.json", rep.to_dict())
-            summary = {"n_same_pairs": rep.n_same_pairs,
-                       "n_diff_pairs": rep.n_diff_pairs,
-                       "low_band_elevated": rep.low_band_elevated}
-        elif args.analysis == "reliability":
-            rep = eval_harness.reliability_sweep(corpus, cfg=cfg)
-            _write_json(out_dir / "reliability.json", rep.to_dict())
-            for entry in rep.entries:
-                _write_pairs_csv(out_dir / f"reliability_M{entry.M}.csv",
-                                 entry.pairs)
-            summary = {f"mean_M{e.M}": e.summary.mean for e in rep.entries}
-        elif args.analysis == "discriminability":
-            rep = eval_harness.discriminability(corpus, cfg=cfg)
-            _write_json(out_dir / "discriminability.json", rep.to_dict())
-            _write_pairs_csv(out_dir / "discriminability_intra.csv", rep.intra_pairs)
-            _write_pairs_csv(out_dir / "discriminability_inter.csv", rep.inter_pairs)
-            summary = {"intra_mean": rep.intra.mean,
-                       "inter_mean": float(np.mean([p.value for p in rep.inter_pairs])),
-                       "collision_rate": rep.collision_rate_above_threshold}
-        elif args.analysis == "positions":
-            rep = eval_harness.position_table(corpus, cfg=cfg)
-            _write_json(out_dir / "positions.json", rep.to_dict())
-            summary = {"positions": ";".join(rep.positions)}
-        elif args.analysis == "randomness":
-            keys = eval_harness.fingerprint_keys(corpus, cfg)
-            rep = eval_harness.randomness_suite(keys)
-            _write_json(out_dir / "randomness.json", rep.to_dict())
-            summary = {"passed": rep.passed, **rep.p_values}
-    except (InsufficientPairs, InsufficientBits, TooFewKeys, SignalTooShort,
-            MissingPosition) as exc:
-        print(f"insufficient data: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except GaitPairError as exc:
-        print(f"signal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SIGNAL
+    corpus = _load_corpus(args.corpus)
+    if args.analysis == "coherence":
+        rep = eval_harness.coherence_analysis(corpus, cfg)
+        _write_json(out_dir / "coherence.json", rep.to_dict())
+        summary = {"n_same_pairs": rep.n_same_pairs,
+                   "n_diff_pairs": rep.n_diff_pairs,
+                   "low_band_elevated": rep.low_band_elevated}
+    elif args.analysis == "reliability":
+        rep = eval_harness.reliability_sweep(corpus, cfg=cfg)
+        _write_json(out_dir / "reliability.json", rep.to_dict())
+        for entry in rep.entries:
+            _write_pairs_csv(out_dir / f"reliability_M{entry.M}.csv", entry.pairs)
+        summary = {f"mean_M{e.M}": e.summary.mean for e in rep.entries}
+    elif args.analysis == "discriminability":
+        rep = eval_harness.discriminability(corpus, cfg=cfg)
+        _write_json(out_dir / "discriminability.json", rep.to_dict())
+        _write_pairs_csv(out_dir / "discriminability_intra.csv", rep.intra_pairs)
+        _write_pairs_csv(out_dir / "discriminability_inter.csv", rep.inter_pairs)
+        summary = {"intra_mean": rep.intra.mean,
+                   "inter_mean": float(np.mean([p.value for p in rep.inter_pairs])),
+                   "collision_rate": rep.collision_rate_above_threshold}
+    elif args.analysis == "positions":
+        rep = eval_harness.position_table(corpus, cfg=cfg)
+        _write_json(out_dir / "positions.json", rep.to_dict())
+        summary = {"positions": ";".join(rep.positions)}
+    elif args.analysis == "randomness":
+        keys = eval_harness.fingerprint_keys(corpus, cfg)
+        rep = eval_harness.randomness_suite(keys)
+        _write_json(out_dir / "randomness.json", rep.to_dict())
+        summary = {"passed": rep.passed, **rep.p_values}
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -274,8 +255,7 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_synth(args: argparse.Namespace, cfg: Config) -> int:
     positions = tuple(p.strip() for p in args.positions.split(",") if p.strip())
     if not positions:
-        print("no positions given", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("no positions given")
     spec = dataset_io.SyntheticGaitSpec(
         base_period=args.base_period,
         n_cycles=args.cycles,
@@ -345,18 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "eval" and args.analysis != "security" and not args.corpus:
-        print("eval (other than --analysis security) requires a corpus path",
-              file=sys.stderr)
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)  # validate before touching files
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return args.func(args, cfg)
+        return args.func(args, cfg)
+    except GaitPairError as exc:
+        code, label = next((code, label) for family, code, label in EXIT_CODES
+                           if isinstance(exc, family))
+        print(f"{label}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

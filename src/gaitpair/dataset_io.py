@@ -76,9 +76,12 @@ def _read_recording_csv(base: Path, name: str) -> np.ndarray:
     file that fails one is never cached.
     """
     path = base / name
-    raw = path.read_bytes()
-    fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-    header = fh.readline().strip()
+    try:
+        raw = path.read_bytes()
+        fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+        header = fh.readline().strip()
+    except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
+        raise SchemaMismatch(f"{name}: {exc}") from exc
     cols = tuple(c.strip() for c in header.split(","))
     missing = [c for c in CSV_COLUMNS if c not in cols]
     if missing:
@@ -91,7 +94,10 @@ def _read_recording_csv(base: Path, name: str) -> np.ndarray:
     data = _cached_parse(entry, digest)
     parsed = data is None
     if parsed:
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # not UTF-8, not a number, or ragged rows
+            raise SchemaMismatch(f"{name}: {exc}") from exc
         if data.size == 0:
             data = np.empty((0, len(CSV_COLUMNS)))
         elif data.shape[1] != len(CSV_COLUMNS):
@@ -142,25 +148,30 @@ def load_csv(path: str | Path) -> Corpus:
     """Load a corpus from a manifest file or a directory containing one."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME if path.is_dir() else path
-    if not manifest_path.exists():
-        raise SchemaMismatch(f"no manifest at {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaMismatch(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest.get("recordings"), list):
-        raise SchemaMismatch("manifest lacks a 'recordings' list")
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
+        raise SchemaMismatch(f"cannot read manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("recordings"), list):
+        raise SchemaMismatch(f"{manifest_path} lacks a 'recordings' list")
 
     base = manifest_path.parent
     records = []
     for entry in manifest["recordings"]:
+        if not isinstance(entry, dict):
+            raise SchemaMismatch(f"{manifest_path}: entry {entry!r} is not an object")
         for key in ("file", "subject_id", "position", "recording_id", "sample_rate_hz"):
             if key not in entry:
-                raise SchemaMismatch(f"manifest entry missing {key!r}: {entry}")
-        data = _read_recording_csv(base, entry["file"])
+                raise SchemaMismatch(f"{manifest_path}: entry missing {key!r}: {entry}")
+        try:
+            rate = float(entry["sample_rate_hz"])
+        except (TypeError, ValueError) as exc:
+            raise SchemaMismatch(f"{manifest_path}: sample_rate_hz: {exc}") from exc
+        if not math.isfinite(rate):
+            raise SchemaMismatch(f"{manifest_path}: sample_rate_hz is {rate}")
+        data = _read_recording_csv(base, str(entry["file"]))
         records.append(ImuRecord(
-            sample_rate=float(entry["sample_rate_hz"]),
+            sample_rate=rate,
             t=data[:, 0] / 1000.0,
             acc=data[:, 1:4],
             gyro=data[:, 4:7],
@@ -169,12 +180,14 @@ def load_csv(path: str | Path) -> Corpus:
             recording_id=str(entry["recording_id"]),
         ))
 
-    warnings = list(manifest.get("warnings", []))
+    try:
+        warnings = list(manifest.get("warnings", []))
+        schema_version = int(manifest.get("schema_version", SCHEMA_VERSION))
+    except (TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"{manifest_path}: {exc}") from exc
     if manifest.get("dataset_family") == "osaka":
         warnings.extend(_OSAKA_WARNINGS)
-    return Corpus(records=records,
-                  schema_version=int(manifest.get("schema_version", SCHEMA_VERSION)),
-                  warnings=warnings)
+    return Corpus(records=records, schema_version=schema_version, warnings=warnings)
 
 
 def save_csv(corpus: Corpus, out_dir: str | Path) -> Path:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
 Every error raised by the library derives from GaitPairError so callers can
-catch broadly; the CLI maps subfamilies onto exit codes.
+catch broadly.  The CLI gives each family one exit code: ConfigError 64,
+SchemaMismatch 2 (a malformed input file), InsufficientData 5 (well-formed
+input too small for the work) and any other GaitPairError 3.
 """
 
 
@@ -98,36 +100,40 @@ class ConfirmMismatch(ProtocolError):
 # -- dataset I/O ---------------------------------------------------------------
 
 class SchemaMismatch(GaitPairError):
-    """CSV header or manifest does not match the documented schema."""
+    """A manifest, CSV or signal file does not match the documented schema."""
 
 
 class MissingColumns(SchemaMismatch):
     """Required CSV columns are absent."""
 
 
-class NonMonotoneTimestamps(GaitPairError):
+class NonMonotoneTimestamps(SchemaMismatch):
     """Timestamps are not strictly increasing."""
 
 
-class SignalTooShort(GaitPairError):
+class InsufficientData(GaitPairError):
+    """Base class for well-formed input too small for the requested work."""
+
+
+class SignalTooShort(InsufficientData):
     """Signal shorter than one analysis window."""
 
 
 # -- evaluation ----------------------------------------------------------------
 
-class InsufficientPairs(GaitPairError):
+class InsufficientPairs(InsufficientData):
     """Too few record pairs for the requested analysis."""
 
 
-class InsufficientBits(GaitPairError):
+class InsufficientBits(InsufficientData):
     """Corpus does not yield enough fingerprint bits per window."""
 
 
-class MissingPosition(GaitPairError):
+class MissingPosition(InsufficientData):
     """A sensor position required by the analysis is absent."""
 
 
-class TooFewKeys(GaitPairError):
+class TooFewKeys(InsufficientData):
     """Randomness testing needs a larger key corpus."""
 
 

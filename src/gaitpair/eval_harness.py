@@ -18,6 +18,7 @@ from scipy.special import erfc, gammaincc
 from .config import Config
 from .dataset_io import Corpus, Window, cut_windows
 from .errors import (
+    ConfigError,
     InsufficientBits,
     InsufficientPairs,
     MissingPosition,
@@ -500,16 +501,21 @@ def _longest_run_p(bits: np.ndarray) -> float:
     return float(gammaincc((len(cats) - 1) / 2.0, chi2 / 2.0))
 
 
-def _psi_sq(bits: np.ndarray, m: int) -> float:
-    if m <= 0:
-        return 0.0
+def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the 2^m overlapping m-bit patterns, the stream read cyclically."""
     n = bits.size
     aug = np.concatenate([bits, bits[: m - 1]]) if m > 1 else bits
     vals = np.zeros(n, dtype=np.int64)
     for j in range(m):
         vals = (vals << 1) | aug[j: j + n]
-    counts = np.bincount(vals, minlength=1 << m)
-    return float((1 << m) / n * np.sum(counts.astype(float) ** 2) - n)
+    return np.bincount(vals, minlength=1 << m).astype(float)
+
+
+def _psi_sq(bits: np.ndarray, m: int) -> float:
+    if m <= 0:
+        return 0.0
+    counts = _pattern_counts(bits, m)
+    return float((1 << m) / bits.size * np.sum(counts ** 2) - bits.size)
 
 
 def _serial_p(bits: np.ndarray, m: int = 3) -> tuple[float, float]:
@@ -524,13 +530,8 @@ def _serial_p(bits: np.ndarray, m: int = 3) -> tuple[float, float]:
 
 
 def _phi(bits: np.ndarray, m: int) -> float:
-    n = bits.size
-    aug = np.concatenate([bits, bits[: m - 1]]) if m > 1 else bits
-    vals = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        vals = (vals << 1) | aug[j: j + n]
-    counts = np.bincount(vals, minlength=1 << m).astype(float)
-    probs = counts[counts > 0] / n
+    counts = _pattern_counts(bits, m)
+    probs = counts[counts > 0] / bits.size
     return float(np.sum(probs * np.log(probs)))
 
 
@@ -590,8 +591,8 @@ def security_arithmetic(session_seconds: float, threshold: float, N: int) -> dic
     tries per day.  ``t`` is the budget floor(N * (1 - threshold)) bits;
     ``code_t`` is what the deployed code corrects, on its length 2^m - 1 <= N.
     """
-    if session_seconds <= 0:
-        raise ValueError("session_seconds must be positive")
+    if not session_seconds > 0:  # also rejects NaN
+        raise ConfigError(f"session_seconds must be positive, got {session_seconds}")
     tries = int(SECONDS_PER_DAY // session_seconds)
     t = int(math.floor(N * (1.0 - threshold) + 1e-9))
     return {"tries_per_day": tries, "t": t,

@@ -317,15 +317,15 @@ def _chien_roots(locator: list[int], field: _Field) -> np.ndarray:
     return np.flatnonzero(vals == 0)
 
 
-def decode(fp, params: CodeParams) -> FuzzyKey:
-    """Bounded-distance decode of a reduced fingerprint (or raw bit vector).
+def decode(bits: np.ndarray, params: CodeParams) -> FuzzyKey:
+    """Bounded-distance decode of a received bit vector of length ``params.n``.
 
     Returns the message of the unique codeword within Hamming distance t of
     the input.  If no such codeword exists the input is rejected; the caller
     treats that as a failed pairing attempt and starts over with fresh gait
     data.
     """
-    bits = np.asarray(getattr(fp, "bits", fp)).astype(np.uint8).ravel()
+    bits = np.asarray(bits).astype(np.uint8).ravel()
     if bits.shape[0] != params.n:
         raise LengthMismatch(
             f"fingerprint length {bits.shape[0]} != code length n={params.n}")

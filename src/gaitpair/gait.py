@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import signal as sps
 
-from .errors import CycleTooShort, NoPeriodicity, TooFewMaxima, ZeroVariance
+from .errors import (CycleTooShort, NoPeriodicity, SignalTooShort, TooFewMaxima,
+                     ZeroVariance)
 from .signals import VerticalSignal
 
 #: Least prominence of an autocorrelation maximum that counts as a step.
@@ -60,7 +61,7 @@ def autocorrelate(sig: VerticalSignal) -> np.ndarray:
     z = np.asarray(sig.z, dtype=float)
     n = z.shape[0]
     if n < 4:
-        raise ValueError(f"autocorrelation needs >= 4 samples, got {n}")
+        raise SignalTooShort(f"autocorrelation needs >= 4 samples, got {n}")
     var = float(np.var(z))
     scale = float(np.max(np.abs(z))) if n else 0.0
     if var <= 1e-12 * max(scale * scale, 1e-12):

@@ -214,15 +214,16 @@ def design_bandpass(sample_rate: float, lo: float, hi: float) -> np.ndarray:
     return sos
 
 
-def bandpass(sig: VerticalSignal, lo: float = 0.5, hi: float = 12.0) -> VerticalSignal:
+def bandpass(sig: VerticalSignal, band: tuple[float, float] = Config.band
+             ) -> VerticalSignal:
     """Zero-phase bandpass of the vertical signal.
 
     Filtering runs forward and backward so minima used for cycle splitting are
     not phase-shifted.  The input mean is removed before filtering; the
-    stopband handles the rest of the sub-``lo`` content.  Output length equals
-    input length.
+    stopband handles the rest of the content below ``band[0]``.  Output length
+    equals input length.
     """
-    sos = design_bandpass(sig.sample_rate, lo, hi)
+    sos = design_bandpass(sig.sample_rate, *band)
     z = sig.z - float(np.mean(sig.z))
     filtered = sps.sosfiltfilt(sos, z)
     return VerticalSignal(
@@ -259,6 +260,6 @@ def preprocess_record(rec: ImuRecord, band: tuple[float, float] = Config.band
         raise EmptyStream(
             f"record {rec.recording_id!r} shorter than the "
             f"{TRANSIENT_DISCARD_S}s warm-up")
-    filtered = bandpass(extract_vertical(rec), band[0], band[1])
+    filtered = bandpass(extract_vertical(rec), band)
     filtered.z = filtered.z[skip:]
     return filtered

@@ -1,12 +1,13 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from gaitpair import cli
+from gaitpair import cli, errors
 from gaitpair.config import Config
-from gaitpair.dataset_io import (CSV_COLUMNS, SyntheticGaitSpec, generate_synthetic,
-                                 save_csv, sliding_windows)
+from gaitpair.dataset_io import (CACHE_DIR, CSV_COLUMNS, SyntheticGaitSpec,
+                                 generate_synthetic, save_csv, sliding_windows)
 from gaitpair.fingerprint import (average_cycle, quantize, reduce, reliability_order,
                                   similarity)
 from gaitpair.protocol import SessionResult, draw_nonce
@@ -334,3 +335,171 @@ def test_config_validated_before_io(tmp_path, capsys):
                    "--out", str(out), "--cutoff", "300"])
     assert rc == 64
     assert not out.exists()
+
+
+# -- exit-code map -------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def long_signal(tmp_path_factory):
+    """A preprocessed record of at least 100 detected cycles, enough for M = 400."""
+    out = tmp_path_factory.mktemp("long")
+    assert cli.main(["synth", str(out / "c"), "--subjects", "1", "--cycles", "260",
+                     "--seed", "3", "--positions", "chest"]) == 0
+    assert cli.main(["preprocess", str(out / "c"), str(out / "pre")]) == 0
+    return next((out / "pre").glob("*.json"))
+
+
+def _edit_line(name, index, change):
+    def edit(corpus):
+        lines = (corpus / name).read_text().splitlines(keepends=True)
+        lines[index] = change(lines[index].rstrip("\n")) + "\n"
+        (corpus / name).write_text("".join(lines))
+    return edit
+
+
+def _edit_manifest(change):
+    def edit(corpus):
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        (corpus / "manifest.json").write_text(json.dumps(change(manifest)))
+    return edit
+
+
+def _not_utf8(at):
+    """Insert bytes that are not UTF-8 at a fraction ``at`` of the CSV's length."""
+    def edit(corpus):
+        raw = (corpus / "rec_0000.csv").read_bytes()
+        cut = int(len(raw) * at)
+        (corpus / "rec_0000.csv").write_bytes(raw[:cut] + b"\xff\xfe" + raw[cut:])
+    return edit
+
+
+def _first_entry(**fields):
+    return lambda m: {**m, "recordings": [{**m["recordings"][0], **fields}]}
+
+
+#: id -> (edit of a copy of the corpus, file the error names)
+CORPUS_FAULTS = {
+    "non-numeric-row": (_edit_line("rec_0000.csv", 5, lambda _: "a,b,c,d,e,f,g"),
+                        "rec_0000.csv"),
+    "extra-column": (_edit_line("rec_0000.csv", 5, lambda row: row + ",0.0"),
+                     "rec_0000.csv"),
+    "missing-csv": (lambda corpus: (corpus / "rec_0001.csv").unlink(), "rec_0001.csv"),
+    "not-utf8-header": (_not_utf8(0.0), "rec_0000.csv"),
+    "not-utf8-body": (_not_utf8(0.5), "rec_0000.csv"),
+    "rate-not-a-number": (_edit_manifest(_first_entry(sample_rate_hz="fast")),
+                          "manifest.json"),
+    "manifest-is-a-list": (_edit_manifest(lambda m: []), "manifest.json"),
+    "entry-not-an-object": (_edit_manifest(lambda m: {**m, "recordings": [5]}),
+                            "manifest.json"),
+}
+
+#: id -> (change to a preprocessed signal's JSON, exit code, stderr label)
+SIGNAL_FAULTS = {
+    "signal-is-a-list": (lambda d: d["z"], 2, "schema error"),
+    "z-is-2d": (lambda d: {**d, "z": [[v, v] for v in d["z"]]}, 2, "schema error"),
+    "three-samples": (lambda d: {**d, "z": d["z"][:3]}, 5, "insufficient data"),
+}
+
+MALFORMED = [
+    *(pytest.param("corpus", (command, fault), id=f"{command}-{fault}")
+      for fault in CORPUS_FAULTS for command in ("eval", "preprocess")),
+    *(pytest.param("signal", fault, id=f"pair-{fault}") for fault in SIGNAL_FAULTS),
+    pytest.param("wire-limit", None, id="pair-M400-over-wire-limit"),
+    pytest.param("session-seconds", None, id="eval-security-zero-seconds"),
+]
+
+
+@pytest.mark.parametrize("kind,case", MALFORMED)
+def test_malformed_input_exits_with_its_code(kind, case, corpus_dir, preprocessed_dir,
+                                             long_signal, tmp_path, capsys):
+    names = None
+    if kind == "corpus":
+        command, fault = case
+        edit, names = CORPUS_FAULTS[fault]
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus, ignore=shutil.ignore_patterns(CACHE_DIR))
+        edit(corpus)
+        argv = (["eval", str(corpus), "--analysis", "discriminability", "--out"]
+                if command == "eval" else ["preprocess", str(corpus)])
+        argv, code, label = argv + [str(tmp_path / "out")], 2, "schema error"
+    elif kind == "signal":
+        change, code, label = SIGNAL_FAULTS[case]
+        good = sorted(preprocessed_dir.glob("*.json"))[0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(change(json.loads(good.read_text()))))
+        argv, names = ["pair", str(bad), str(good)], "bad.json"
+    elif kind == "wire-limit":
+        argv = ["pair", str(long_signal), str(long_signal),
+                "--fingerprint-bits", "400", "--cutoff", "128"]
+        code, label = 64, "config error"
+    else:
+        argv = ["eval", "--analysis", "security", "--session-seconds", "0",
+                "--out", str(tmp_path / "out")]
+        code, label = 64, "config error"
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert err.startswith(label + ": "), err
+    assert "Traceback" not in err
+    if label == "schema error":  # a schema error names the malformed file
+        assert names in err
+
+
+#: exit code -> every error class it covers, as the errors module documents
+EXIT_FAMILIES = {
+    64: {"ConfigError"},
+    2: {"SchemaMismatch", "MissingColumns", "NonMonotoneTimestamps"},
+    5: {"InsufficientData", "SignalTooShort", "InsufficientPairs", "InsufficientBits",
+        "MissingPosition", "TooFewKeys"},
+    3: {"GaitPairError", "EmptyStream", "NonFiniteSample", "LengthMismatch",
+        "InvalidBand", "UnstableFilter", "ZeroVariance", "TooFewMaxima",
+        "NoPeriodicity", "CycleTooShort", "TooFewCycles", "IndivisibleSegments",
+        "CutoffTooLarge", "DecodeFailure", "NoSuitableCode", "ProtocolError",
+        "Timeout", "PakeFailure", "MalformedMessage", "ConfirmMismatch"},
+}
+
+
+def test_every_error_class_exits_with_its_family_code(monkeypatch, capsys):
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.GaitPairError)}
+    assert set(classes) == set().union(*EXIT_FAMILIES.values())
+    for code, names in EXIT_FAMILIES.items():
+        for name in names:
+            def fail(args, cfg, cls=classes[name]):
+                raise cls("probe")
+            monkeypatch.setattr(cli, "cmd_eval", fail)
+            assert cli.main(["eval", "corpus", "--analysis", "coherence"]) == code, name
+            assert f": {name}: probe" in capsys.readouterr().err
+
+
+def test_pair_window_must_exist_on_both_records(preprocessed_dir, tmp_path, capsys):
+    # a negative index would pick each record's last window, and records with
+    # different window counts would then be paired on different indices
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["pair", missing, missing, "--window", "-1"]) == 64
+    assert "--window" in capsys.readouterr().err
+    rec = str(sorted(preprocessed_dir.glob("*.json"))[0])
+    assert cli.main(["pair", rec, rec, "--window", "99"]) == 5
+    assert capsys.readouterr().err.startswith("insufficient data: SignalTooShort")
+
+
+def test_corpus_warnings_go_to_stderr(corpus_dir, tmp_path, capsys):
+    corpus = tmp_path / "osaka"
+    shutil.copytree(corpus_dir, corpus, ignore=shutil.ignore_patterns(CACHE_DIR))
+    _edit_manifest(lambda m: {**m, "dataset_family": "osaka",
+                              "warnings": ["left unit re-strapped"]})(corpus)
+
+    def assert_warnings(err):
+        first, *osaka = err.splitlines()
+        assert first == "warning: left unit re-strapped"
+        assert len(osaka) == 2 and all(w.startswith("warning: osaka: ") for w in osaka)
+
+    assert cli.main(["preprocess", str(corpus), str(tmp_path / "pre")]) == 0
+    out, err = capsys.readouterr()
+    assert_warnings(err)
+    assert all(line.startswith("ok [") for line in out.splitlines())
+    assert cli.main(["eval", str(corpus), "--analysis", "coherence",
+                     "--out", str(tmp_path / "eval")]) == 0
+    out, err = capsys.readouterr()
+    assert_warnings(err)
+    assert set(json.loads(out)) == {"n_same_pairs", "n_diff_pairs", "low_band_elevated"}

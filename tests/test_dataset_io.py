@@ -313,6 +313,10 @@ GOOD_ROWS = ["0,0,0,9.81,0,0,0", "20,0,0,9.81,0,0,0", "40,0,0,9.81,0,0,0"]
     (",".join(CSV_COLUMNS) + "\n" + "\n".join(r[:-2] for r in GOOD_ROWS),
      SchemaMismatch),
     (",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS[::-1]), NonMonotoneTimestamps),
+    (",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS + ["a,b,c,d,e,f,g"]),
+     SchemaMismatch),
+    (",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS[:2] + [GOOD_ROWS[2] + ",0"]),
+     SchemaMismatch),
 ])
 def test_invalid_file_raises_and_is_not_cached(tmp_path, text, error):
     write_one_recording(tmp_path, text)
@@ -320,6 +324,23 @@ def test_invalid_file_raises_and_is_not_cached(tmp_path, text, error):
         with pytest.raises(error):
             load_csv(tmp_path)
     assert not (tmp_path / CACHE_DIR).exists()
+
+
+@pytest.mark.parametrize("manifest", [
+    None,
+    {"recordings": [{**MANIFEST_ENTRY, "sample_rate_hz": float("nan")}]},
+    {"recordings": [{**MANIFEST_ENTRY, "sample_rate_hz": float("inf")}]},
+    {"recordings": [], "warnings": 5},
+    {"recordings": [], "schema_version": "one"},
+], ids=["missing", "rate-nan", "rate-inf", "warnings-not-a-list", "version-not-an-int"])
+def test_malformed_manifest_is_a_schema_error_naming_it(tmp_path, manifest):
+    write_one_recording(tmp_path, ",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS))
+    if manifest is None:
+        (tmp_path / "manifest.json").unlink()
+    else:
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SchemaMismatch, match="manifest.json"):
+        load_csv(tmp_path)
 
 
 def test_cache_hit_still_checks_timestamps(tmp_path):

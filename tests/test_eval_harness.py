@@ -6,7 +6,7 @@ from scipy import signal as sps
 
 from gaitpair.config import Config
 from gaitpair.dataset_io import Corpus, PositionSpec, SyntheticGaitSpec, generate_synthetic
-from gaitpair.errors import InsufficientPairs, MissingPosition, TooFewKeys
+from gaitpair.errors import ConfigError, InsufficientPairs, MissingPosition, TooFewKeys
 from gaitpair.fingerprint import average_cycle, quantize, reduce, reliability_order, similarity
 from gaitpair.gait import GaitSequence, cycles_from_bounds, detect_cycles
 from gaitpair.eval_harness import (
@@ -340,5 +340,5 @@ def test_security_arithmetic_data_floor():
 
 def test_security_arithmetic_exact_fraction_edges():
     assert security_arithmetic(200.0, 0.8, 10)["t"] == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         security_arithmetic(0.0, 0.8, 128)

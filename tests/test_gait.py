@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gaitpair.dataset_io import synthetic_vertical_signal
-from gaitpair.errors import CycleTooShort, NoPeriodicity, TooFewMaxima, ZeroVariance
+from gaitpair.errors import (CycleTooShort, NoPeriodicity, SignalTooShort, TooFewMaxima,
+                             ZeroVariance)
 from gaitpair.gait import (
     CycleDetection,
     autocorrelate,
@@ -74,7 +75,7 @@ def test_constant_signal_raises_zero_variance():
 
 
 def test_autocorrelate_needs_four_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(SignalTooShort):
         autocorrelate(VerticalSignal(50.0, np.array([1.0, -1.0, 0.5])))
 
 

@@ -199,7 +199,7 @@ def test_bandpass_zero_mean_output():
 def test_bandpass_invalid_band(lo, hi):
     sig = VerticalSignal(50.0, np.zeros(100))
     with pytest.raises(InvalidBand):
-        bandpass(sig, lo, hi)
+        bandpass(sig, (lo, hi))
 
 
 # -- pipeline ------------------------------------------------------------------------
