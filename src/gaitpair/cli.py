@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -92,6 +93,9 @@ def _signal_from_json(path: Path) -> VerticalSignal:
         raise SchemaMismatch(f"{path}: not a preprocessed signal: {exc!r}") from exc
     if z.ndim != 1:
         raise SchemaMismatch(f"{path}: 'z' is not a list of numbers")
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise SchemaMismatch(f"{path}: sample_rate_hz {sample_rate} is not a "
+                             "positive finite rate")
     return VerticalSignal(
         sample_rate=sample_rate,
         z=z,

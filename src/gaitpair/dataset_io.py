@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     MissingColumns,
     NonMonotoneTimestamps,
     SchemaMismatch,
@@ -97,7 +98,7 @@ def _read_recording_csv(base: Path, name: str) -> np.ndarray:
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:  # not UTF-8, not a number, or ragged rows
-            raise SchemaMismatch(f"{name}: {exc}") from exc
+            raise SchemaMismatch(f"{name}: {_parse_error(raw, exc)}") from exc
         if data.size == 0:
             data = np.empty((0, len(CSV_COLUMNS)))
         elif data.shape[1] != len(CSV_COLUMNS):
@@ -107,6 +108,28 @@ def _read_recording_csv(base: Path, name: str) -> np.ndarray:
     if parsed:
         _store_parse(entry, digest, data)
     return data
+
+
+def _parse_error(raw: bytes, exc: ValueError) -> str:
+    """Name the first file line, counting the header as line 1, that is not a
+    row of numbers as wide as the first; numpy's message counts data rows
+    from 0."""
+    width = None
+    for lineno, line in enumerate(raw.splitlines()[1:], start=2):
+        text = line.decode("utf-8", errors="replace")
+        data = text.split("#", 1)[0]
+        if not data.strip():
+            continue
+        try:
+            row = [float(f) for f in data.split(",")]
+        except ValueError:
+            row = None
+        if row is not None and width is None:
+            width = len(row)
+        if row is None or len(row) != width:
+            return (f"line {lineno}: {text[:80]!r} is not a row of "
+                    f"{width or 'comma-separated'} numbers")
+    return str(exc)
 
 
 def _cached_parse(entry: Path, digest: bytes) -> np.ndarray | None:
@@ -248,11 +271,16 @@ class SyntheticGaitSpec:
     lead_s: float = 4.0             # pad so filter warm-up does not eat cycles
 
     def __post_init__(self) -> None:
-        if self.base_period <= 0:
-            raise ValueError("base_period must be positive")
+        for name in ("base_period", "sample_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        for name in ("n_cycles", "n_subjects"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for _, ps in self.per_position:
             if not math.isfinite(ps.noise_snr_db) and ps.noise_snr_db != math.inf:
-                raise ValueError("noise_snr_db must be finite or +inf")
+                raise ConfigError("noise_snr_db must be finite or +inf")
 
 
 def _smooth_noise(rng: np.random.Generator, n: int, ctrl_spacing: int) -> np.ndarray:

@@ -138,22 +138,25 @@ def detect_cycles(sig: VerticalSignal) -> CycleDetection:
     )
 
 
-def resample_cycle(raw: np.ndarray, rho: int) -> np.ndarray:
-    """Fourier-resample one raw cycle to exactly rho samples."""
-    if raw.shape[0] < 4:
-        raise CycleTooShort(f"raw cycle of {raw.shape[0]} samples")
-    if raw.shape[0] == rho:
-        return np.asarray(raw, dtype=float).copy()
-    return sps.resample(np.asarray(raw, dtype=float), rho)
-
-
 def cycles_from_bounds(z: np.ndarray, bounds: np.ndarray, rho: int) -> np.ndarray:
-    """Cut full cycles between every second boundary and normalize their length."""
+    """Cut full cycles between every second boundary and Fourier-resample each
+    to rho samples.
+
+    Cycles of one raw length are resampled together, in one call; a cycle
+    already rho samples long is copied as is.
+    """
+    z = np.asarray(z, dtype=float)
     q = (bounds.shape[0] - 1) // 2
+    edges = np.asarray(bounds[:2 * q + 1:2], dtype=int)
+    lengths = np.diff(edges)
+    short = lengths[lengths < 4]
+    if short.size:
+        raise CycleTooShort(f"raw cycle of {short[0]} samples")
     out = np.empty((q, rho), dtype=float)
-    for i in range(q):
-        start, end = int(bounds[2 * i]), int(bounds[2 * i + 2])
-        out[i] = resample_cycle(z[start:end], rho)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        raw = z[edges[rows, None] + np.arange(length)]
+        out[rows] = raw if length == rho else sps.resample(raw, rho, axis=1)
     return out
 
 

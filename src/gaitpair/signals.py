@@ -10,6 +10,7 @@ stays unconstrained; only the vertical component is used.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,13 +129,13 @@ def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Hamilton products a * b of quaternions (m, 4), scalar first."""
-    aw, ax, ay, az = a.T
-    bw, bx, by, bz = b.T
+    """Column-wise Hamilton products a * b of quaternions (4, m), scalar first."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
     return np.stack([aw * bw - ax * bx - ay * by - az * bz,
                      aw * bx + ax * bw + ay * bz - az * by,
                      aw * by - ax * bz + ay * bw + az * bx,
-                     aw * bz + ax * by - ay * bx + az * bw], axis=1)
+                     aw * bz + ax * by - ay * bx + az * bw])
 
 
 def _gyro_frame(rec: ImuRecord) -> np.ndarray:
@@ -142,21 +143,28 @@ def _gyro_frame(rec: ImuRecord) -> np.ndarray:
 
     Sample i turns the device by the body-frame rate ``gyro[i]`` over
     ``t[i] - t[i-1]``; composing those turns in order is a prefix product,
-    done in log2 n doubling passes and normalised once at the end.
+    done in log2 n doubling passes and normalised once at the end.  The
+    product is held component-major, (4, n), so each pass reads whole rows.
     """
     n = rec.n_samples
-    q = np.empty((n, 4))
-    q[0] = (1.0, 0.0, 0.0, 0.0)
-    dt = np.diff(rec.t)[:, None]
-    angle = np.linalg.norm(rec.gyro[1:], axis=1, keepdims=True) * dt
-    q[1:, :1] = np.cos(0.5 * angle)
+    q = np.empty((4, n))
+    q[:, 0] = (1.0, 0.0, 0.0, 0.0)
+    dt = np.diff(rec.t)
+    angle = np.linalg.norm(rec.gyro[1:], axis=1) * dt
+    q[0, 1:] = np.cos(0.5 * angle)
     # axis * sin(angle / 2), written with sinc so a zero rate needs no division
-    q[1:, 1:] = 0.5 * dt * rec.gyro[1:] * np.sinc(angle / (2.0 * np.pi))
+    q[1:, 1:] = 0.5 * dt * rec.gyro[1:].T * np.sinc(angle / (2.0 * np.pi))
     shift = 1
     while shift < n:
-        q[shift:] = _quat_mul(q[:-shift], q[shift:])
+        q[:, shift:] = _quat_mul(q[:, :-shift], q[:, shift:])
         shift *= 2
-    return q / np.linalg.norm(q, axis=1, keepdims=True)
+    return (q / np.linalg.norm(q, axis=0)).T
+
+
+@functools.lru_cache(maxsize=64)
+def _gravity_lowpass(sample_rate: float) -> np.ndarray:
+    """Second-order sections of the gravity low-pass at one sample rate."""
+    return sps.butter(2, GRAVITY_CUTOFF_HZ, fs=sample_rate, output="sos")
 
 
 def extract_vertical(rec: ImuRecord) -> VerticalSignal:
@@ -171,7 +179,7 @@ def extract_vertical(rec: ImuRecord) -> VerticalSignal:
     """
     rec.validate()
     acc = rotate_vectors(_gyro_frame(rec), rec.acc)
-    sos = sps.butter(2, GRAVITY_CUTOFF_HZ, fs=rec.sample_rate, output="sos")
+    sos = _gravity_lowpass(rec.sample_rate).copy()
     try:
         gravity = sps.sosfiltfilt(sos, acc, axis=0)
     except ValueError as exc:  # fewer samples than the filter's edge padding
@@ -198,8 +206,14 @@ def design_bandpass(sample_rate: float, lo: float, hi: float) -> np.ndarray:
 
     Type II keeps the passband ripple-free and drops steeply at the corners,
     which is what the step band needs: everything below ``lo`` is correlated
-    drift, everything above ``hi`` is not human motion.
+    drift, everything above ``hi`` is not human motion.  Each (rate, band) is
+    designed and checked once; every call gets its own copy.
     """
+    return _bandpass_sos(sample_rate, lo, hi).copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _bandpass_sos(sample_rate: float, lo: float, hi: float) -> np.ndarray:
     nyq = sample_rate / 2.0
     if not 0.0 < lo < hi < nyq:
         raise InvalidBand(f"need 0 < lo < hi < {nyq} Hz, got ({lo}, {hi})")

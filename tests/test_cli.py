@@ -398,6 +398,9 @@ SIGNAL_FAULTS = {
     "signal-is-a-list": (lambda d: d["z"], 2, "schema error"),
     "z-is-2d": (lambda d: {**d, "z": [[v, v] for v in d["z"]]}, 2, "schema error"),
     "three-samples": (lambda d: {**d, "z": d["z"][:3]}, 5, "insufficient data"),
+    "rate-zero": (lambda d: {**d, "sample_rate_hz": 0}, 2, "schema error"),
+    "rate-negative": (lambda d: {**d, "sample_rate_hz": -50.0}, 2, "schema error"),
+    "rate-nan": (lambda d: {**d, "sample_rate_hz": float("nan")}, 2, "schema error"),
 }
 
 MALFORMED = [
@@ -443,6 +446,30 @@ def test_malformed_input_exits_with_its_code(kind, case, corpus_dir, preprocesse
     assert "Traceback" not in err
     if label == "schema error":  # a schema error names the malformed file
         assert names in err
+
+
+def test_csv_parse_error_names_the_file_line(corpus_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus, ignore=shutil.ignore_patterns(CACHE_DIR))
+    _edit_line("rec_0000.csv", 2, lambda _: "a,b,c,d,e,f,g")(corpus)  # file line 3
+    rc = cli.main(["eval", str(corpus), "--analysis", "discriminability",
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("schema error: SchemaMismatch: rec_0000.csv: line 3: "), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [("--base-period", "0"), ("--base-period", "nan"),
+                                        ("--sample-rate", "0"), ("--cycles", "0"),
+                                        ("--subjects", "-1"), ("--snr-db", "nan")])
+def test_synth_rejects_a_meaningless_corpus(flag, value, tmp_path, capsys):
+    rc = cli.main(["synth", str(tmp_path / "out"), flag, value])
+    err = capsys.readouterr().err
+    assert rc == 64, err
+    assert err.startswith("config error: ConfigError: "), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 #: exit code -> every error class it covers, as the errors module documents

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from gaitpair.dataset_io import synthetic_vertical_signal
 from gaitpair.errors import (CycleTooShort, NoPeriodicity, SignalTooShort, TooFewMaxima,
@@ -7,8 +8,8 @@ from gaitpair.errors import (CycleTooShort, NoPeriodicity, SignalTooShort, TooFe
 from gaitpair.gait import (
     CycleDetection,
     autocorrelate,
+    cycles_from_bounds,
     detect_cycles,
-    resample_cycle,
     split_and_normalize,
 )
 from gaitpair.signals import VerticalSignal, bandpass
@@ -150,9 +151,14 @@ def test_cycle_of_exact_length_is_unchanged():
     assert np.allclose(seq.cycles[1], z[40:80], atol=1e-9)
 
 
+def _one_cycle(raw, rho):
+    """Reference: one cycle resampled on its own, as is when already rho long."""
+    return raw.copy() if raw.shape[0] == rho else sps.resample(raw, rho)
+
+
 def test_sinusoid_fourier_resampling_is_exact():
     cycle = np.sin(2 * np.pi * np.arange(80) / 80)
-    out = resample_cycle(cycle, 40)
+    out = cycles_from_bounds(cycle, np.array([0, 40, 80]), 40)[0]
     expected = np.sin(2 * np.pi * np.arange(40) / 40)
     assert np.allclose(out, expected, atol=1e-6)
 
@@ -160,7 +166,8 @@ def test_sinusoid_fourier_resampling_is_exact():
 def test_resample_idempotent_on_target_length():
     rng = np.random.default_rng(2)
     cycle = rng.standard_normal(40)
-    assert np.allclose(resample_cycle(cycle, 40), cycle, atol=1e-9)
+    assert np.allclose(cycles_from_bounds(cycle, np.array([0, 20, 40]), 40)[0],
+                       cycle, atol=1e-9)
 
 
 def test_cycle_too_short():
@@ -168,6 +175,28 @@ def test_cycle_too_short():
     det = _manual_detection([0, 1, 3, 5, 7])
     with pytest.raises(CycleTooShort):
         split_and_normalize(VerticalSignal(50.0, z), det, rho=40)
+
+
+def test_ragged_cycles_equal_per_cycle_resampling():
+    # full-cycle lengths 37, 40 (= rho), 43, 37, 52, 43, 40: five cycles share
+    # a length with another, and one needs no resampling at all
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(400)
+    edges = np.cumsum([5, 37, 40, 43, 37, 52, 43, 40])
+    bounds = np.empty(2 * edges.shape[0] - 1, dtype=int)
+    bounds[0::2] = edges
+    bounds[1::2] = (edges[:-1] + edges[1:]) // 2
+    out = cycles_from_bounds(z, bounds, 40)
+    assert out.shape == (7, 40)
+    for i in range(7):
+        assert np.array_equal(out[i], _one_cycle(z[edges[i]:edges[i + 1]], 40))
+
+
+def test_short_cycle_in_the_middle_raises():
+    z = np.arange(200.0)
+    bounds = np.array([0, 20, 40, 41, 43, 60, 80])  # cycle 1 spans 3 samples
+    with pytest.raises(CycleTooShort, match="raw cycle of 3 samples"):
+        cycles_from_bounds(z, bounds, 40)
 
 
 def test_deployment_shape_rho_40():
@@ -188,7 +217,7 @@ def test_reconstruction_ordering_contiguous():
     # each cycle starts where the previous one ends, in signal order
     assert np.array_equal(starts[1:], ends[:-1])
     for i in range(seq.q):
-        assert np.array_equal(seq.cycles[i], resample_cycle(sig.z[starts[i]:ends[i]], 40))
+        assert np.array_equal(seq.cycles[i], _one_cycle(sig.z[starts[i]:ends[i]], 40))
 
 
 @pytest.mark.parametrize("period,seed", [(20, 0), (36, 1), (60, 2), (100, 3)])

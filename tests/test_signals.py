@@ -6,7 +6,9 @@ from gaitpair.signals import (
     GRAVITY,
     ImuRecord,
     VerticalSignal,
+    _gyro_frame,
     bandpass,
+    design_bandpass,
     extract_vertical,
     preprocess_record,
     resample_uniform,
@@ -129,6 +131,31 @@ def test_turning_swinging_device_recovers_vertical_motion():
     assert _swing_correlation(rec, motion) >= 0.99
 
 
+def _hamilton(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array([aw * bw - ax * bx - ay * by - az * bz,
+                     aw * bx + ax * bw + ay * bz - az * by,
+                     aw * by - ax * bz + ay * bw + az * bx,
+                     aw * bz + ax * by - ay * bx + az * bw])
+
+
+def test_gyro_frame_matches_sequential_product():
+    # the doubling passes compose the same turns as one sample after another
+    rec, _ = swinging_record(turn_rate=1.0)
+    want = np.empty((rec.n_samples, 4))
+    want[0] = (1.0, 0.0, 0.0, 0.0)
+    for i in range(1, rec.n_samples):
+        rate = rec.gyro[i]
+        angle = float(np.linalg.norm(rate)) * (rec.t[i] - rec.t[i - 1])
+        step = quat_from_axis_angle(rate, angle) if angle > 0 else want[0]
+        want[i] = _hamilton(want[i - 1], step)
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    got = _gyro_frame(rec)
+    assert got.shape == (rec.n_samples, 4)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_swinging_device_needs_the_gyro():
     # Without the gyro the frame turns with the device, and the projection
     # reads about (g + motion) cos(theta): an error at the step rate whose
@@ -200,6 +227,19 @@ def test_bandpass_invalid_band(lo, hi):
     sig = VerticalSignal(50.0, np.zeros(100))
     with pytest.raises(InvalidBand):
         bandpass(sig, (lo, hi))
+
+
+def test_design_bandpass_returns_a_private_copy():
+    first = design_bandpass(50.0, 0.5, 12.0)
+    want = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(design_bandpass(50.0, 0.5, 12.0), want)
+
+
+def test_reversed_band_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(InvalidBand):
+            design_bandpass(50.0, 12.0, 0.7)
 
 
 # -- pipeline ------------------------------------------------------------------------
