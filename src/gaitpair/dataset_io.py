@@ -81,7 +81,9 @@ def _read_recording_csv(base: Path, name: str) -> np.ndarray:
         raw = path.read_bytes()
         fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
         header = fh.readline().strip()
-    except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
+    except UnicodeDecodeError as exc:  # the first chunk read is not UTF-8
+        raise SchemaMismatch(f"{name}: {_decode_error(raw, exc)}") from exc
+    except (OSError, ValueError) as exc:  # missing or unreadable
         raise SchemaMismatch(f"{name}: {exc}") from exc
     cols = tuple(c.strip() for c in header.split(","))
     missing = [c for c in CSV_COLUMNS if c not in cols]
@@ -129,6 +131,17 @@ def _parse_error(raw: bytes, exc: ValueError) -> str:
         if row is None or len(row) != width:
             return (f"line {lineno}: {text[:80]!r} is not a row of "
                     f"{width or 'comma-separated'} numbers")
+    return str(exc)
+
+
+def _decode_error(raw: bytes, exc: UnicodeDecodeError) -> str:
+    """Name the file line, counting from 1, of the first byte that is not
+    UTF-8; the codec's own message counts bytes from the start of a chunk."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        line = raw.count(b"\n", 0, whole.start) + 1
+        return f"line {line}: byte 0x{raw[whole.start]:02x} is not UTF-8"
     return str(exc)
 
 

@@ -3,16 +3,27 @@
 Binary BCH codes over GF(2) provide the quantization of the fingerprint space:
 any two vectors within Hamming distance t of the same codeword decode to the
 same k-bit key, so near-identical fingerprints yield identical keys without
-any helper data crossing the channel.  Decoding is strict bounded-distance
-(syndromes, Berlekamp-Massey, Chien search, then re-verification); an input
-farther than t from every codeword raises DecodeFailure rather than returning
-an unvetted key.
+any helper data crossing the channel.  Decoding is strict bounded-distance;
+an input farther than t from every codeword raises DecodeFailure rather than
+returning an unvetted key.  Its steps, with tables built once per code:
+
+- the t odd syndromes S_1, S_3, .., S_2t-1, as the XOR of one per-byte table
+  row per byte of the packed word; the even ones are squares, S_2i = S_i^2;
+- the t-step binary Berlekamp-Massey iteration (Lin & Costello, *Error
+  Control Coding*, ch. 6), which accepts the locator only if its degree
+  equals its register length L <= t;
+- a Chien search that evaluates the locator at every position's root
+  candidate from a degree-by-position table of powers of alpha, and accepts
+  only as many roots as the degree;
+- re-verification that the corrected word is a codeword.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import xor
 
 import numpy as np
 
@@ -67,7 +78,9 @@ class FuzzyKey:
 # -- GF(2^m) arithmetic ----------------------------------------------------------
 
 class _Field:
-    """Log/antilog tables for GF(2^m)."""
+    """Antilog table for GF(2^m), and the decoder's product tables:
+    ``scale[a]`` is a ``bytes.translate`` table taking each element b to
+    a * b, and ``inverse[a]`` is 1 / a."""
 
     def __init__(self, m: int):
         if m not in _PRIMITIVE_POLY:
@@ -86,13 +99,14 @@ class _Field:
         for i in range(self.n, 2 * self.n):
             exp[i] = exp[i - self.n]
         self.exp = exp
-        self.log = log
-        self.exp_np = np.array(exp[: self.n], dtype=np.int64)
+        nonzero = range(1, self.n + 1)
+        self.scale = [bytes(256)] + [
+            bytes([0] + [exp[log[a] + log[b]] for b in nonzero]).ljust(256, b"\0")
+            for a in nonzero]
+        self.inverse = [0] + [exp[self.n - log[a]] for a in nonzero]
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
+        return self.scale[a][b]
 
     def alpha_pow(self, e: int) -> int:
         return self.exp[e % self.n]
@@ -195,6 +209,7 @@ def code_table(n: int) -> tuple[CodeParams, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=64)
 def choose_params(N: int, error_rate: float) -> CodeParams:
     """Pick the code for an N-bit fingerprint tolerating the given error rate.
 
@@ -246,75 +261,109 @@ def encode(message: np.ndarray, params: CodeParams) -> np.ndarray:
     return _int_to_bits(shifted | parity, params.n)
 
 
+class _Decoder:
+    """Tables for decoding one code, built once per ``CodeParams``.
+
+    Bit position p of a word carries the coefficient of x^(n-1-p).
+    ``rows[b][v]`` packs, one byte each, the t odd syndromes
+    S_1, S_3, .., S_2t-1 that byte value v contributes at byte b of the packed
+    word, so the XOR of one row per byte gives the word's odd syndromes.  An
+    error at position p has locator root alpha^(p+1); ``powers[d][p]`` is
+    alpha^(d(p+1)), the degree-d term of the locator at that root candidate.
+    """
+
+    def __init__(self, params: CodeParams):
+        field = _field(params.m)
+        n, t = params.n, params.t
+        self.n = n
+        self.t = t
+        self.scale = field.scale
+        self.inverse = field.inverse
+        single = [sum(field.exp[(2 * i + 1) * (n - 1 - p) % n] << (8 * i)
+                      for i in range(t)) for p in range(n)]
+        single += [0] * (-n % 8)  # packbits pads the last byte with zero bits
+        self.rows = []
+        for b in range(0, len(single), 8):
+            row = [0]
+            for p in range(b + 7, b - 1, -1):  # least significant bit first
+                bit = single[p]
+                row += [v ^ bit for v in row]
+            self.rows.append(row)
+        self.powers = [bytes(field.exp[d * (p + 1) % n] for p in range(n))
+                       for d in range(t + 1)]
+
+    def syndromes(self, bits: np.ndarray) -> int:
+        """The odd syndromes of a word, packed; 0 iff it is a codeword."""
+        return reduce(xor, map(list.__getitem__, self.rows,
+                               np.packbits(bits).tobytes()), 0)
+
+    def locator(self, packed: int) -> bytes | None:
+        """Error-locator coefficients (index = degree), or None.
+
+        Binary Berlekamp-Massey: for a word over GF(2), S_2i = S_i^2 and the
+        discrepancy of every even step is zero, so the t odd steps give the
+        locator of the full 2t-step iteration.  The discrepancies of all steps
+        ride along with the connection polynomial C as D = C * S(x), with
+        S(x) = sum S_j x^j (Sarwate & Shanbhag's discrepancy polynomial): an
+        update C += q x^s B is also D += q x^s (B * S), so the packed pair
+        (C, D) changes by one translate of the packed (B, B * S), and step j
+        reads its discrepancy as coefficient j of D.  C's degree never
+        exceeds the register length L, and L never falls, so the locator is
+        rejected once L passes t, and at the end unless C_L != 0.
+        """
+        scale, t = self.scale, self.t
+        width = 2 * t  # bytes of C, then of D; every index read is < 2t
+        syn = bytearray(width)  # syn[j] = S_j for j = 1..2t-1
+        syn[1::2] = packed.to_bytes(t, "little")
+        for j in range(2, width, 2):
+            syn[j] = scale[syn[j >> 1]][syn[j >> 1]]
+        pair = 1 | int.from_bytes(syn, "little") << (8 * width)
+        keep = (1 << (16 * width)) - 1
+        previous = pair.to_bytes(2 * width, "little")  # (B, B * S)
+        length = 0
+        shift = 1
+        b_inv = 1
+        for j in range(1, width, 2):
+            d = pair >> (8 * (width + j)) & 0xFF
+            if not d:
+                shift += 2
+                continue
+            update = int.from_bytes(
+                previous.translate(scale[scale[d][b_inv]]), "little") << (8 * shift)
+            if 2 * length < j:
+                previous = pair.to_bytes(2 * width, "little")
+                length = j - length
+                if length > t:
+                    return None
+                b_inv = self.inverse[d]
+                shift = 2
+            else:
+                shift += 2
+            pair = (pair ^ update) & keep
+        coefficients = pair.to_bytes(2 * width, "little")[: length + 1]
+        return coefficients if coefficients[length] else None
+
+    def chien(self, locator: bytes) -> bytes:
+        """The locator's value at the root candidate of every bit position."""
+        value = reduce(xor, map(int.from_bytes,
+                                map(bytes.translate, self.powers,
+                                    map(self.scale.__getitem__, locator)),
+                                repeat("little")))
+        return value.to_bytes(self.n, "little")
+
+
+@lru_cache(maxsize=None)
+def _decoder(params: CodeParams) -> _Decoder:
+    return _Decoder(params)
+
+
 def _syndromes(bits: np.ndarray, params: CodeParams) -> np.ndarray:
-    """S_j = r(alpha^j) for j = 1..2t; all-zero iff r is a codeword."""
-    field = _field(params.m)
-    n = params.n
-    positions = np.flatnonzero(bits)
-    if positions.size == 0:
-        return np.zeros(2 * params.t, dtype=np.int64)
-    exponents = (n - 1 - positions).astype(np.int64)
-    j = np.arange(1, 2 * params.t + 1, dtype=np.int64)
-    powers = (j[:, None] * exponents[None, :]) % n
-    return np.bitwise_xor.reduce(field.exp_np[powers], axis=1)
+    """Odd syndromes S_1, S_3, .., S_2t-1 of r; all-zero iff r is a codeword.
 
-
-def _berlekamp_massey(syndromes: list[int], field: _Field, t: int) -> list[int] | None:
-    """Error-locator polynomial (coefficients, index = degree), or None."""
-    exp = field.exp
-    log = field.log
-    C = [1]
-    B = [1]
-    L = 0
-    shift = 1
-    b = 1
-    for i, s in enumerate(syndromes):
-        d = s
-        for j in range(1, min(L, len(C) - 1) + 1):
-            cj = C[j]
-            if cj:
-                sij = syndromes[i - j]
-                if sij:
-                    d ^= exp[log[cj] + log[sij]]
-        if d == 0:
-            shift += 1
-            continue
-        coef_log = (log[d] - log[b]) % field.n
-        update_len = len(B) + shift
-        if update_len > len(C):
-            C = C + [0] * (update_len - len(C))
-        if 2 * L <= i:
-            T = C.copy()
-            for j, Bj in enumerate(B):
-                if Bj:
-                    C[j + shift] ^= exp[coef_log + log[Bj]]
-            L = i + 1 - L
-            B = T
-            b = d
-            shift = 1
-        else:
-            for j, Bj in enumerate(B):
-                if Bj:
-                    C[j + shift] ^= exp[coef_log + log[Bj]]
-            shift += 1
-    while len(C) > 1 and C[-1] == 0:
-        C.pop()
-    degree = len(C) - 1
-    if degree != L or degree > t:
-        return None
-    return C
-
-
-def _chien_roots(locator: list[int], field: _Field) -> np.ndarray:
-    """Exponents s in 0..n-1 with locator(alpha^s) == 0."""
-    n = field.n
-    s = np.arange(n, dtype=np.int64)
-    vals = np.full(n, locator[0], dtype=np.int64)
-    for deg in range(1, len(locator)):
-        c = locator[deg]
-        if c:
-            vals ^= field.exp_np[(field.log[c] + deg * s) % n]
-    return np.flatnonzero(vals == 0)
+    The even ones follow as S_2i = S_i^2, so they vanish with the odd ones.
+    """
+    packed = _decoder(params).syndromes(bits)
+    return np.frombuffer(packed.to_bytes(params.t, "little"), dtype=np.uint8)
 
 
 def decode(bits: np.ndarray, params: CodeParams) -> FuzzyKey:
@@ -329,24 +378,21 @@ def decode(bits: np.ndarray, params: CodeParams) -> FuzzyKey:
     if bits.shape[0] != params.n:
         raise LengthMismatch(
             f"fingerprint length {bits.shape[0]} != code length n={params.n}")
-    field = _field(params.m)
-    syn = _syndromes(bits, params)
-    if not syn.any():
+    decoder = _decoder(params)
+    packed = decoder.syndromes(bits)
+    if not packed:
         return FuzzyKey(key_bits=bits[: params.k].copy(), params=params,
                         corrected_errors=0)
 
-    locator = _berlekamp_massey([int(v) for v in syn], field, params.t)
+    locator = decoder.locator(packed)
     if locator is None:
         raise DecodeFailure("no codeword within the correction radius")
-    roots = _chien_roots(locator, field)
-    if roots.size != len(locator) - 1:
+    values = decoder.chien(locator)
+    roots = values.count(0)
+    if roots != len(locator) - 1:
         raise DecodeFailure("error locator does not split over the field")
-    n = params.n
-    error_exponents = (n - np.asarray(roots)) % n
-    error_positions = (n - 1 - error_exponents).astype(int)
-    corrected = bits.copy()
-    corrected[error_positions] ^= 1
-    if _syndromes(corrected, params).any():
+    corrected = bits ^ (np.frombuffer(values, dtype=np.uint8) == 0)
+    if decoder.syndromes(corrected):
         raise DecodeFailure("corrected word fails re-verification")
     return FuzzyKey(key_bits=corrected[: params.k].copy(), params=params,
-                    corrected_errors=int(roots.size))
+                    corrected_errors=roots)

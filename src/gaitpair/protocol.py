@@ -101,10 +101,8 @@ def encode_reliability_payload(order: ReliabilityOrder, nonce: int) -> bytes:
         raise MalformedMessage(f"M={m} exceeds 8-bit index encoding")
     if not 0 <= nonce < (1 << NONCE_BITS):
         raise MalformedMessage("nonce outside the 90-bit range")
-    body = struct.pack(">H", m)
-    body += bytes(int(v) & 0xFF for v in idx)
-    body += nonce.to_bytes(NONCE_BYTES, "big")
-    return body
+    return (struct.pack(">H", m) + idx.astype(np.uint8).tobytes()
+            + nonce.to_bytes(NONCE_BYTES, "big"))
 
 
 def decode_reliability_payload(payload: bytes) -> tuple[np.ndarray, int]:

@@ -164,6 +164,10 @@ def _gyro_frame(rec: ImuRecord) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _gravity_lowpass(sample_rate: float) -> np.ndarray:
     """Second-order sections of the gravity low-pass at one sample rate."""
+    if not GRAVITY_CUTOFF_HZ < sample_rate / 2.0:
+        raise InvalidBand(
+            f"sample rate {sample_rate} Hz is too low for the {GRAVITY_CUTOFF_HZ} Hz "
+            f"gravity low-pass: its cutoff must lie below the Nyquist frequency")
     return sps.butter(2, GRAVITY_CUTOFF_HZ, fs=sample_rate, output="sos")
 
 

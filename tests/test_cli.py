@@ -460,6 +460,32 @@ def test_csv_parse_error_names_the_file_line(corpus_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_csv_not_utf8_names_the_file_line(corpus_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus, ignore=shutil.ignore_patterns(CACHE_DIR))
+    lines = (corpus / "rec_0000.csv").read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3][:5] + b"\xff" + lines[3][5:]  # file line 4
+    (corpus / "rec_0000.csv").write_bytes(b"".join(lines))
+    rc = cli.main(["eval", str(corpus), "--analysis", "discriminability",
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("schema error: SchemaMismatch: rec_0000.csv: line 4: "), err
+    assert "Traceback" not in err
+
+
+def test_preprocess_below_the_gravity_cutoff_is_a_signal_error(tmp_path, capsys):
+    # at 0.5 Hz the Nyquist frequency, 0.25 Hz, lies below the 0.3 Hz cutoff
+    assert cli.main(["synth", str(tmp_path / "c"), "--subjects", "1",
+                     "--cycles", "20", "--sample-rate", "0.5"]) == 0
+    capsys.readouterr()
+    rc = cli.main(["preprocess", str(tmp_path / "c"), str(tmp_path / "pre")])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert "InvalidBand: sample rate 0.5 Hz" in err and "0.3 Hz" in err, err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag,value", [("--base-period", "0"), ("--base-period", "nan"),
                                         ("--sample-rate", "0"), ("--cycles", "0"),
                                         ("--subjects", "-1"), ("--snr-db", "nan")])

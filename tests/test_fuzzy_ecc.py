@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitpair.errors import DecodeFailure, LengthMismatch, NoSuitableCode
 from gaitpair.fuzzy_ecc import (
+    _PRIMITIVE_POLY,
     CodeParams,
     FuzzyKey,
     _gf2_poly_mod,
@@ -190,6 +193,144 @@ def test_far_word_raises_decode_failure():
 def test_decode_length_mismatch():
     with pytest.raises(LengthMismatch):
         decode(np.zeros(126, dtype=np.uint8), P127)
+
+
+# -- reference decoder -----------------------------------------------------------------
+# The direct decoder: all 2t syndromes evaluated at the received bits, the full
+# 2t-step Berlekamp-Massey iteration, and a Chien search that makes one pass
+# per locator coefficient.  ``decode`` must agree with it on every outcome.
+
+def _ref_field(m):
+    n = (1 << m) - 1
+    exp, log = [0] * (2 * n), [0] * (n + 1)
+    x = 1
+    for i in range(n):
+        exp[i] = exp[i + n] = x
+        log[x] = i
+        x <<= 1
+        if x >> m:
+            x ^= _PRIMITIVE_POLY[m]
+    return exp, log
+
+
+def _ref_syndromes(bits, params, exp):
+    n = params.n
+    positions = np.flatnonzero(bits)
+    if positions.size == 0:
+        return np.zeros(2 * params.t, dtype=np.int64)
+    exponents = (n - 1 - positions).astype(np.int64)
+    j = np.arange(1, 2 * params.t + 1, dtype=np.int64)
+    powers = (j[:, None] * exponents[None, :]) % n
+    return np.bitwise_xor.reduce(np.array(exp[:n])[powers], axis=1)
+
+
+def _ref_berlekamp_massey(syndromes, exp, log, n, t):
+    C, B, L, shift, b = [1], [1], 0, 1, 1
+    for i, s in enumerate(syndromes):
+        d = s
+        for j in range(1, min(L, len(C) - 1) + 1):
+            if C[j] and syndromes[i - j]:
+                d ^= exp[log[C[j]] + log[syndromes[i - j]]]
+        if d == 0:
+            shift += 1
+            continue
+        coef_log = (log[d] - log[b]) % n
+        if len(B) + shift > len(C):
+            C = C + [0] * (len(B) + shift - len(C))
+        T = C.copy()
+        for j, Bj in enumerate(B):
+            if Bj:
+                C[j + shift] ^= exp[coef_log + log[Bj]]
+        if 2 * L <= i:
+            L, B, b, shift = i + 1 - L, T, d, 1
+        else:
+            shift += 1
+    while len(C) > 1 and C[-1] == 0:
+        C.pop()
+    degree = len(C) - 1
+    return None if degree != L or degree > t else C
+
+
+def _ref_chien_roots(locator, exp, log, n):
+    s = np.arange(n, dtype=np.int64)
+    vals = np.full(n, locator[0], dtype=np.int64)
+    exp_np = np.array(exp[:n], dtype=np.int64)
+    for deg in range(1, len(locator)):
+        if locator[deg]:
+            vals ^= exp_np[(log[locator[deg]] + deg * s) % n]
+    return np.flatnonzero(vals == 0)
+
+
+def _ref_decode(bits, params):
+    """(key bits, corrected errors) or the DecodeFailure message."""
+    exp, log = _ref_field(params.m)
+    n = params.n
+    syn = _ref_syndromes(bits, params, exp)
+    if not syn.any():
+        return bits[: params.k].copy(), 0
+    locator = _ref_berlekamp_massey([int(v) for v in syn], exp, log, n, params.t)
+    if locator is None:
+        return "no codeword within the correction radius"
+    roots = _ref_chien_roots(locator, exp, log, n)
+    if roots.size != len(locator) - 1:
+        return "error locator does not split over the field"
+    corrected = bits.copy()
+    corrected[(n - 1 - (n - roots) % n).astype(int)] ^= 1
+    if _ref_syndromes(corrected, params, exp).any():
+        return "corrected word fails re-verification"
+    return corrected[: params.k].copy(), int(roots.size)
+
+
+def _outcome(bits, params):
+    try:
+        key = decode(bits, params)
+    except DecodeFailure as exc:
+        return str(exc)
+    return key.key_bits, key.corrected_errors
+
+
+EQUIVALENCE_CODES = [(127, 22, 23), (15, 5, 3), (63, 16, 11), (127, 57, 11)]
+
+
+@pytest.mark.parametrize("n,k,t", EQUIVALENCE_CODES)
+def test_decode_matches_reference_decoder(n, k, t):
+    # 5,000 words per code: codewords with 0..t+3 flips, then uniform words
+    params = next(p for p in code_table(n) if p.t == t)
+    assert params.k == k
+    rng = np.random.default_rng(n * 1000 + t)
+    outcomes = set()
+    for i in range(5000):
+        if i < 2500:
+            word = encode(rng.integers(0, 2, k).astype(np.uint8), params)
+            word[rng.choice(n, size=i % (t + 4), replace=False)] ^= 1
+        else:
+            word = rng.integers(0, 2, n).astype(np.uint8)
+        got, want = _outcome(word, params), _ref_decode(word, params)
+        if isinstance(want, str):
+            assert got == want, (i, word)
+        else:
+            assert not isinstance(got, str), (i, word, got)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1], (i, word)
+        outcomes.add(want if isinstance(want, str) else "key")
+    assert {"key", "no codeword within the correction radius",
+            "error locator does not split over the field"} <= outcomes
+
+
+@given(st.integers(min_value=0, max_value=(1 << P127.k) - 1),
+       st.sets(st.integers(min_value=0, max_value=P127.n - 1), max_size=P127.t + 8))
+@settings(max_examples=200, deadline=None)
+def test_decoded_key_reencodes_within_t(message, flips):
+    msg = np.array([(message >> i) & 1 for i in range(P127.k)], dtype=np.uint8)
+    word = encode(msg, P127)
+    word[sorted(flips)] ^= 1
+    try:
+        key = decode(word, P127)
+    except DecodeFailure:
+        assert len(flips) > P127.t
+        return
+    dist = int(np.count_nonzero(encode(key.key_bits, P127) ^ word))
+    assert dist <= P127.t
+    assert key.corrected_errors == dist
 
 
 # -- serialization ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
-import threading
+import hashlib
 import socket
+import struct
+import threading
 
 import numpy as np
 import pytest
@@ -58,6 +60,21 @@ def test_reliability_payload_layout():
     got_order, got_nonce = decode_reliability_payload(payload)
     assert np.array_equal(got_order, [2, 0, 3, 1])
     assert got_nonce == nonce
+
+
+def test_reliability_payload_bytes_are_pinned():
+    # one index byte per entry, in order: M = 128, 192, 256 and an order that
+    # opens with index 255; the digest pins the bytes of the per-entry encoder
+    digest = hashlib.sha256()
+    orders = [np.random.default_rng(m).permutation(m) for m in (128, 192, 256)]
+    nonces = [(1 << 90) - 1 - m for m in (128, 192, 256)]
+    for order, nonce in zip(orders + [np.r_[255, np.arange(255)]], nonces + [7]):
+        payload = encode_reliability_payload(ReliabilityOrder(order=order), nonce)
+        assert payload == (struct.pack(">H", order.size) + bytes(int(v) for v in order)
+                           + nonce.to_bytes(12, "big"))
+        digest.update(payload)
+    assert digest.hexdigest() == (
+        "09072bd1046db695eb0fc126c67dd100f3fe1e19fd022f8b813b6a2d22058789")
 
 
 def test_reliability_payload_rejects_non_permutation():
