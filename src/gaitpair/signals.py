@@ -6,6 +6,11 @@ gravity there as the acceleration's slow part, keep each sample's component
 along it, then a zero-phase Type-II Chebyshev bandpass to strip DC/drift below
 the step band and sensor noise above it.  There is no magnetometer, so heading
 stays unconstrained; only the vertical component is used.
+
+The rotations compose as a prefix product of quaternions held as complex
+pairs (``_gyro_frame``).  Both zero-phase filters run through ``_filtfilt``,
+which gives ``scipy.signal.sosfiltfilt``'s values with the filter's initial
+state solved once per design, in the cached design itself.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import signal as sps
@@ -110,6 +116,49 @@ class VerticalSignal:
         return int(self.z.shape[0])
 
 
+# -- zero-phase filtering ----------------------------------------------------------
+
+class _ZeroPhase(NamedTuple):
+    """A filter's sections with what a forward-backward run needs, solved once.
+
+    sos   second-order sections, (n_sections, 6)
+    zi    steady-state section states for a unit step (``sps.sosfilt_zi``)
+    edge  samples of odd extension at each end, the padding ``sps.sosfiltfilt``
+          uses by default
+    """
+
+    sos: np.ndarray
+    zi: np.ndarray
+    edge: int
+
+
+def _zero_phase(sos: np.ndarray) -> _ZeroPhase:
+    ntaps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
+    return _ZeroPhase(sos, sps.sosfilt_zi(sos), 3 * int(ntaps))
+
+
+def _filtfilt(design: _ZeroPhase, x: np.ndarray, recording_id: str,
+              name: str) -> np.ndarray:
+    """``sps.sosfiltfilt(design.sos, x, axis=0)``, value for value.
+
+    The same odd extension and the same two ``sps.sosfilt`` runs, started
+    from the design's ``zi`` scaled by the first sample of each pass; only
+    ``zi`` is not solved again on every call.
+    """
+    sos, zi, edge = design
+    n = x.shape[0]
+    if n <= edge:
+        raise EmptyStream(
+            f"record {recording_id!r} has {n} samples, too few for the {name}: "
+            f"it pads {edge} at each end")
+    zi = zi.reshape(zi.shape + (1,) * (x.ndim - 1))
+    ext = np.concatenate((2 * x[:1] - x[edge:0:-1], x,
+                          2 * x[-1:] - x[-2:-edge - 2:-1]))
+    y, _ = sps.sosfilt(sos, ext, axis=0, zi=zi * ext[:1])
+    y, _ = sps.sosfilt(sos, y[::-1], axis=0, zi=zi * y[-1:])
+    return y[::-1][edge:-edge]
+
+
 # -- gravity alignment -------------------------------------------------------------
 
 def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -128,47 +177,45 @@ def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([rx, ry, rz], axis=1)
 
 
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Hamilton products a * b of quaternions (4, m), scalar first."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.stack([aw * bw - ax * bx - ay * by - az * bz,
-                     aw * bx + ax * bw + ay * bz - az * by,
-                     aw * by - ax * bz + ay * bw + az * bx,
-                     aw * bz + ax * by - ay * bx + az * bw])
-
-
 def _gyro_frame(rec: ImuRecord) -> np.ndarray:
     """Quaternions (n, 4) from each sample's device frame to the first one's.
 
     Sample i turns the device by the body-frame rate ``gyro[i]`` over
     ``t[i] - t[i-1]``; composing those turns in order is a prefix product,
-    done in log2 n doubling passes and normalised once at the end.  The
-    product is held component-major, (4, n), so each pass reads whole rows.
+    done in log2 n doubling passes and normalised once at the end.  Each
+    quaternion w + xi + yj + zk is held as a complex pair, a = w + xi and
+    b = y + zi, so that it reads a + bj.  Since j c = conj(c) j for a complex
+    c, the Hamilton product of a0 + b0 j and a1 + b1 j is
+    (a0 a1 - b0 conj(b1)) + (a0 b1 + b0 conj(a1)) j: four complex multiplies
+    per pass over whole arrays.
     """
     n = rec.n_samples
-    q = np.empty((4, n))
-    q[:, 0] = (1.0, 0.0, 0.0, 0.0)
+    a = np.empty(n, dtype=complex)
+    b = np.empty(n, dtype=complex)
+    a[0], b[0] = 1.0, 0.0
     dt = np.diff(rec.t)
     angle = np.linalg.norm(rec.gyro[1:], axis=1) * dt
-    q[0, 1:] = np.cos(0.5 * angle)
+    a.real[1:] = np.cos(0.5 * angle)
     # axis * sin(angle / 2), written with sinc so a zero rate needs no division
-    q[1:, 1:] = 0.5 * dt * rec.gyro[1:].T * np.sinc(angle / (2.0 * np.pi))
+    a.imag[1:], b.real[1:], b.imag[1:] = (
+        0.5 * dt * rec.gyro[1:].T * np.sinc(angle / (2.0 * np.pi)))
     shift = 1
     while shift < n:
-        q[:, shift:] = _quat_mul(q[:, :-shift], q[:, shift:])
+        a0, b0, a1, b1 = a[:-shift], b[:-shift], a[shift:], b[shift:]
+        a[shift:], b[shift:] = a0 * a1 - b0 * b1.conj(), a0 * b1 + b0 * a1.conj()
         shift *= 2
+    q = np.stack([a.real, a.imag, b.real, b.imag])
     return (q / np.linalg.norm(q, axis=0)).T
 
 
 @functools.lru_cache(maxsize=64)
-def _gravity_lowpass(sample_rate: float) -> np.ndarray:
-    """Second-order sections of the gravity low-pass at one sample rate."""
+def _gravity_lowpass(sample_rate: float) -> _ZeroPhase:
+    """The gravity low-pass at one sample rate, designed once."""
     if not GRAVITY_CUTOFF_HZ < sample_rate / 2.0:
         raise InvalidBand(
             f"sample rate {sample_rate} Hz is too low for the {GRAVITY_CUTOFF_HZ} Hz "
             f"gravity low-pass: its cutoff must lie below the Nyquist frequency")
-    return sps.butter(2, GRAVITY_CUTOFF_HZ, fs=sample_rate, output="sos")
+    return _zero_phase(sps.butter(2, GRAVITY_CUTOFF_HZ, fs=sample_rate, output="sos"))
 
 
 def extract_vertical(rec: ImuRecord) -> VerticalSignal:
@@ -183,13 +230,8 @@ def extract_vertical(rec: ImuRecord) -> VerticalSignal:
     """
     rec.validate()
     acc = rotate_vectors(_gyro_frame(rec), rec.acc)
-    sos = _gravity_lowpass(rec.sample_rate).copy()
-    try:
-        gravity = sps.sosfiltfilt(sos, acc, axis=0)
-    except ValueError as exc:  # fewer samples than the filter's edge padding
-        raise EmptyStream(
-            f"record {rec.recording_id!r} has {rec.n_samples} samples, too few "
-            "for the gravity low-pass") from exc
+    gravity = _filtfilt(_gravity_lowpass(rec.sample_rate), acc, rec.recording_id,
+                        "gravity low-pass")
     norm = np.linalg.norm(gravity, axis=1)
     z = np.divide(np.einsum("ij,ij->i", acc, gravity), norm,
                   out=np.zeros_like(norm), where=norm > 0.0)
@@ -213,11 +255,11 @@ def design_bandpass(sample_rate: float, lo: float, hi: float) -> np.ndarray:
     drift, everything above ``hi`` is not human motion.  Each (rate, band) is
     designed and checked once; every call gets its own copy.
     """
-    return _bandpass_sos(sample_rate, lo, hi).copy()
+    return _bandpass(sample_rate, lo, hi).sos.copy()
 
 
 @functools.lru_cache(maxsize=64)
-def _bandpass_sos(sample_rate: float, lo: float, hi: float) -> np.ndarray:
+def _bandpass(sample_rate: float, lo: float, hi: float) -> _ZeroPhase:
     nyq = sample_rate / 2.0
     if not 0.0 < lo < hi < nyq:
         raise InvalidBand(f"need 0 < lo < hi < {nyq} Hz, got ({lo}, {hi})")
@@ -229,7 +271,7 @@ def _bandpass_sos(sample_rate: float, lo: float, hi: float) -> np.ndarray:
         if np.any(np.abs(poles) >= 1.0):
             raise UnstableFilter(
                 f"pole magnitude {np.abs(poles).max():.6f} >= 1 for band ({lo}, {hi})")
-    return sos
+    return _zero_phase(sos)
 
 
 def bandpass(sig: VerticalSignal, band: tuple[float, float] = Config.band
@@ -241,12 +283,11 @@ def bandpass(sig: VerticalSignal, band: tuple[float, float] = Config.band
     stopband handles the rest of the content below ``band[0]``.  Output length
     equals input length.
     """
-    sos = design_bandpass(sig.sample_rate, *band)
+    design = _bandpass(sig.sample_rate, *band)
     z = sig.z - float(np.mean(sig.z))
-    filtered = sps.sosfiltfilt(sos, z)
     return VerticalSignal(
         sample_rate=sig.sample_rate,
-        z=filtered,
+        z=_filtfilt(design, z, sig.recording_id, "bandpass"),
         subject_id=sig.subject_id,
         position=sig.position,
         recording_id=sig.recording_id,

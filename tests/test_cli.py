@@ -486,6 +486,21 @@ def test_preprocess_below_the_gravity_cutoff_is_a_signal_error(tmp_path, capsys)
     assert "Traceback" not in err
 
 
+def test_preprocess_record_within_the_bandpass_padding_exits_3(tmp_path, capsys):
+    # 25 samples at 10 Hz pass the 2 s warm-up but not the bandpass's padding
+    corpus = tmp_path / "c"
+    assert cli.main(["synth", str(corpus), "--subjects", "1", "--cycles", "20",
+                     "--sample-rate", "10"]) == 0
+    capsys.readouterr()
+    lines = (corpus / "rec_0000.csv").read_text().splitlines(keepends=True)
+    (corpus / "rec_0000.csv").write_text("".join(lines[:26]))
+    rc = cli.main(["preprocess", str(corpus), str(tmp_path / "pre"), "--band", "0.5:3"])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert "EmptyStream: record 'r0' has 25 samples, too few for the bandpass" in err, err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag,value", [("--base-period", "0"), ("--base-period", "nan"),
                                         ("--sample-rate", "0"), ("--cycles", "0"),
                                         ("--subjects", "-1"), ("--snr-db", "nan")])

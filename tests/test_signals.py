@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from scipy import signal as sps
 
+from gaitpair import signals
+from gaitpair.config import Config
 from gaitpair.errors import EmptyStream, InvalidBand, LengthMismatch, NonFiniteSample
 from gaitpair.signals import (
     GRAVITY,
     ImuRecord,
     VerticalSignal,
+    _bandpass,
+    _filtfilt,
+    _gravity_lowpass,
     _gyro_frame,
     bandpass,
     design_bandpass,
@@ -156,6 +162,35 @@ def test_gyro_frame_matches_sequential_product():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _sequential_frame(rec) -> np.ndarray:
+    """The oracle above as a function: one sample after another, then normalised."""
+    want = np.empty((rec.n_samples, 4))
+    want[0] = (1.0, 0.0, 0.0, 0.0)
+    for i in range(1, rec.n_samples):
+        rate = rec.gyro[i]
+        angle = float(np.linalg.norm(rate)) * (rec.t[i] - rec.t[i - 1])
+        step = quat_from_axis_angle(rate, angle) if angle > 0 else want[0]
+        want[i] = _hamilton(want[i - 1], step)
+    return want / np.linalg.norm(want, axis=1, keepdims=True)
+
+
+def test_gyro_frame_matches_sequential_product_past_two_to_the_15():
+    # 330 cycles of 2 s at 50 Hz: the doubling pass with shift 2**15 runs
+    rec, _ = swinging_record(seed=1, n_cycles=330, turn_rate=1.0)
+    assert rec.n_samples > 2 ** 15
+    assert np.max(np.abs(_gyro_frame(rec) - _sequential_frame(rec))) < 1e-12
+
+
+def test_gyro_frame_matches_sequential_product_through_zero_rate_runs():
+    # a zero rate is the identity turn: at the start, inside and at the end
+    rec, _ = swinging_record(seed=2, turn_rate=1.0)
+    for run in (slice(0, 7), slice(300, 420), slice(-64, None)):
+        rec.gyro[run] = 0.0
+    got = _gyro_frame(rec)
+    assert np.array_equal(got[:7], np.tile([1.0, 0.0, 0.0, 0.0], (7, 1)))
+    assert np.max(np.abs(got - _sequential_frame(rec))) < 1e-12
+
+
 def test_swinging_device_needs_the_gyro():
     # Without the gyro the frame turns with the device, and the projection
     # reads about (g + motion) cos(theta): an error at the step rate whose
@@ -242,6 +277,57 @@ def test_reversed_band_raises_on_every_call():
             design_bandpass(50.0, 12.0, 0.7)
 
 
+def test_bandpass_rejects_record_too_short_for_its_padding():
+    # 25 samples at 10 Hz: the 4-section bandpass pads 27 at each end
+    sig = VerticalSignal(10.0, np.zeros(25), recording_id="short")
+    with pytest.raises(EmptyStream, match="'short' has 25 samples.*bandpass"):
+        bandpass(sig, (0.5, 3.0))
+
+
+# -- zero-phase filtering -------------------------------------------------------------
+
+def _design(name: str, fs: float):
+    return _gravity_lowpass(fs) if name == "lowpass" else _bandpass(fs, *Config.band)
+
+
+@pytest.mark.parametrize("name", ["lowpass", "bandpass"])
+@pytest.mark.parametrize("fs", [50.0, 100.0])
+@pytest.mark.parametrize("width", [None, 3])
+@pytest.mark.parametrize("length", ["long", "edge+1"])
+def test_filtfilt_equals_sosfiltfilt(name, fs, width, length):
+    design = _design(name, fs)
+    n = 3000 if length == "long" else design.edge + 1
+    shape = (n,) if width is None else (n, width)
+    x = 9.81 + np.random.default_rng(8).standard_normal(shape)
+    got = _filtfilt(design, x, "r", name)
+    assert np.array_equal(got, sps.sosfiltfilt(design.sos, x, axis=0))
+
+
+@pytest.mark.parametrize("name", ["lowpass", "bandpass"])
+def test_filtfilt_rejects_signal_within_its_padding(name):
+    design = _design(name, 50.0)
+    with pytest.raises(EmptyStream, match=f"'r' has {design.edge} samples"):
+        _filtfilt(design, np.ones(design.edge), "r", name)
+
+
+def test_initial_state_is_solved_once_per_design(monkeypatch):
+    calls = []
+    solve = sps.sosfilt_zi
+
+    def counting_sosfilt_zi(sos):
+        calls.append(sos.shape)
+        return solve(sos)
+
+    monkeypatch.setattr(signals.sps, "sosfilt_zi", counting_sosfilt_zi)
+    _gravity_lowpass.cache_clear()
+    _bandpass.cache_clear()
+    rec, _ = swinging_record(seed=3)
+    first = preprocess_record(rec).z
+    for _ in range(3):
+        assert np.array_equal(preprocess_record(rec).z, first)
+    assert calls == [(1, 6), (4, 6)]
+
+
 # -- pipeline ------------------------------------------------------------------------
 
 def test_resample_uniform_interpolates_jittered_timestamps():
@@ -274,6 +360,15 @@ def test_preprocess_record_rejects_record_within_warmup(n):
     rec = static_record(np.array([1.0, 0, 0, 0]), duration_s=n / 50.0)
     with pytest.raises(EmptyStream):
         preprocess_record(rec)
+
+
+def test_preprocess_record_rejects_record_too_short_for_the_bandpass():
+    # past the 2 s warm-up at 10 Hz, yet within the bandpass's 27-sample padding
+    rec = static_record(np.array([1.0, 0, 0, 0]), duration_s=2.5, fs=10.0)
+    rec.recording_id = "short"
+    assert rec.n_samples == 25
+    with pytest.raises(EmptyStream, match="'short' has 25 samples.*bandpass"):
+        preprocess_record(rec, band=(0.5, 3.0))
 
 
 def test_preprocess_record_trims_warmup():
