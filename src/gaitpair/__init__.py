@@ -43,7 +43,6 @@ from .protocol import (
     SimulatedPake,
     confirm_key,
     run_pair_in_memory,
-    run_session,
 )
 from .signals import (
     ImuRecord,
@@ -90,7 +89,6 @@ __all__ = [
     "SimulatedPake",
     "confirm_key",
     "run_pair_in_memory",
-    "run_session",
     "ImuRecord",
     "VerticalSignal",
     "bandpass",

@@ -93,6 +93,8 @@ def _signal_from_json(path: Path) -> VerticalSignal:
         raise SchemaMismatch(f"{path}: not a preprocessed signal: {exc!r}") from exc
     if z.ndim != 1:
         raise SchemaMismatch(f"{path}: 'z' is not a list of numbers")
+    if not np.isfinite(z).all():
+        raise SchemaMismatch(f"{path}: 'z' holds a NaN or infinite sample")
     if not (math.isfinite(sample_rate) and sample_rate > 0):
         raise SchemaMismatch(f"{path}: sample_rate_hz {sample_rate} is not a "
                              "positive finite rate")

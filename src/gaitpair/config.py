@@ -38,9 +38,9 @@ class Config:
             raise ConfigError(
                 f"bits_per_cycle={self.bits_per_cycle} must divide "
                 f"fingerprint_bits={self.fingerprint_bits}")
-        if self.cutoff > self.fingerprint_bits:
+        if not 0 < self.cutoff <= self.fingerprint_bits:
             raise ConfigError(
-                f"cutoff={self.cutoff} exceeds fingerprint_bits={self.fingerprint_bits}")
+                f"cutoff={self.cutoff} outside 1..fingerprint_bits={self.fingerprint_bits}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie strictly between 0 and 1")
         lo, hi = self.band

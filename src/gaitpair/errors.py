@@ -81,10 +81,6 @@ class ProtocolError(GaitPairError):
     """Base class for handshake failures."""
 
 
-class Timeout(ProtocolError):
-    """Peer did not answer within the phase deadline."""
-
-
 class PakeFailure(ProtocolError):
     """Key agreement failed; derived passwords do not match."""
 

@@ -10,11 +10,7 @@ wire: only index permutations, random values, PAKE payloads, and MACs do.
 
 One end of a session is a ``Session``: a state machine that does no I/O.
 ``start()`` and ``receive(frame)`` return the frames to send, and ``result``
-is set once the session has ended.  Two drivers move its frames:
-``run_pair_in_memory`` runs both ends in one thread, handing each end's frames
-to the other until neither has one left to send; ``run_session`` runs one end
-over any object with ``send_frame`` and ``recv_frame``, such as
-``TcpChannel``, and holds the only timeout.
+is set once the session has ended.  ``run_pair_in_memory`` drives both ends.
 
 Wire format (documented bit-exactly in docs/wire-format.md):
   frame   = [1B version=0x01][1B type][2B big-endian payload length][payload]
@@ -24,11 +20,9 @@ Wire format (documented bit-exactly in docs/wire-format.md):
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import hmac
 import secrets
-import socket
 import struct
 import time
 from dataclasses import dataclass, field
@@ -43,7 +37,6 @@ from .errors import (
     MalformedMessage,
     PakeFailure,
     ProtocolError,
-    Timeout,
 )
 from .fingerprint import (
     Fingerprint,
@@ -70,8 +63,6 @@ MSG_ABORT = 0x05
 # sends is reported by its length alone, so peer text never reaches the result
 ABORT_REASONS = frozenset({"decode failure", "malformed message", "nonce tie",
                            "fingerprint length mismatch"})
-
-DEFAULT_PHASE_TIMEOUT = 5.0
 
 
 # -- framing ------------------------------------------------------------------------
@@ -121,43 +112,6 @@ def decode_reliability_payload(payload: bytes) -> tuple[np.ndarray, int]:
     return order, nonce
 
 
-# -- transport ----------------------------------------------------------------------
-
-class TcpChannel:
-    """Loopback/real TCP transport carrying the framed protocol."""
-
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-
-    def send_frame(self, frame: bytes) -> None:
-        self._sock.sendall(frame)
-
-    def _recv_exact(self, n: int, deadline: float) -> bytes:
-        buf = b""
-        while len(buf) < n:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise Timeout("socket read deadline exceeded")
-            self._sock.settimeout(remaining)
-            try:
-                chunk = self._sock.recv(n - len(buf))
-            except socket.timeout:
-                raise Timeout("socket read timed out") from None
-            if not chunk:
-                raise MalformedMessage("peer closed the connection")
-            buf += chunk
-        return buf
-
-    def recv_frame(self, timeout: float) -> bytes:
-        deadline = time.monotonic() + timeout
-        header = self._recv_exact(4, deadline)
-        _, _, length = struct.unpack(">BBH", header)
-        return header + self._recv_exact(length, deadline)
-
-    def close(self) -> None:
-        self._sock.close()
-
-
 # -- transcript / key confirmation ----------------------------------------------------
 
 class Transcript:
@@ -195,7 +149,7 @@ def verify_confirm(secret: bytes, transcript: bytes, role: str, mac: bytes) -> N
 # -- PAKE ------------------------------------------------------------------------------
 
 class SimulatedPake:
-    """Commitment-based stand-in for a PAKE, for in-process and loopback use.
+    """Commitment-based stand-in for a PAKE, for in-process use.
 
     Each side commits to hash(role || password || salt), then reveals the
     salt; the peer recomputes the commitment with its *own* password, so the
@@ -318,19 +272,12 @@ class Session:
                 raise MalformedMessage(
                     f"expected message type {self._expected}, got {msg_type}")
             return self._handler(frame, payload)
-        except ProtocolError as exc:
-            return self.fail(exc)
-
-    def fail(self, exc: ProtocolError) -> list[bytes]:
-        """End the session on ``exc``, which may also come from a driver's own
-        transport (a timeout, a closed stream); returns the frames to send."""
-        if isinstance(exc, Timeout):
-            return self._end(f"timeout: {exc}")
-        if isinstance(exc, (PakeFailure, ConfirmMismatch)):
+        except (PakeFailure, ConfirmMismatch) as exc:
             return self._end(f"{type(exc).__name__}: {exc}")
-        if isinstance(exc, MalformedMessage):
+        except MalformedMessage as exc:
             return self._end(f"malformed message: {exc}", abort="malformed message")
-        return self._end(str(exc))
+        except ProtocolError as exc:
+            return self._end(str(exc))
 
     def _end(self, failure: str, abort: str | None = None) -> list[bytes]:
         self.result = SessionResult(established=False, failure=failure,
@@ -414,33 +361,6 @@ class Session:
         return []
 
 
-# -- drivers ---------------------------------------------------------------------------
-
-def run_session(local_gait: GaitSequence, channel, cfg: Config, *,
-                initiator: bool, nonce_rng: np.random.Generator | None = None,
-                phase_timeout: float = DEFAULT_PHASE_TIMEOUT) -> SessionResult:
-    """Run one end of a session over ``channel``, any object with
-    ``send_frame(frame)`` and ``recv_frame(timeout)`` such as ``TcpChannel``.
-
-    Each wait for a peer frame lasts at most ``phase_timeout`` seconds.
-    """
-    session = Session(local_gait, cfg, initiator=initiator, nonce_rng=nonce_rng)
-    out = session.start()
-    while session.result is None:
-        for frame in out:
-            channel.send_frame(frame)
-        try:
-            frame = channel.recv_frame(phase_timeout)
-        except ProtocolError as exc:
-            out = session.fail(exc)
-        else:
-            out = session.receive(frame)
-    with contextlib.suppress(OSError):  # the closing abort is best effort
-        for frame in out:
-            channel.send_frame(frame)
-    return session.result
-
-
 def run_pair_in_memory(seq_a: GaitSequence, seq_b: GaitSequence, cfg: Config, *,
                        seed: int | None = None,
                        capture: list[bytes] | None = None
@@ -466,6 +386,6 @@ def run_pair_in_memory(seq_a: GaitSequence, seq_b: GaitSequence, cfg: Config, *,
                         [out for frame in a_out for out in b.receive(frame)])
     for session in (a, b):  # a peer that stopped sending leaves this end waiting
         if session.result is None:
-            session.fail(Timeout(f"no message within {DEFAULT_PHASE_TIMEOUT}s"))
+            session._end("peer stopped sending")
     return a.result, b.result
 

@@ -401,14 +401,27 @@ SIGNAL_FAULTS = {
     "rate-zero": (lambda d: {**d, "sample_rate_hz": 0}, 2, "schema error"),
     "rate-negative": (lambda d: {**d, "sample_rate_hz": -50.0}, 2, "schema error"),
     "rate-nan": (lambda d: {**d, "sample_rate_hz": float("nan")}, 2, "schema error"),
+    "z-nan": (lambda d: {**d, "z": [float("nan")] + d["z"][1:]}, 2, "schema error"),
+    "z-inf": (lambda d: {**d, "z": d["z"][:-1] + [float("-inf")]}, 2, "schema error"),
+}
+
+#: id -> argv from (corpus, long signal, output dir); each is a config error, exit 64
+CONFIG_FAULTS = {
+    "pair-M400-over-wire-limit": lambda corpus, signal, out: [
+        "pair", signal, signal, "--fingerprint-bits", "400", "--cutoff", "128"],
+    "pair-negative-cutoff": lambda corpus, signal, out: [
+        "pair", signal, signal, "--fingerprint-bits", "-4", "--cutoff", "-8"],
+    "eval-cutoff-zero": lambda corpus, signal, out: [
+        "eval", corpus, "--analysis", "discriminability", "--cutoff", "0", "--out", out],
+    "eval-security-zero-seconds": lambda corpus, signal, out: [
+        "eval", "--analysis", "security", "--session-seconds", "0", "--out", out],
 }
 
 MALFORMED = [
     *(pytest.param("corpus", (command, fault), id=f"{command}-{fault}")
       for fault in CORPUS_FAULTS for command in ("eval", "preprocess")),
     *(pytest.param("signal", fault, id=f"pair-{fault}") for fault in SIGNAL_FAULTS),
-    pytest.param("wire-limit", None, id="pair-M400-over-wire-limit"),
-    pytest.param("session-seconds", None, id="eval-security-zero-seconds"),
+    *(pytest.param("config", fault, id=fault) for fault in CONFIG_FAULTS),
 ]
 
 
@@ -431,13 +444,8 @@ def test_malformed_input_exits_with_its_code(kind, case, corpus_dir, preprocesse
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(change(json.loads(good.read_text()))))
         argv, names = ["pair", str(bad), str(good)], "bad.json"
-    elif kind == "wire-limit":
-        argv = ["pair", str(long_signal), str(long_signal),
-                "--fingerprint-bits", "400", "--cutoff", "128"]
-        code, label = 64, "config error"
     else:
-        argv = ["eval", "--analysis", "security", "--session-seconds", "0",
-                "--out", str(tmp_path / "out")]
+        argv = CONFIG_FAULTS[case](str(corpus_dir), str(long_signal), str(tmp_path / "out"))
         code, label = 64, "config error"
     rc = cli.main(argv)
     err = capsys.readouterr().err
@@ -523,7 +531,7 @@ EXIT_FAMILIES = {
         "InvalidBand", "UnstableFilter", "ZeroVariance", "TooFewMaxima",
         "NoPeriodicity", "CycleTooShort", "TooFewCycles", "IndivisibleSegments",
         "CutoffTooLarge", "DecodeFailure", "NoSuitableCode", "ProtocolError",
-        "Timeout", "PakeFailure", "MalformedMessage", "ConfirmMismatch"},
+        "PakeFailure", "MalformedMessage", "ConfirmMismatch"},
 }
 
 

@@ -1,7 +1,5 @@
 import hashlib
-import socket
 import struct
-import threading
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from gaitpair.protocol import (
     MSG_RELIABILITY_EXCHANGE,
     Session,
     SimulatedPake,
-    TcpChannel,
     confirm_key,
     decode_frame,
     decode_reliability_payload,
@@ -23,7 +20,6 @@ from gaitpair.protocol import (
     encode_frame,
     encode_reliability_payload,
     run_pair_in_memory,
-    run_session,
     verify_confirm,
 )
 
@@ -188,7 +184,7 @@ def test_in_memory_end_left_waiting_times_out(cfg, code_params, monkeypatch):
     monkeypatch.setattr(SimulatedPake, "verify", responder_fails)
     seq_a, seq_b, _ = craft_codeword_pair(19, 0, cfg, code_params)
     res_a, res_b = run_pair_in_memory(seq_a, seq_b, cfg, seed=9)
-    assert res_a.failure == "timeout: no message within 5.0s"
+    assert res_a.failure == "peer stopped sending"
     assert res_b.failure == "PakeFailure: commitment mismatch: passwords differ"
 
 
@@ -204,18 +200,6 @@ def test_no_fingerprint_bits_on_the_wire(cfg, code_params):
         packed = np.packbits(fp.bits).tobytes()
         assert packed not in blob
         assert np.packbits(1 - fp.bits).tobytes() not in blob
-
-
-def test_timeout_when_peer_silent(cfg, code_params):
-    seq_a, _, _ = craft_codeword_pair(16, 0, cfg, code_params)
-    sock_a, sock_b = socket.socketpair()  # sock_b never writes
-    try:
-        res = run_session(seq_a, TcpChannel(sock_a), cfg, initiator=True,
-                          phase_timeout=0.1)
-    finally:
-        sock_a.close(); sock_b.close()
-    assert not res.established
-    assert "timeout" in res.failure
 
 
 def test_malformed_message_fails_session(cfg, code_params):
@@ -238,26 +222,6 @@ def test_peer_abort_text_is_bounded(cfg, code_params):
     failure = b.result.failure
     assert failure == "peer abort: unrecognised reason (60000 bytes)"
     assert len(failure) <= 64 and failure.isprintable()
-
-
-def test_tcp_loopback_session(cfg, code_params):
-    seq_a, seq_b, _ = craft_codeword_pair(18, 3, cfg, code_params)
-    sock_a, sock_b = socket.socketpair()
-    results = {}
-
-    def side(name, seq, sock, initiator):
-        chan = TcpChannel(sock)
-        results[name] = run_session(seq, chan, cfg, initiator=initiator,
-                                    nonce_rng=np.random.default_rng(
-                                        [20, initiator]),
-                                    phase_timeout=5.0)
-
-    t1 = threading.Thread(target=side, args=("a", seq_a, sock_a, True))
-    t2 = threading.Thread(target=side, args=("b", seq_b, sock_b, False))
-    t1.start(); t2.start(); t1.join(); t2.join()
-    sock_a.close(); sock_b.close()
-    assert results["a"].established and results["b"].established
-    assert results["a"].secret == results["b"].secret
 
 
 # -- key confirmation ---------------------------------------------------------------
