@@ -144,6 +144,7 @@ def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
     if args.window < 0:
         raise ConfigError(f"--window must be >= 0, got {args.window}")
+    params = session_code_params(cfg)  # a threshold or cutoff with no code fails here
     sig_a = _signal_from_json(Path(args.record_a))
     sig_b = _signal_from_json(Path(args.record_b))
     q = cfg.cycles_per_fingerprint
@@ -171,7 +172,6 @@ def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
         diag_similarity = similarity(reduce(fp_a, order, cfg.cutoff),
                                      reduce(fp_b, order, cfg.cutoff))
 
-    params = session_code_params(cfg)
     result = {
         "established": bool(res_a.established and res_b.established),
         "similarity": diag_similarity,
@@ -213,15 +213,15 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     if args.analysis != "security" and not args.corpus:
         raise ConfigError("eval (other than --analysis security) requires a corpus path")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.analysis == "security":
         report = eval_harness.security_arithmetic(args.session_seconds,
                                                   cfg.threshold, cfg.cutoff)
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "security.json", report)
         print(json.dumps(report, indent=2))
         return EXIT_OK
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     corpus = _load_corpus(args.corpus)
     if args.analysis == "coherence":
         rep = eval_harness.coherence_analysis(corpus, cfg)

@@ -11,6 +11,10 @@ class GaitPairError(Exception):
     """Base class for all library errors."""
 
 
+class ConfigError(GaitPairError):
+    """Invalid parameter combination."""
+
+
 # -- signal preprocessing ------------------------------------------------------
 
 class EmptyStream(GaitPairError):
@@ -71,8 +75,12 @@ class DecodeFailure(GaitPairError):
     """No codeword within the correction radius of the input."""
 
 
-class NoSuitableCode(GaitPairError):
-    """No code satisfies the requested length / error-rate constraints."""
+class NoSuitableCode(ConfigError):
+    """No code satisfies the requested length / error-rate constraints.
+
+    Only parameters decide this (the threshold and the cutoff), so it is a
+    configuration error.
+    """
 
 
 # -- protocol ------------------------------------------------------------------
@@ -131,7 +139,3 @@ class MissingPosition(InsufficientData):
 
 class TooFewKeys(InsufficientData):
     """Randomness testing needs a larger key corpus."""
-
-
-class ConfigError(GaitPairError):
-    """Invalid parameter combination."""

@@ -5,6 +5,11 @@ vertical signal peaks once per step.  Those peak lags anchor a search for the
 signal minima that separate steps (half cycles); two consecutive half cycles
 form one full gait cycle, which is then resampled to a fixed length so cycles
 are comparable across devices and walking speeds.
+
+Each record costs a few whole-array calls: one real FFT pair for the
+autocorrelation, one batched argmin over every minima search window, one
+forward real FFT per distinct raw cycle length and one inverse real FFT for
+all of the record's cycles.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 from scipy import signal as sps
 
 from .errors import (CycleTooShort, NoPeriodicity, SignalTooShort, TooFewMaxima,
@@ -56,17 +63,21 @@ def autocorrelate(sig: VerticalSignal) -> np.ndarray:
 
     For a mean-free signal a_0 is 1.  The (n-k) normalization keeps the scale
     lag-independent but inflates estimator noise at large lags, so callers
-    should not trust the far tail.
+    should not trust the far tail.  The sums come from one real FFT zero-padded
+    to at least 2n - 1 points, so the circular products never wrap, and the
+    inverse transform of its power spectrum.
     """
     z = np.asarray(sig.z, dtype=float)
     n = z.shape[0]
     if n < 4:
         raise SignalTooShort(f"autocorrelation needs >= 4 samples, got {n}")
     var = float(np.var(z))
-    scale = float(np.max(np.abs(z))) if n else 0.0
+    scale = float(np.max(np.abs(z)))
     if var <= 1e-12 * max(scale * scale, 1e-12):
         raise ZeroVariance("signal variance is zero (constant input)")
-    raw = sps.correlate(z, z, mode="full", method="fft")[n - 1:]
+    nfft = sp_fft.next_fast_len(2 * n - 1, real=True)
+    spectrum = sp_fft.rfft(z, nfft)
+    raw = sp_fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, nfft)[:n]
     denom = (n - np.arange(n)) * var
     return raw / denom
 
@@ -83,6 +94,10 @@ def detect_cycles(sig: VerticalSignal) -> CycleDetection:
       3. around each maximum lag, take the signal argmin over
          [zeta_i - tau, zeta_i + delta_mean + tau] as a half-cycle boundary,
          with slack tau = ceil(0.1 * delta_mean).
+
+    Step 3 takes every window's first argmin in one call, over a copy of the
+    signal padded with +inf so that windows clipped at 0 or n - 1 search only
+    the signal.
     """
     acorr = autocorrelate(sig)
     z = sig.z
@@ -116,19 +131,27 @@ def detect_cycles(sig: VerticalSignal) -> CycleDetection:
 
     # consecutive search windows overlap; forcing each search to start past
     # the previous pick keeps one boundary per step instead of letting a deep
-    # neighboring minimum win twice
+    # neighboring minimum win twice.  A window's first argmin at or past that
+    # start is also the first argmin of the shortened window, so only a window
+    # whose argmin lies before it is searched again.  The +inf pads stand for
+    # the clipped ends: a window reaches tau before 0 and, as zeta <= n - 1, at
+    # most delta_mean + tau past n - 1.
+    zeta = peaks[:-1]
+    width = delta_mean + 2 * tau + 1
+    padded = np.concatenate((np.full(tau, np.inf), z, np.full(delta_mean + tau, np.inf)))
+    first = zeta - tau + np.argmin(sliding_window_view(padded, width)[zeta], axis=1)
     minima: list[int] = []
     min_gap = max(1, delta_mean // 2)
-    for zeta in peaks[:-1]:
-        lo = max(0, int(zeta) - tau)
-        hi = min(n - 1, int(zeta) + delta_mean + tau)
+    for lo, hi, idx in zip(np.maximum(0, zeta - tau).tolist(),
+                           np.minimum(n - 1, zeta + delta_mean + tau).tolist(),
+                           first.tolist()):
         if minima:
             lo = max(lo, minima[-1] + min_gap)
-        if lo > hi:
-            continue
-        idx = lo + int(np.argmin(z[lo:hi + 1]))
-        if not minima or idx > minima[-1]:
-            minima.append(idx)
+            if lo > hi:
+                continue
+            if idx < lo:
+                idx = lo + int(np.argmin(z[lo:hi + 1]))
+        minima.append(idx)
 
     return CycleDetection(
         maxima_indices=peaks.astype(int),
@@ -142,8 +165,14 @@ def cycles_from_bounds(z: np.ndarray, bounds: np.ndarray, rho: int) -> np.ndarra
     """Cut full cycles between every second boundary and Fourier-resample each
     to rho samples.
 
-    Cycles of one raw length are resampled together, in one call; a cycle
-    already rho samples long is copied as is.
+    The result equals ``scipy.signal.resample(cycle, rho)`` for each cycle,
+    bit for bit, by following its real-input path as of scipy 1.17, which
+    divides the spectrum by ``length / rho`` before the inverse FFT: the
+    cycles of one raw length share one forward FFT, their low bins are
+    rescaled into one ``(q, rho // 2 + 1)`` spectrum, and one inverse FFT
+    turns every row back into rho samples.  A cycle already rho samples long
+    is copied as is.  The bounds must be increasing indices into ``z``, as
+    ``detect_cycles`` gives them.
     """
     z = np.asarray(z, dtype=float)
     q = (bounds.shape[0] - 1) // 2
@@ -152,11 +181,30 @@ def cycles_from_bounds(z: np.ndarray, bounds: np.ndarray, rho: int) -> np.ndarra
     short = lengths[lengths < 4]
     if short.size:
         raise CycleTooShort(f"raw cycle of {short[0]} samples")
-    out = np.empty((q, rho), dtype=float)
-    for length in np.unique(lengths):
-        rows = np.flatnonzero(lengths == length)
-        raw = z[edges[rows, None] + np.arange(length)]
-        out[rows] = raw if length == rho else sps.resample(raw, rho, axis=1)
+    # sorted by length, the cycles of one raw length are one block of rows;
+    # rows shorter than the longest cycle carry samples past their end, unused
+    order = np.argsort(lengths, kind="stable")
+    ranked = lengths[order].tolist()
+    reach = edges[order, None] + np.arange(max(ranked, default=0))
+    raw = z[np.minimum(reach, z.shape[0] - 1)]
+    spectra = np.zeros((q, rho // 2 + 1), dtype=complex)
+    exact = None
+    starts = [i for i in range(q) if i == 0 or ranked[i] != ranked[i - 1]]
+    for start, end in zip(starts, [*starts[1:], q]):
+        length = ranked[start]
+        if length == rho:
+            exact = slice(start, end)
+            continue
+        kept = min(rho, length)
+        bins = sp_fft.rfft(raw[start:end, :length])[:, :kept // 2 + 1]
+        if kept % 2 == 0:  # the unpaired bin at kept/2, as scipy splits or unites it
+            bins[:, kept // 2] *= 2 if length > rho else 0.5
+        spectra[start:end, :kept // 2 + 1] = bins / (length / rho)
+    ranked_out = sp_fft.irfft(spectra, n=rho)
+    if exact is not None:
+        ranked_out[exact] = raw[exact, :rho]
+    out = np.empty_like(ranked_out)
+    out[order] = ranked_out
     return out
 
 

@@ -246,20 +246,15 @@ def extract_vertical(rec: ImuRecord) -> VerticalSignal:
 
 # -- bandpass ---------------------------------------------------------------------
 
-def design_bandpass(sample_rate: float, lo: float, hi: float) -> np.ndarray:
-    """Second-order sections for a 4th-order Type-II Chebyshev bandpass with a
-    40 dB stopband.
+@functools.lru_cache(maxsize=64)
+def _bandpass(sample_rate: float, lo: float, hi: float) -> _ZeroPhase:
+    """A 4th-order Type-II Chebyshev bandpass with a 40 dB stopband, designed
+    and checked once per (rate, band).
 
     Type II keeps the passband ripple-free and drops steeply at the corners,
     which is what the step band needs: everything below ``lo`` is correlated
-    drift, everything above ``hi`` is not human motion.  Each (rate, band) is
-    designed and checked once; every call gets its own copy.
+    drift, everything above ``hi`` is not human motion.
     """
-    return _bandpass(sample_rate, lo, hi).sos.copy()
-
-
-@functools.lru_cache(maxsize=64)
-def _bandpass(sample_rate: float, lo: float, hi: float) -> _ZeroPhase:
     nyq = sample_rate / 2.0
     if not 0.0 < lo < hi < nyq:
         raise InvalidBand(f"need 0 < lo < hi < {nyq} Hz, got ({lo}, {hi})")

@@ -415,6 +415,13 @@ CONFIG_FAULTS = {
         "eval", corpus, "--analysis", "discriminability", "--cutoff", "0", "--out", out],
     "eval-security-zero-seconds": lambda corpus, signal, out: [
         "eval", "--analysis", "security", "--session-seconds", "0", "--out", out],
+    # no code exists for an error rate 1 - threshold >= 0.5, nor shorter than 7 bits
+    "pair-threshold-below-half": lambda corpus, signal, out: [
+        "pair", signal, signal, "--threshold", "0.4"],
+    "pair-cutoff-3": lambda corpus, signal, out: [
+        "pair", signal, signal, "--cutoff", "3"],
+    "eval-security-threshold-half": lambda corpus, signal, out: [
+        "eval", "--analysis", "security", "--threshold", "0.5", "--out", out],
 }
 
 MALFORMED = [
@@ -454,6 +461,16 @@ def test_malformed_input_exits_with_its_code(kind, case, corpus_dir, preprocesse
     assert "Traceback" not in err
     if label == "schema error":  # a schema error names the malformed file
         assert names in err
+    if label == "config error":  # found before any output is written
+        assert not (tmp_path / "out").exists()
+
+
+def test_code_choice_comes_before_any_record_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    rc = cli.main(["pair", missing, missing, "--cutoff", "3"])
+    err = capsys.readouterr().err
+    assert rc == 64, err
+    assert err.startswith("config error: NoSuitableCode: "), err
 
 
 def test_csv_parse_error_names_the_file_line(corpus_dir, tmp_path, capsys):
@@ -523,14 +540,14 @@ def test_synth_rejects_a_meaningless_corpus(flag, value, tmp_path, capsys):
 
 #: exit code -> every error class it covers, as the errors module documents
 EXIT_FAMILIES = {
-    64: {"ConfigError"},
+    64: {"ConfigError", "NoSuitableCode"},
     2: {"SchemaMismatch", "MissingColumns", "NonMonotoneTimestamps"},
     5: {"InsufficientData", "SignalTooShort", "InsufficientPairs", "InsufficientBits",
         "MissingPosition", "TooFewKeys"},
     3: {"GaitPairError", "EmptyStream", "NonFiniteSample", "LengthMismatch",
         "InvalidBand", "UnstableFilter", "ZeroVariance", "TooFewMaxima",
         "NoPeriodicity", "CycleTooShort", "TooFewCycles", "IndivisibleSegments",
-        "CutoffTooLarge", "DecodeFailure", "NoSuitableCode", "ProtocolError",
+        "CutoffTooLarge", "DecodeFailure", "ProtocolError",
         "PakeFailure", "MalformedMessage", "ConfirmMismatch"},
 }
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import signal as sps
@@ -6,6 +8,7 @@ from gaitpair.dataset_io import synthetic_vertical_signal
 from gaitpair.errors import (CycleTooShort, NoPeriodicity, SignalTooShort, TooFewMaxima,
                              ZeroVariance)
 from gaitpair.gait import (
+    MIN_PROMINENCE,
     CycleDetection,
     autocorrelate,
     cycles_from_bounds,
@@ -133,6 +136,83 @@ def test_minima_lie_inside_search_windows():
     assert np.all(np.diff(det.minima_indices) > 0)
 
 
+# -- detection against the sequential reference ---------------------------------------
+
+def _reference_autocorrelate(z):
+    """The direct-convolution autocorrelation, normalized as ``autocorrelate``."""
+    n = z.shape[0]
+    raw = sps.correlate(z, z, mode="full", method="fft")[n - 1:]
+    return raw / ((n - np.arange(n)) * float(np.var(z)))
+
+
+def _reference_detect(z):
+    """Cycle detection with one argmin per search window, in signal order."""
+    acorr = _reference_autocorrelate(z)
+    n = z.shape[0]
+    near = acorr[: max(4, n // 2)]
+    first_peaks, _ = sps.find_peaks(near[1:], prominence=MIN_PROMINENCE)
+    delta_rough = int(first_peaks[0]) + 1
+    peaks, _ = sps.find_peaks(acorr[:max(2, n - delta_rough)], prominence=MIN_PROMINENCE,
+                              distance=max(1, delta_rough // 2))
+    peaks = peaks[peaks > 0]
+    delta_mean = int(math.ceil(float(np.sum(np.diff(peaks))) / (peaks.size - 1)))
+    tau = int(math.ceil(0.1 * delta_mean))
+    minima = []
+    min_gap = max(1, delta_mean // 2)
+    for zeta in peaks[:-1]:
+        lo = max(0, int(zeta) - tau)
+        hi = min(n - 1, int(zeta) + delta_mean + tau)
+        if minima:
+            lo = max(lo, minima[-1] + min_gap)
+        if lo > hi:
+            continue
+        idx = lo + int(np.argmin(z[lo:hi + 1]))
+        if not minima or idx > minima[-1]:
+            minima.append(idx)
+    return CycleDetection(maxima_indices=peaks.astype(int), delta_mean=delta_mean,
+                          minima_indices=np.asarray(minima, dtype=int),
+                          search_slack=tau)
+
+
+def _assert_detection_matches_reference(z):
+    sig = VerticalSignal(50.0, z)
+    assert np.max(np.abs(autocorrelate(sig) - _reference_autocorrelate(z))) <= 1e-9
+    got, want = detect_cycles(sig), _reference_detect(z)
+    assert np.array_equal(got.maxima_indices, want.maxima_indices)
+    assert got.delta_mean == want.delta_mean
+    assert np.array_equal(got.minima_indices, want.minima_indices)
+    assert got.search_slack == want.search_slack
+
+
+@pytest.mark.parametrize("step", [None, 0.05, 0.25, 0.5])
+@pytest.mark.parametrize("snr_db,seed", [(np.inf, 0), (30.0, 1), (20.0, 2), (10.0, 8)])
+def test_detection_equals_sequential_reference(snr_db, seed, step):
+    # rounding to a coarse step makes exact ties among the window minima
+    z = walking_signal(seed=seed, n_cycles=40, snr_db=snr_db).z
+    if step is not None:
+        z = np.round(z / step) * step
+    _assert_detection_matches_reference(z)
+
+
+@pytest.mark.parametrize("seed", [4, 7, 41])
+def test_detection_with_windows_clipped_at_both_ends(seed):
+    # a slow step plus a period-3 ripple that decorrelates within a few
+    # samples: the first maximum sits at lag 3, inside the slack of a step
+    # several times longer, and the far tail adds maxima near the end
+    rng = np.random.default_rng(seed)
+    n, period = int(rng.integers(300, 900)), int(rng.integers(40, 80))
+    e = rng.standard_normal(n + 50)
+    r, w = 0.6, 2 * np.pi / 3
+    ripple = sps.lfilter([1.0], [1.0, -2 * r * np.cos(w), r * r], e)[50:]
+    z = (np.sin(2 * np.pi * np.arange(n) / period)
+         + float(rng.uniform(0.3, 2.0)) * ripple / ripple.std())
+    det = detect_cycles(VerticalSignal(50.0, z))
+    zeta, tau = det.maxima_indices, det.search_slack
+    assert zeta[0] - tau < 0
+    assert zeta[-2] + det.delta_mean + tau > n - 1
+    _assert_detection_matches_reference(z)
+
+
 # -- split & normalize ----------------------------------------------------------------
 
 def _manual_detection(minima):
@@ -190,6 +270,26 @@ def test_ragged_cycles_equal_per_cycle_resampling():
     assert out.shape == (7, 40)
     for i in range(7):
         assert np.array_equal(out[i], _one_cycle(z[edges[i]:edges[i + 1]], 40))
+
+
+@pytest.mark.parametrize("rho,lengths", [
+    (37, [37, 40, 43, 36, 37, 52, 38, 41]),   # odd rho, two cycles already rho long
+    (160, [37, 40, 43, 52, 99, 100, 150]),    # every cycle upsampled
+    (100, [100, 99, 102, 100, 98, 101, 150]),  # both sides of rho, and rho itself
+    (40, [43]),                                # a single cycle
+    (37, [37]),                                # a single cycle already rho long
+])
+def test_resampling_equals_per_cycle_resample(rho, lengths):
+    rng = np.random.default_rng(rho + len(lengths))
+    edges = np.cumsum([5, *lengths])
+    z = rng.standard_normal(int(edges[-1]) + 5)
+    bounds = np.empty(2 * edges.shape[0] - 1, dtype=int)
+    bounds[0::2] = edges
+    bounds[1::2] = (edges[:-1] + edges[1:]) // 2
+    out = cycles_from_bounds(z, bounds, rho)
+    assert out.shape == (len(lengths), rho)
+    for i in range(len(lengths)):
+        assert np.array_equal(out[i], _one_cycle(z[edges[i]:edges[i + 1]], rho))
 
 
 def test_short_cycle_in_the_middle_raises():
