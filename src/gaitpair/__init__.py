@@ -19,11 +19,10 @@ from .dataset_io import (
     sliding_windows,
 )
 from .fingerprint import (
-    AverageCycle,
     Fingerprint,
     ReducedFingerprint,
-    ReliabilityOrder,
     average_cycle,
+    compute_fingerprint,
     quantize,
     reduce,
     reliability_order,
@@ -64,11 +63,10 @@ __all__ = [
     "load_csv",
     "save_csv",
     "sliding_windows",
-    "AverageCycle",
     "Fingerprint",
     "ReducedFingerprint",
-    "ReliabilityOrder",
     "average_cycle",
+    "compute_fingerprint",
     "quantize",
     "reduce",
     "reliability_order",

@@ -20,9 +20,9 @@ from . import dataset_io, eval_harness
 from .config import Config
 from .errors import (ConfigError, GaitPairError, InsufficientData, SchemaMismatch,
                      SignalTooShort)
-from .fingerprint import ReliabilityOrder, reduce, similarity
+from .fingerprint import compute_fingerprint, reduce, similarity
 from .gait import detect_cycles
-from .protocol import compute_fingerprint, run_pair_in_memory, session_code_params
+from .protocol import run_pair_in_memory, session_code_params
 from .signals import VerticalSignal, preprocess_record
 
 EXIT_OK = 0
@@ -167,10 +167,10 @@ def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
         else res_b.applied_order
     diag_similarity = None
     if applied is not None:
-        order = ReliabilityOrder(order=applied)
-        fp_a, fp_b = (compute_fingerprint(seq, cfg)[0] for seq in (seq_a, seq_b))
-        diag_similarity = similarity(reduce(fp_a, order, cfg.cutoff),
-                                     reduce(fp_b, order, cfg.cutoff))
+        fp_a, fp_b = (compute_fingerprint(seq, cfg.bits_per_cycle)[0]
+                      for seq in (seq_a, seq_b))
+        diag_similarity = similarity(reduce(fp_a, applied, cfg.cutoff),
+                                     reduce(fp_b, applied, cfg.cutoff))
 
     result = {
         "established": bool(res_a.established and res_b.established),

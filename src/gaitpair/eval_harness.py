@@ -16,7 +16,7 @@ from scipy import signal as sps
 from scipy.special import erfc, gammaincc
 
 from .config import Config
-from .dataset_io import Corpus, Window, cut_windows
+from .dataset_io import Corpus, cut_windows
 from .errors import (
     ConfigError,
     InsufficientBits,
@@ -24,24 +24,10 @@ from .errors import (
     MissingPosition,
     TooFewKeys,
 )
-from .fingerprint import (
-    Fingerprint,
-    ReliabilityOrder,
-    average_cycle,
-    quantize,
-    reduce,
-    reliability_order,
-    similarity,
-)
+from .fingerprint import Fingerprint, compute_fingerprint, reduce, similarity
 from .fuzzy_ecc import choose_params
 from .gait import GaitSequence, detect_cycles, split_and_normalize
-from .signals import (
-    VerticalSignal,
-    bandpass,
-    extract_vertical,
-    preprocess_record,
-    resample_uniform,
-)
+from .signals import VerticalSignal, extract_vertical, preprocess_record, resample_uniform
 
 RANDOMNESS_ALPHA = 0.001
 SECONDS_PER_DAY = 86400
@@ -97,9 +83,6 @@ class SimilarityReport:
     threshold: float
     intra_pairs: list[PairSimilarity] = field(repr=False, default_factory=list)
     inter_pairs: list[PairSimilarity] = field(repr=False, default_factory=list)
-    # inter-body pairs above threshold, with per-side bit-entropy estimates:
-    # collisions concentrate in low-entropy fingerprints
-    collisions: list[dict] = field(repr=False, default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -109,7 +92,6 @@ class SimilarityReport:
             "threshold": self.threshold,
             "n_intra": len(self.intra_pairs),
             "n_inter": len(self.inter_pairs),
-            "collisions": self.collisions,
         }
 
 
@@ -215,22 +197,15 @@ def _preprocess_corpus(corpus: Corpus, cfg: Config
     return dict(work(rec) for rec in corpus.records)
 
 
-def _windows_by_key(processed, window_cycles: int) -> dict[RecordKey, list[Window]]:
-    """Half-overlapping windows of every record; [] for a record shorter than
-    one window."""
-    return {key: cut_windows(seq, window_cycles, overlap=0.5) if seq is not None else []
-            for key, seq in processed.items()}
-
-
 def _fingerprints(processed, cfg: Config, window_cycles: int
-                  ) -> dict[RecordKey, list[tuple[Fingerprint, ReliabilityOrder]]]:
-    """Each window's fingerprint and own reliability order, computed once per
-    analysis; list position is the window index."""
+                  ) -> dict[RecordKey, list[tuple[Fingerprint, np.ndarray]]]:
+    """Each half-overlapping window's fingerprint and own reliability order,
+    computed once per analysis; list position is the window index, and a
+    record shorter than one window has none."""
     out = {}
-    for key, wins in _windows_by_key(processed, window_cycles).items():
-        fps = [quantize(w.sequence, average_cycle(w.sequence), cfg.bits_per_cycle)
-               for w in wins]
-        out[key] = [(fp, reliability_order(fp)) for fp in fps]
+    for key, seq in processed.items():
+        wins = cut_windows(seq, window_cycles, overlap=0.5) if seq is not None else []
+        out[key] = [compute_fingerprint(w.sequence, cfg.bits_per_cycle) for w in wins]
     return out
 
 
@@ -270,9 +245,12 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
     """Welch-averaged magnitude-squared coherence of gravity-aligned
     vertical signals: simultaneous same-body pairs against cross-body pairs.
 
-    Uses the unfiltered vertical signal; the report flags whether cross-body
-    coherence is elevated below ``cfg.band``'s lower corner, the band the
-    bandpass later removes.
+    Every pair is computed on one frequency grid, whose Hann segments are
+    sized so the shortest record of the corpus spans 8 of them at 50%
+    overlap; a longer pair averages more segments.  Uses the unfiltered
+    vertical signal; the report flags whether cross-body coherence is
+    elevated below ``cfg.band``'s lower corner, the band the bandpass later
+    removes.
     """
     cfg = cfg or Config()
     verticals: dict[RecordKey, VerticalSignal] = {}
@@ -286,33 +264,21 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
         raise InsufficientPairs("need >= 2 simultaneous same-subject recordings")
     if not diff_pairs:
         raise InsufficientPairs("need recordings from >= 2 subjects")
-
-    def msc(a: RecordKey, b: RecordKey) -> tuple[np.ndarray, np.ndarray]:
-        za, zb = verticals[a].z, verticals[b].z
-        n = min(za.shape[0], zb.shape[0])
-        # 8 Hann segments at 50% overlap
-        nperseg = max(8, int(n / 4.5))
-        return sps.coherence(za[:n] - za[:n].mean(), zb[:n] - zb[:n].mean(),
-                             fs=verticals[a].sample_rate, window="hann",
-                             nperseg=nperseg, noverlap=nperseg // 2)
+    nperseg = max(8, int(min(v.z.shape[0] for v in verticals.values()) / 4.5))
 
     def averaged(pair_list):
         acc = None
-        freqs = None
         for a, b in pair_list:
-            f, c = msc(a, b)
-            if acc is None:
-                acc, freqs = c.copy(), f
-            else:
-                n = min(acc.shape[0], c.shape[0])
-                acc, freqs, c = acc[:n], freqs[:n], c[:n]
-                acc += c
+            za, zb = verticals[a].z, verticals[b].z
+            n = min(za.shape[0], zb.shape[0])
+            freqs, c = sps.coherence(za[:n] - za[:n].mean(), zb[:n] - zb[:n].mean(),
+                                     fs=verticals[a].sample_rate, window="hann",
+                                     nperseg=nperseg, noverlap=nperseg // 2)
+            acc = c if acc is None else acc + c
         return freqs, acc / len(pair_list)
 
-    freqs_s, mean_same = averaged(same_pairs)
-    freqs_d, mean_diff = averaged(diff_pairs)
-    n = min(freqs_s.shape[0], freqs_d.shape[0])
-    freqs, mean_same, mean_diff = freqs_s[:n], mean_same[:n], mean_diff[:n]
+    freqs, mean_same = averaged(same_pairs)
+    _, mean_diff = averaged(diff_pairs)
 
     lo, hi = cfg.band
     low = freqs < lo

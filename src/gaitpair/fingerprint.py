@@ -17,29 +17,11 @@ from .gait import GaitSequence
 
 
 @dataclass
-class AverageCycle:
-    values: np.ndarray
-
-
-@dataclass
 class Fingerprint:
     """M-bit fingerprint in cycle-major, segment-minor order."""
 
     bits: np.ndarray           # uint8, length M
     deltas: np.ndarray = field(repr=False)  # float, length M
-    M: int = 0
-    b: int = 0
-    q: int = 0
-
-
-@dataclass
-class ReliabilityOrder:
-    """Permutation of 0..M-1, most reliable bit index first."""
-
-    order: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.order.shape[0])
 
 
 @dataclass
@@ -47,18 +29,16 @@ class ReducedFingerprint:
     """The N most reliable bits under the applied ordering."""
 
     bits: np.ndarray
-    N: int
-    source_order: ReliabilityOrder
 
 
-def average_cycle(seq: GaitSequence) -> AverageCycle:
-    """Elementwise mean across the window's cycles."""
+def average_cycle(seq: GaitSequence) -> np.ndarray:
+    """Elementwise mean across the window's cycles, shape (rho,)."""
     if seq.q < 2:
         raise TooFewCycles(f"averaging needs q >= 2 cycles, got {seq.q}")
-    return AverageCycle(values=seq.cycles.mean(axis=0))
+    return seq.cycles.mean(axis=0)
 
 
-def quantize(seq: GaitSequence, avg: AverageCycle, b: int) -> Fingerprint:
+def quantize(seq: GaitSequence, avg: np.ndarray, b: int) -> Fingerprint:
     """Extract b bits per cycle from signed segment energy differences.
 
     Cycle i and the average cycle are both split into b segments of rho/b
@@ -67,45 +47,52 @@ def quantize(seq: GaitSequence, avg: AverageCycle, b: int) -> Fingerprint:
     same way).
     """
     rho = seq.rho
-    if avg.values.shape[0] != rho:
+    if avg.shape[0] != rho:
         raise LengthMismatch("average cycle length differs from rho")
     if b < 1 or rho % b != 0:
         raise IndivisibleSegments(f"b={b} does not divide rho={rho}")
     q = seq.q
-    diff = avg.values[None, :] - seq.cycles            # (q, rho)
+    diff = avg[None, :] - seq.cycles                   # (q, rho)
     deltas = diff.reshape(q, b, rho // b).sum(axis=2)  # (q, b)
     flat = deltas.reshape(-1)
     bits = (flat > 0).astype(np.uint8)
-    return Fingerprint(bits=bits, deltas=flat, M=q * b, b=b, q=q)
+    return Fingerprint(bits=bits, deltas=flat)
 
 
-def reliability_order(fp: Fingerprint) -> ReliabilityOrder:
-    """Indices sorted by |delta| descending; ties break by ascending index.
+def reliability_order(fp: Fingerprint) -> np.ndarray:
+    """Permutation of 0..M-1, the bit indices sorted by |delta| descending;
+    ties break by ascending index.
 
     The stable tie-break matters: two devices fed identical data must derive
     byte-identical orderings.
     """
-    order = np.argsort(-np.abs(fp.deltas), kind="stable")
-    return ReliabilityOrder(order=order.astype(int))
+    return np.argsort(-np.abs(fp.deltas), kind="stable")
 
 
-def reduce(fp: Fingerprint, order: ReliabilityOrder, N: int) -> ReducedFingerprint:
+def compute_fingerprint(seq: GaitSequence, b: int) -> tuple[Fingerprint, np.ndarray]:
+    """A window's fingerprint at b bits per cycle and its own reliability order."""
+    fp = quantize(seq, average_cycle(seq), b)
+    return fp, reliability_order(fp)
+
+
+def reduce(fp: Fingerprint, order: np.ndarray, N: int) -> ReducedFingerprint:
     """Keep the N bits ranked most reliable by ``order``.
 
     The ordering may come from the peer device; applying one device's ranking
     to both bit vectors is what lets two devices agree on which bits to keep
     without revealing any bit values.
     """
-    if N > fp.M:
-        raise CutoffTooLarge(f"cutoff {N} exceeds fingerprint length {fp.M}")
-    idx = order.order
-    if idx.shape[0] != fp.M or not np.array_equal(np.sort(idx), np.arange(fp.M)):
+    m = fp.bits.size
+    if N > m:
+        raise CutoffTooLarge(f"cutoff {N} exceeds fingerprint length {m}")
+    if order.shape[0] != m or not np.array_equal(np.sort(order), np.arange(m)):
         raise ValueError("order is not a permutation of the fingerprint indices")
-    return ReducedFingerprint(bits=fp.bits[idx[:N]].copy(), N=N, source_order=order)
+    return ReducedFingerprint(bits=fp.bits[order[:N]])
 
 
 def similarity(a: ReducedFingerprint, b: ReducedFingerprint) -> float:
     """Fraction of agreeing bits: 1 - hamming_distance / N."""
-    if a.N != b.N:
-        raise LengthMismatch(f"fingerprint lengths differ: {a.N} vs {b.N}")
-    return 1.0 - float(np.count_nonzero(a.bits != b.bits)) / a.N
+    n = a.bits.size
+    if n != b.bits.size:
+        raise LengthMismatch(f"fingerprint lengths differ: {n} vs {b.bits.size}")
+    return 1.0 - float(np.count_nonzero(a.bits != b.bits)) / n

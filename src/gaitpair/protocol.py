@@ -38,14 +38,7 @@ from .errors import (
     PakeFailure,
     ProtocolError,
 )
-from .fingerprint import (
-    Fingerprint,
-    ReliabilityOrder,
-    average_cycle,
-    quantize,
-    reduce,
-    reliability_order,
-)
+from .fingerprint import compute_fingerprint, reduce
 from .fuzzy_ecc import CodeParams, FuzzyKey, choose_params, decode
 from .gait import GaitSequence
 
@@ -85,14 +78,13 @@ def decode_frame(frame: bytes) -> tuple[int, bytes]:
     return msg_type, frame[4:]
 
 
-def encode_reliability_payload(order: ReliabilityOrder, nonce: int) -> bytes:
-    idx = np.asarray(order.order)
-    m = idx.shape[0]
+def encode_reliability_payload(order: np.ndarray, nonce: int) -> bytes:
+    m = order.shape[0]
     if m > 256:
         raise MalformedMessage(f"M={m} exceeds 8-bit index encoding")
     if not 0 <= nonce < (1 << NONCE_BITS):
         raise MalformedMessage("nonce outside the 90-bit range")
-    return (struct.pack(">H", m) + idx.astype(np.uint8).tobytes()
+    return (struct.pack(">H", m) + order.astype(np.uint8).tobytes()
             + nonce.to_bytes(NONCE_BYTES, "big"))
 
 
@@ -211,23 +203,18 @@ def session_code_params(cfg: Config) -> CodeParams:
     return choose_params(cfg.cutoff, 1.0 - cfg.threshold)
 
 
-def compute_fingerprint(seq: GaitSequence, cfg: Config
-                        ) -> tuple[Fingerprint, ReliabilityOrder]:
-    fp = quantize(seq, average_cycle(seq), cfg.bits_per_cycle)
-    return fp, reliability_order(fp)
-
-
 class Session:
     """One end of a pairing session, as a state machine that does no I/O.
 
     ``start()``, called once, and then ``receive(frame)`` for each peer frame
     return the frames to send, in order.  ``result`` is set once the session
-    has ended; frames received after that are ignored.  The ends are role-symmetric apart from who opens with the
-    authentication request.  Decode failures and dissimilar fingerprints are
-    expected outcomes that simply end the attempt (fresh gait data is
-    required for the next one).  A wrong or malformed frame ends the session;
-    the frame types expected in turn are auth request (responder only),
-    reliability exchange, PAKE commitment, PAKE salt and confirmation.
+    has ended; frames received after that are ignored.  The ends are
+    role-symmetric apart from who opens with the authentication request.
+    Decode failures and dissimilar fingerprints are expected outcomes that
+    simply end the attempt (fresh gait data is required for the next one).
+    A wrong or malformed frame ends the session; the frame types expected in
+    turn are auth request (responder only), reliability exchange, PAKE
+    commitment, PAKE salt and confirmation.
     """
 
     def __init__(self, local_gait: GaitSequence, cfg: Config, *, initiator: bool,
@@ -236,12 +223,13 @@ class Session:
         self._t_start = time.monotonic()
         self._cfg = cfg
         self._params = session_code_params(cfg)
-        self._fp, self._local_order = compute_fingerprint(local_gait, cfg)
-        if self._fp.M > 256:
-            raise ConfigError(f"M={self._fp.M} exceeds the wire encoding limit of 256")
-        if self._fp.M < cfg.cutoff or cfg.cutoff < self._params.n:
+        self._fp, self._local_order = compute_fingerprint(local_gait, cfg.bits_per_cycle)
+        m = self._fp.bits.size
+        if m > 256:
+            raise ConfigError(f"M={m} exceeds the wire encoding limit of 256")
+        if m < cfg.cutoff or cfg.cutoff < self._params.n:
             raise ConfigError(
-                f"need M >= cutoff >= n, got M={self._fp.M}, cutoff={cfg.cutoff}, "
+                f"need M >= cutoff >= n, got M={m}, cutoff={cfg.cutoff}, "
                 f"n={self._params.n}")
         self._initiator = initiator
         self._role = "A" if initiator else "B"
@@ -249,7 +237,7 @@ class Session:
         self._salt_rng = salt_rng
         self._transcript = Transcript()
         self._expect(MSG_AUTH_REQUEST, self._on_auth_request)
-        self._winning: ReliabilityOrder | None = None
+        self._winning: np.ndarray | None = None
         self.result: SessionResult | None = None
 
     def start(self) -> list[bytes]:
@@ -287,7 +275,7 @@ class Session:
 
     def _applied_order(self) -> np.ndarray | None:
         """The winning order once the exchange has chosen one, else None."""
-        return None if self._winning is None else np.asarray(self._winning.order).copy()
+        return None if self._winning is None else self._winning.copy()
 
     def _expect(self, msg_type: int, handler) -> None:
         self._expected, self._handler = msg_type, handler
@@ -310,18 +298,16 @@ class Session:
 
     def _on_exchange(self, frame: bytes, payload: bytes) -> list[bytes]:
         peer_order, peer_nonce = decode_reliability_payload(payload)
-        if peer_order.shape[0] != self._fp.M:
-            return self._end(f"peer M={peer_order.shape[0]} != local M={self._fp.M}",
+        m = self._fp.bits.size
+        if peer_order.shape[0] != m:
+            return self._end(f"peer M={peer_order.shape[0]} != local M={m}",
                              abort="fingerprint length mismatch")
         self._add_both("exchange", self._exchange, frame)
         if peer_nonce == self._nonce:
             return self._end("nonce tie; restart the session", abort="nonce tie")
 
         # the ordering accompanying the larger value wins on both sides
-        if peer_nonce > self._nonce:
-            self._winning = ReliabilityOrder(order=peer_order)
-        else:
-            self._winning = self._local_order
+        self._winning = peer_order if peer_nonce > self._nonce else self._local_order
         reduced = reduce(self._fp, self._winning, self._cfg.cutoff)
         try:
             self._key = decode(reduced.bits[: self._params.n], self._params)

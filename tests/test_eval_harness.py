@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +20,7 @@ from gaitpair.eval_harness import (
     reliability_sweep,
     security_arithmetic,
 )
-from gaitpair.signals import GRAVITY, ImuRecord, preprocess_record
+from gaitpair.signals import GRAVITY, ImuRecord, extract_vertical, preprocess_record
 
 
 # -- coherence -------------------------------------------------------------------------
@@ -92,6 +94,34 @@ def test_coherence_low_band_follows_config(tiny_corpus, band):
     assert rep.low_band_hz == lo
     assert rep.low_band_elevated == bool(
         rep.mean_different_subject[low].mean() > rep.mean_different_subject[high].mean())
+
+
+def test_coherence_pairs_share_one_frequency_grid():
+    # records of unequal length: every pair is estimated on the grid of the
+    # shortest record, so a bin means the same frequency in every pair
+    def cut(r):  # the first 70% of a record
+        k = int(0.7 * r.t.shape[0])
+        return dataclasses.replace(r, t=r.t[:k], acc=r.acc[:k], gyro=r.gyro[:k])
+
+    corpus = generate_synthetic(SyntheticGaitSpec(n_cycles=60, rng_seed=3))
+    records = [cut(r) if (r.subject_id, r.position) == ("s00", "forearm") else r
+               for r in corpus.records]
+    rep = coherence_analysis(Corpus(records=records))
+
+    z = {(r.subject_id, r.position): extract_vertical(r).z for r in records}
+    nperseg = int(min(v.shape[0] for v in z.values()) / 4.5)
+    fs = records[0].sample_rate
+    assert np.array_equal(rep.freqs, np.fft.rfftfreq(nperseg, 1 / fs))
+    same = []
+    for subject in ("s00", "s01"):
+        for a, b in itertools.combinations(("chest", "forearm", "waist"), 2):
+            za, zb = z[subject, a], z[subject, b]
+            n = min(za.shape[0], zb.shape[0])
+            same.append(sps.coherence(za[:n] - za[:n].mean(), zb[:n] - zb[:n].mean(),
+                                      fs=fs, window="hann", nperseg=nperseg,
+                                      noverlap=nperseg // 2)[1])
+    assert rep.n_same_pairs == len(same) == 6
+    assert np.allclose(rep.mean_same_subject, np.mean(same, axis=0), rtol=0, atol=1e-12)
 
 
 def test_coherence_needs_simultaneous_pairs():
@@ -185,19 +215,20 @@ def test_sweep_grid_and_direction(small_corpus, cfg):
 def test_sweep_baseline_is_pure_truncation(small_corpus, cfg):
     # with M == N the reduction permutes all bits on both sides: similarity
     # equals the raw fingerprint agreement
-    from gaitpair.eval_harness import _preprocess_corpus, _windows_by_key
-    from gaitpair.fingerprint import average_cycle, quantize
+    from gaitpair.dataset_io import cut_windows
+    from gaitpair.eval_harness import _preprocess_corpus
 
     rep = reliability_sweep(small_corpus, extra_bits=(0,), cfg=cfg)
     processed = _preprocess_corpus(small_corpus, cfg)
-    windows = _windows_by_key(processed, 128 // cfg.bits_per_cycle)
     pair = rep.entries[0].pairs[0]
-    key_a = (pair.subject_a, pair.position_a, "r0")
-    key_b = (pair.subject_b, pair.position_b, "r0")
-    wa = windows[key_a][pair.window].sequence
-    wb = windows[key_b][pair.window].sequence
-    fa = quantize(wa, average_cycle(wa), cfg.bits_per_cycle)
-    fb = quantize(wb, average_cycle(wb), cfg.bits_per_cycle)
+
+    def fingerprint(subject, position):
+        seq = cut_windows(processed[subject, position, "r0"], 128 // cfg.bits_per_cycle,
+                          overlap=0.5)[pair.window].sequence
+        return quantize(seq, average_cycle(seq), cfg.bits_per_cycle)
+
+    fa = fingerprint(pair.subject_a, pair.position_a)
+    fb = fingerprint(pair.subject_b, pair.position_b)
     raw_agreement = 1.0 - np.count_nonzero(fa.bits != fb.bits) / 128
     assert pair.value == pytest.approx(raw_agreement, abs=1e-12)
 

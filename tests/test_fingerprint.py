@@ -10,7 +10,8 @@ from gaitpair.errors import (
     TooFewCycles,
 )
 from gaitpair.fingerprint import (
-    AverageCycle,
+    Fingerprint,
+    ReducedFingerprint,
     average_cycle,
     quantize,
     reduce,
@@ -31,12 +32,12 @@ def seq_from(cycles):
 
 def test_average_of_identical_cycles():
     cyc = np.tile(np.arange(8.0), (5, 1))
-    assert np.array_equal(average_cycle(seq_from(cyc)).values, np.arange(8.0))
+    assert np.array_equal(average_cycle(seq_from(cyc)), np.arange(8.0))
 
 
 def test_average_two_constant_cycles():
     avg = average_cycle(seq_from([[1, 1, 1, 1], [3, 3, 3, 3]]))
-    assert np.array_equal(avg.values, [2.0, 2.0, 2.0, 2.0])
+    assert np.array_equal(avg, [2.0, 2.0, 2.0, 2.0])
 
 
 def test_average_matches_column_mean_oracle():
@@ -44,7 +45,7 @@ def test_average_matches_column_mean_oracle():
     cyc = rng.standard_normal((48, 40))
     avg = average_cycle(seq_from(cyc))
     oracle = np.array([np.mean(cyc[:, j]) for j in range(40)])
-    assert np.allclose(avg.values, oracle, atol=1e-12)
+    assert np.allclose(avg, oracle, atol=1e-12)
 
 
 def test_average_needs_two_cycles():
@@ -57,7 +58,7 @@ def test_average_needs_two_cycles():
 def test_quantize_hand_example():
     # A=(2,2,2,2), Z=((1,1,3,3)), b=2: segment sums are +2 and -2
     seq = seq_from([[1, 1, 3, 3]])
-    avg = AverageCycle(values=np.array([2.0, 2.0, 2.0, 2.0]))
+    avg = np.array([2.0, 2.0, 2.0, 2.0])
     fp = quantize(seq, avg, b=2)
     assert np.array_equal(fp.deltas, [2.0, -2.0])
     assert np.array_equal(fp.bits, [1, 0])
@@ -84,30 +85,30 @@ def test_quantize_matches_per_sample_oracle():
         for j in range(b):
             total = 0.0
             for k in range(seg):
-                total += avg.values[j * seg + k] - cyc[i, j * seg + k]
+                total += avg[j * seg + k] - cyc[i, j * seg + k]
             oracle[i, j] = total
     assert np.allclose(fp.deltas, oracle.ravel(), atol=1e-12)
     assert np.array_equal(fp.bits, (oracle.ravel() > 0).astype(np.uint8))
-    assert fp.M == q * b
+    assert fp.bits.size == q * b
 
 
 def test_quantize_deployment_shape():
     rng = np.random.default_rng(2)
     seq = seq_from(rng.standard_normal((48, 40)))
     fp = quantize(seq, average_cycle(seq), b=4)
-    assert (fp.M, fp.q, fp.b) == (192, 48, 4)
+    assert fp.bits.shape == fp.deltas.shape == (192,)
 
 
 def test_quantize_rejects_indivisible_segments():
     seq = seq_from(np.ones((4, 40)))
     with pytest.raises(IndivisibleSegments):
-        quantize(seq, AverageCycle(values=np.ones(40)), b=3)
+        quantize(seq, np.ones(40), b=3)
 
 
 def test_quantize_rejects_wrong_average_length():
     seq = seq_from(np.ones((4, 40)))
     with pytest.raises(LengthMismatch):
-        quantize(seq, AverageCycle(values=np.ones(20)), b=4)
+        quantize(seq, np.ones(20), b=4)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -126,19 +127,17 @@ def test_sign_bit_consistency(seed):
 
 def fp_from_deltas(deltas):
     deltas = np.asarray(deltas, dtype=float)
-    from gaitpair.fingerprint import Fingerprint
-    return Fingerprint(bits=(deltas > 0).astype(np.uint8), deltas=deltas,
-                       M=deltas.size, b=1, q=deltas.size)
+    return Fingerprint(bits=(deltas > 0).astype(np.uint8), deltas=deltas)
 
 
 def test_reliability_order_example():
     order = reliability_order(fp_from_deltas([0.1, -5.0, 2.0]))
-    assert np.array_equal(order.order, [1, 2, 0])
+    assert np.array_equal(order, [1, 2, 0])
 
 
 def test_reliability_order_stable_on_ties():
     order = reliability_order(fp_from_deltas([1.0, -1.0, 1.0, -1.0]))
-    assert np.array_equal(order.order, [0, 1, 2, 3])
+    assert np.array_equal(order, [0, 1, 2, 3])
 
 
 def test_reliability_order_matches_sort_oracle():
@@ -146,16 +145,14 @@ def test_reliability_order_matches_sort_oracle():
     deltas = rng.standard_normal(64)
     order = reliability_order(fp_from_deltas(deltas))
     oracle = sorted(range(64), key=lambda i: (-abs(deltas[i]), i))
-    assert np.array_equal(order.order, oracle)
+    assert np.array_equal(order, oracle)
 
 
 # -- reduction ----------------------------------------------------------------------------
 
 def test_reduce_identity_full_length():
     fp = fp_from_deltas(np.arange(1.0, 9.0))
-    from gaitpair.fingerprint import ReliabilityOrder
-    ident = ReliabilityOrder(order=np.arange(8))
-    red = reduce(fp, ident, 8)
+    red = reduce(fp, np.arange(8), 8)
     assert np.array_equal(red.bits, fp.bits)
 
 
@@ -164,10 +161,10 @@ def test_reduce_drops_least_reliable():
     deltas = rng.standard_normal(32)
     fp = fp_from_deltas(deltas)
     red = reduce(fp, reliability_order(fp), 24)
-    dropped = set(range(32)) - set(reliability_order(fp).order[:24].tolist())
+    dropped = set(range(32)) - set(reliability_order(fp)[:24].tolist())
     smallest = set(np.argsort(np.abs(deltas), kind="stable")[:8].tolist())
     assert dropped == smallest
-    assert red.N == 24
+    assert red.bits.size == 24
 
 
 def test_reduce_deployment_shape():
@@ -184,10 +181,9 @@ def test_reduce_cutoff_too_large():
 
 
 def test_reduce_rejects_non_permutation():
-    from gaitpair.fingerprint import ReliabilityOrder
     fp = fp_from_deltas(np.ones(8))
     with pytest.raises(ValueError):
-        reduce(fp, ReliabilityOrder(order=np.zeros(8, dtype=int)), 4)
+        reduce(fp, np.zeros(8, dtype=int), 4)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -201,16 +197,13 @@ def test_reduce_permutation_safety(seed):
     order = reliability_order(fp)
     red = reduce(fp, order, n_keep)
     for out_i in range(n_keep):
-        assert red.bits[out_i] == fp.bits[order.order[out_i]]
+        assert red.bits[out_i] == fp.bits[order[out_i]]
 
 
 # -- similarity ---------------------------------------------------------------------------
 
 def _reduced(bits):
-    from gaitpair.fingerprint import ReducedFingerprint, ReliabilityOrder
-    bits = np.asarray(bits, dtype=np.uint8)
-    return ReducedFingerprint(bits=bits, N=bits.size,
-                              source_order=ReliabilityOrder(np.arange(bits.size)))
+    return ReducedFingerprint(bits=np.asarray(bits, dtype=np.uint8))
 
 
 def test_similarity_identical():

@@ -5,6 +5,11 @@ half-cycle boundaries that ``detect_cycles`` finds on the preprocessed signal
 and of the quantized fingerprint bits of each of its windows.  A change to
 gravity alignment, filtering or segmentation that moves any boundary or any
 bit shows here, record by record.
+
+The seeded corpora hold each device at one fixed pose, so they barely
+exercise the gyro.  The swinging cases add records whose device swings like a
+limb while the walker turns, where a wrong orientation filter moves every
+boundary and bit.
 """
 
 from __future__ import annotations
@@ -19,25 +24,28 @@ from gaitpair.fingerprint import average_cycle, quantize
 from gaitpair.gait import detect_cycles
 from gaitpair.signals import preprocess_record
 
+from helpers import swinging_record
+
 
 def _sha(arr: np.ndarray, dtype: str) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=dtype).tobytes()).hexdigest()
 
 
+def _record_digests(rec, cfg) -> tuple[str, str]:
+    sig = preprocess_record(rec, band=cfg.band)
+    det = detect_cycles(sig)
+    wins = sliding_windows(sig, cfg.cycles_per_fingerprint, overlap=0.5,
+                           rho=cfg.rho, detection=det)
+    bits = [quantize(w.sequence, average_cycle(w.sequence), cfg.bits_per_cycle).bits
+            for w in wins]
+    return _sha(det.minima_indices, "<i8"), _sha(np.concatenate(bits), "u1")
+
+
 def _front_end_digests(seed: int, cfg) -> dict[str, tuple[str, str]]:
     records = generate_synthetic(
         SyntheticGaitSpec(n_cycles=52, n_subjects=2, rng_seed=seed)).records
-    out = {}
-    for rec in records:
-        sig = preprocess_record(rec, band=cfg.band)
-        det = detect_cycles(sig)
-        wins = sliding_windows(sig, cfg.cycles_per_fingerprint, overlap=0.5,
-                               rho=cfg.rho, detection=det)
-        bits = [quantize(w.sequence, average_cycle(w.sequence), cfg.bits_per_cycle).bits
-                for w in wins]
-        out[f"{rec.subject_id}_{rec.position}"] = (
-            _sha(det.minima_indices, "<i8"), _sha(np.concatenate(bits), "u1"))
-    return out
+    return {f"{rec.subject_id}_{rec.position}": _record_digests(rec, cfg)
+            for rec in records}
 
 
 # seed -> record -> (minima_indices sha, fingerprint bits sha)
@@ -88,3 +96,22 @@ GOLDEN = {
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_front_end_matches_golden(seed, cfg):
     assert _front_end_digests(seed, cfg) == GOLDEN[seed]
+
+
+# swinging_record(seed, 60 cycles, 30 degrees, 1 rad/s turn) -> (minima sha, bits sha)
+SWINGING_GOLDEN = {
+    0: ("22a326d4fd9f22aa609d60e50f44ca40189efbc2b5c34f0c088b8ea8d7366013",
+        "7de00f84d32cbd2c9dcb1e386d90a028676516533db2749b5c59ad59ed224282"),
+    1: ("35a0d00b88282cdcf99677a3cb312e4cfa236077ff4a3106f3c0c453b477139e",
+        "d6378bb37da1b6398a9bac37c767e0ed1d69b08e0df170d4ad55041505550fc0"),
+    2: ("d75f0746ebea7baad7d9e4a6b204d8d6c25eccce22b4233d1345e881d2639b03",
+        "6652e61d617043b06409b8df45ad939bcf8ce9f7ed948f0c09dbaf9194483af4"),
+    3: ("41b2d5967e14c5d6fbcd59d5e44e0c99c816e87b4fa5ca14414f18bf2374a5d9",
+        "af82c0585233594504aa41594160574735aa5229538ea55cca26be0425dca473"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SWINGING_GOLDEN))
+def test_swinging_front_end_matches_golden(seed, cfg):
+    rec, _ = swinging_record(seed, 60, 30.0, 1.0)
+    assert _record_digests(rec, cfg) == SWINGING_GOLDEN[seed]

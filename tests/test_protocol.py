@@ -6,7 +6,6 @@ import pytest
 
 from gaitpair.config import Config
 from gaitpair.errors import ConfirmMismatch, MalformedMessage, PakeFailure
-from gaitpair.fingerprint import ReliabilityOrder
 from gaitpair.protocol import (
     MSG_ABORT,
     MSG_AUTH_REQUEST,
@@ -46,7 +45,7 @@ def test_frame_rejects_truncation():
 
 
 def test_reliability_payload_layout():
-    order = ReliabilityOrder(order=np.array([2, 0, 3, 1]))
+    order = np.array([2, 0, 3, 1])
     nonce = 0x0102030405060708090A
     payload = encode_reliability_payload(order, nonce)
     assert payload[:2] == b"\x00\x04"
@@ -65,7 +64,7 @@ def test_reliability_payload_bytes_are_pinned():
     orders = [np.random.default_rng(m).permutation(m) for m in (128, 192, 256)]
     nonces = [(1 << 90) - 1 - m for m in (128, 192, 256)]
     for order, nonce in zip(orders + [np.r_[255, np.arange(255)]], nonces + [7]):
-        payload = encode_reliability_payload(ReliabilityOrder(order=order), nonce)
+        payload = encode_reliability_payload(order, nonce)
         assert payload == (struct.pack(">H", order.size) + bytes(int(v) for v in order)
                            + nonce.to_bytes(12, "big"))
         digest.update(payload)
@@ -80,7 +79,7 @@ def test_reliability_payload_rejects_non_permutation():
 
 
 def test_reliability_payload_rejects_oversized_nonce():
-    order = ReliabilityOrder(order=np.arange(4))
+    order = np.arange(4)
     with pytest.raises(MalformedMessage):
         encode_reliability_payload(order, 1 << 90)
 

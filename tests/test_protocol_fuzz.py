@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from gaitpair.config import Config
 from gaitpair.errors import MalformedMessage
-from gaitpair.fingerprint import ReliabilityOrder
+from gaitpair.fingerprint import compute_fingerprint
 from gaitpair.protocol import (
     MSG_ABORT,
     MSG_AUTH_REQUEST,
@@ -27,7 +27,6 @@ from gaitpair.protocol import (
     MSG_RELIABILITY_EXCHANGE,
     NONCE_BITS,
     Session,
-    compute_fingerprint,
     decode_frame,
     decode_reliability_payload,
     encode_frame,
@@ -45,10 +44,10 @@ SEQ = craft_codeword_pair(21, 0, CFG, session_code_params(CFG))[0]
 
 
 def exchange_payload(order, nonce: int) -> bytes:
-    return encode_reliability_payload(ReliabilityOrder(order=np.asarray(order)), nonce)
+    return encode_reliability_payload(np.asarray(order), nonce)
 
 
-OWN_ORDER = compute_fingerprint(SEQ, CFG)[1].order
+OWN_ORDER = compute_fingerprint(SEQ, CFG.bits_per_cycle)[1]
 payloads = st.one_of(
     st.binary(max_size=64),
     st.builds(exchange_payload,
