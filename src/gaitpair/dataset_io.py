@@ -30,7 +30,7 @@ from .errors import (
     SignalTooShort,
 )
 from .gait import CycleDetection, GaitSequence, detect_cycles, split_and_normalize
-from .signals import GRAVITY, ImuRecord, VerticalSignal
+from .signals import GRAVITY, ImuRecord, VerticalSignal, rotate_vectors
 
 CSV_COLUMNS = ("timestamp_ms", "ax", "ay", "az", "gx", "gy", "gz")
 MANIFEST_NAME = "manifest.json"
@@ -205,12 +205,14 @@ def load_csv(path: str | Path) -> Corpus:
             raise SchemaMismatch(f"{manifest_path}: sample_rate_hz: {exc}") from exc
         if not math.isfinite(rate):
             raise SchemaMismatch(f"{manifest_path}: sample_rate_hz is {rate}")
-        data = _read_recording_csv(base, str(entry["file"]))
+        # one contiguous row per column, so acc and gyro hand the signal
+        # chain contiguous component rows as their transposes
+        rows = np.ascontiguousarray(_read_recording_csv(base, str(entry["file"])).T)
         records.append(ImuRecord(
             sample_rate=rate,
-            t=data[:, 0] / 1000.0,
-            acc=data[:, 1:4],
-            gyro=data[:, 4:7],
+            t=rows[0] / 1000.0,
+            acc=rows[1:4].T,
+            gyro=rows[4:7].T,
             subject_id=str(entry["subject_id"]),
             position=str(entry["position"]),
             recording_id=str(entry["recording_id"]),
@@ -354,11 +356,10 @@ def _random_quaternion(rng: np.random.Generator) -> np.ndarray:
 
 
 def _world_to_device(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate world-frame rows v into the device frame defined by q (device->world)."""
+    """Rotate world-frame vectors v (n, 3) into the device frame defined by q
+    (device->world); the result is (n, 3), a view of its component rows."""
     w, x, y, z = q
-    conj = np.array([[w, -x, -y, -z]])
-    from .signals import rotate_vectors
-    return rotate_vectors(np.repeat(conj, v.shape[0], axis=0), v)
+    return rotate_vectors(np.array([[w], [-x], [-y], [-z]]), v.T).T
 
 
 def generate_synthetic(spec: SyntheticGaitSpec) -> Corpus:
@@ -446,15 +447,22 @@ def cut_windows(seq: GaitSequence, window_cycles: int,
     of the window starting at cycle s is the record's cycle s + i.  A record
     shorter than one window gives no windows.
     """
-    _check_window(window_cycles, overlap)
-    step = max(1, int(round(window_cycles * (1.0 - overlap))))
     windows = []
-    for index, start in enumerate(range(0, seq.q - window_cycles + 1, step)):
+    for index, start in enumerate(window_starts(seq.q, window_cycles, overlap)):
         cycles = seq.cycles[start:start + window_cycles]
         cycles.setflags(write=False)
         windows.append(Window(index=index, start_cycle=start,
                               sequence=GaitSequence(cycles=cycles, rho=seq.rho)))
     return windows
+
+
+def window_starts(q: int, window_cycles: int, overlap: float = 0.5) -> range:
+    """First cycle of each window of ``window_cycles`` cycles in a record of q,
+    consecutive windows sharing ``overlap`` of their cycles; empty when the
+    record is shorter than one window."""
+    _check_window(window_cycles, overlap)
+    step = max(1, int(round(window_cycles * (1.0 - overlap))))
+    return range(0, q - window_cycles + 1, step)
 
 
 def _check_window(window_cycles: int, overlap: float) -> None:

@@ -133,6 +133,10 @@ class InsufficientBits(InsufficientData):
     """Corpus does not yield enough fingerprint bits per window."""
 
 
+class MixedSampleRates(InsufficientData):
+    """The analysis needs every record at one sample rate."""
+
+
 class MissingPosition(InsufficientData):
     """A sensor position required by the analysis is absent."""
 

@@ -16,15 +16,16 @@ from scipy import signal as sps
 from scipy.special import erfc, gammaincc
 
 from .config import Config
-from .dataset_io import Corpus, cut_windows
+from .dataset_io import Corpus
 from .errors import (
     ConfigError,
     InsufficientBits,
     InsufficientPairs,
     MissingPosition,
+    MixedSampleRates,
     TooFewKeys,
 )
-from .fingerprint import Fingerprint, compute_fingerprint, reduce, similarity
+from .fingerprint import check_order, window_fingerprints
 from .fuzzy_ecc import choose_params
 from .gait import GaitSequence, detect_cycles, split_and_normalize
 from .signals import VerticalSignal, extract_vertical, preprocess_record, resample_uniform
@@ -198,14 +199,18 @@ def _preprocess_corpus(corpus: Corpus, cfg: Config
 
 
 def _fingerprints(processed, cfg: Config, window_cycles: int
-                  ) -> dict[RecordKey, list[tuple[Fingerprint, np.ndarray]]]:
-    """Each half-overlapping window's fingerprint and own reliability order,
-    computed once per analysis; list position is the window index, and a
-    record shorter than one window has none."""
+                  ) -> dict[RecordKey, tuple[np.ndarray, np.ndarray]]:
+    """Bits and own reliability orders of every half-overlapping window, as
+    (W, M) rows per record, computed once per analysis; row w is window w.
+    A record without a full cycle is left out, and one shorter than one
+    window has W = 0.  Every order is checked against ``cfg.cutoff`` here,
+    once per record, as ``reduce`` checks one."""
     out = {}
     for key, seq in processed.items():
-        wins = cut_windows(seq, window_cycles, overlap=0.5) if seq is not None else []
-        out[key] = [compute_fingerprint(w.sequence, cfg.bits_per_cycle) for w in wins]
+        if seq is not None:
+            bits, _, orders = window_fingerprints(seq, window_cycles, cfg.bits_per_cycle)
+            check_order(orders, bits.shape[1], cfg.cutoff)
+            out[key] = bits, orders
     return out
 
 
@@ -213,14 +218,21 @@ def _window_pairs(fingerprints, key_pairs, N: int) -> list[PairSimilarity]:
     """Similarity of each same-index window pair of every (key_a, key_b).
 
     The reliability order of key_a's window is applied to both sides,
-    mirroring the protocol's winner-order rule deterministically.
+    mirroring the protocol's winner-order rule deterministically.  A key pair
+    takes one gather of its disagreeing bits, through key_a's first N order
+    entries, and one count per row; the values equal ``similarity`` of the
+    two ``reduce``d windows.
     """
     pairs: list[PairSimilarity] = []
     for ka, kb in key_pairs:
-        for w, ((fp_a, order), (fp_b, _)) in enumerate(
-                zip(fingerprints.get(ka, []), fingerprints.get(kb, []))):
-            sim = similarity(reduce(fp_a, order, N), reduce(fp_b, order, N))
-            pairs.append(PairSimilarity(ka[0], ka[1], kb[0], kb[1], w, sim))
+        if ka not in fingerprints or kb not in fingerprints:
+            continue
+        (bits_a, order_a), (bits_b, _) = fingerprints[ka], fingerprints[kb]
+        n = min(len(bits_a), len(bits_b))
+        differ = np.take_along_axis(bits_a[:n] != bits_b[:n], order_a[:n, :N], axis=1)
+        values = 1.0 - np.count_nonzero(differ, axis=1) / N
+        pairs.extend(PairSimilarity(ka[0], ka[1], kb[0], kb[1], w, v)
+                     for w, v in enumerate(values.tolist()))
     return pairs
 
 
@@ -247,12 +259,18 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
 
     Every pair is computed on one frequency grid, whose Hann segments are
     sized so the shortest record of the corpus spans 8 of them at 50%
-    overlap; a longer pair averages more segments.  Uses the unfiltered
-    vertical signal; the report flags whether cross-body coherence is
-    elevated below ``cfg.band``'s lower corner, the band the bandpass later
-    removes.
+    overlap; a longer pair averages more segments.  Pairs are compared
+    sample by sample, so every record must share one sample rate.  Uses the
+    unfiltered vertical signal; the report flags whether cross-body coherence
+    is elevated below ``cfg.band``'s lower corner, the band the bandpass
+    later removes.
     """
     cfg = cfg or Config()
+    rates = sorted({rec.sample_rate for rec in corpus.records})
+    if len(rates) > 1:
+        raise MixedSampleRates(
+            "coherence compares records sample by sample and needs one sample "
+            f"rate; the corpus has {', '.join(f'{r:g} Hz' for r in rates)}")
     verticals: dict[RecordKey, VerticalSignal] = {}
     for rec in corpus.records:
         verticals[(rec.subject_id, rec.position, rec.recording_id)] = \
@@ -514,8 +532,8 @@ def fingerprint_keys(corpus: Corpus, cfg: Config | None = None) -> list[np.ndarr
     cfg = cfg or Config()
     processed = _preprocess_corpus(corpus, cfg)
     fingerprints = _fingerprints(processed, cfg, cfg.cycles_per_fingerprint)
-    return [reduce(fp, order, cfg.cutoff).bits
-            for fps in fingerprints.values() for fp, order in fps]
+    return [row for bits, orders in fingerprints.values()
+            for row in np.take_along_axis(bits, orders[:, :cfg.cutoff], axis=1)]
 
 
 def randomness_suite(keys: list[np.ndarray]) -> RandomnessReport:

@@ -4,6 +4,9 @@ Each cycle is compared segment-wise against the average cycle of its window;
 the sign of the energy difference yields one bit per segment and its magnitude
 says how far the cycle sat from the average, i.e. how likely a second device
 on the same body is to have extracted the same bit.
+
+``compute_fingerprint`` takes one window; ``window_fingerprints`` takes every
+window of a record at once, as rows.  Both run on the same arithmetic core.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset_io import window_starts
 from .errors import CutoffTooLarge, IndivisibleSegments, LengthMismatch, TooFewCycles
 from .gait import GaitSequence
 
@@ -31,11 +35,48 @@ class ReducedFingerprint:
     bits: np.ndarray
 
 
+# -- the arithmetic core: any leading shape, cycles on the last two axes ------------
+
+def _mean_cycle(cycles: np.ndarray) -> np.ndarray:
+    """Elementwise mean of (..., q, rho) cycles over q, shape (..., rho)."""
+    q = cycles.shape[-2]
+    if q < 2:
+        raise TooFewCycles(f"averaging needs q >= 2 cycles, got {q}")
+    return cycles.mean(axis=-2)
+
+
+def _quantize(cycles: np.ndarray, avg: np.ndarray, b: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Bits and deltas, shape (..., q * b), of (..., q, rho) cycles against
+    their (..., rho) average cycles."""
+    *lead, q, rho = cycles.shape
+    if avg.shape[-1] != rho:
+        raise LengthMismatch("average cycle length differs from rho")
+    if b < 1 or rho % b != 0:
+        raise IndivisibleSegments(f"b={b} does not divide rho={rho}")
+    diff = avg[..., None, :] - cycles
+    deltas = diff.reshape(*lead, q, b, rho // b).sum(axis=-1).reshape(*lead, q * b)
+    return (deltas > 0).astype(np.uint8), deltas
+
+
+def _order(deltas: np.ndarray) -> np.ndarray:
+    """Each row's bit indices by |delta| descending, ties by ascending index."""
+    return np.argsort(-np.abs(deltas), axis=-1, kind="stable")
+
+
+def check_order(order: np.ndarray, m: int, N: int) -> None:
+    """Raise unless N <= m and every row of ``order`` permutes 0..m-1."""
+    if N > m:
+        raise CutoffTooLarge(f"cutoff {N} exceeds fingerprint length {m}")
+    if order.shape[-1] != m or not (np.sort(order, axis=-1) == np.arange(m)).all():
+        raise ValueError("order is not a permutation of the fingerprint indices")
+
+
+# -- one window --------------------------------------------------------------------
+
 def average_cycle(seq: GaitSequence) -> np.ndarray:
     """Elementwise mean across the window's cycles, shape (rho,)."""
-    if seq.q < 2:
-        raise TooFewCycles(f"averaging needs q >= 2 cycles, got {seq.q}")
-    return seq.cycles.mean(axis=0)
+    return _mean_cycle(seq.cycles)
 
 
 def quantize(seq: GaitSequence, avg: np.ndarray, b: int) -> Fingerprint:
@@ -46,17 +87,8 @@ def quantize(seq: GaitSequence, avg: np.ndarray, b: int) -> Fingerprint:
     is 1 iff delta > 0 (exact zero maps to 0 so both devices resolve ties the
     same way).
     """
-    rho = seq.rho
-    if avg.shape[0] != rho:
-        raise LengthMismatch("average cycle length differs from rho")
-    if b < 1 or rho % b != 0:
-        raise IndivisibleSegments(f"b={b} does not divide rho={rho}")
-    q = seq.q
-    diff = avg[None, :] - seq.cycles                   # (q, rho)
-    deltas = diff.reshape(q, b, rho // b).sum(axis=2)  # (q, b)
-    flat = deltas.reshape(-1)
-    bits = (flat > 0).astype(np.uint8)
-    return Fingerprint(bits=bits, deltas=flat)
+    bits, deltas = _quantize(seq.cycles, avg, b)
+    return Fingerprint(bits=bits, deltas=deltas)
 
 
 def reliability_order(fp: Fingerprint) -> np.ndarray:
@@ -66,7 +98,7 @@ def reliability_order(fp: Fingerprint) -> np.ndarray:
     The stable tie-break matters: two devices fed identical data must derive
     byte-identical orderings.
     """
-    return np.argsort(-np.abs(fp.deltas), kind="stable")
+    return _order(fp.deltas)
 
 
 def compute_fingerprint(seq: GaitSequence, b: int) -> tuple[Fingerprint, np.ndarray]:
@@ -82,12 +114,31 @@ def reduce(fp: Fingerprint, order: np.ndarray, N: int) -> ReducedFingerprint:
     to both bit vectors is what lets two devices agree on which bits to keep
     without revealing any bit values.
     """
-    m = fp.bits.size
-    if N > m:
-        raise CutoffTooLarge(f"cutoff {N} exceeds fingerprint length {m}")
-    if order.shape[0] != m or not np.array_equal(np.sort(order), np.arange(m)):
-        raise ValueError("order is not a permutation of the fingerprint indices")
+    check_order(order, fp.bits.size, N)
     return ReducedFingerprint(bits=fp.bits[order[:N]])
+
+
+# -- every window of a record -------------------------------------------------------
+
+def window_fingerprints(seq: GaitSequence, window_cycles: int, b: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bits, deltas and own reliability orders of every half-overlapping
+    window of a record, as (W, M) rows with M = window_cycles * b.
+
+    Row w is what ``compute_fingerprint`` gives for the w-th window of
+    ``dataset_io.cut_windows(seq, window_cycles)``, value for value: the
+    windows are one strided (W, window_cycles, rho) view of ``seq.cycles``,
+    and each row goes through the same mean, segment sums and stable sort.
+    A record shorter than one window gives W = 0.
+    """
+    q, rho = seq.cycles.shape
+    starts = window_starts(q, window_cycles)
+    stride_q, stride_rho = seq.cycles.strides
+    windows = np.lib.stride_tricks.as_strided(
+        seq.cycles, shape=(len(starts), window_cycles, rho),
+        strides=(starts.step * stride_q, stride_q, stride_rho), writeable=False)
+    bits, deltas = _quantize(windows, _mean_cycle(windows), b)
+    return bits, deltas, _order(deltas)
 
 
 def similarity(a: ReducedFingerprint, b: ReducedFingerprint) -> float:

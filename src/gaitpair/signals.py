@@ -8,9 +8,11 @@ the step band and sensor noise above it.  There is no magnetometer, so heading
 stays unconstrained; only the vertical component is used.
 
 The rotations compose as a prefix product of quaternions held as complex
-pairs (``_gyro_frame``).  Both zero-phase filters run through ``_filtfilt``,
-which gives ``scipy.signal.sosfiltfilt``'s values with the filter's initial
-state solved once per design, in the cached design itself.
+pairs (``_gyro_frame``).  Quaternions, rates and accelerations pass through
+the chain as contiguous component rows, (4, n) or (3, n).  Both zero-phase
+filters run through ``_filtfilt``, which gives ``scipy.signal.sosfiltfilt``'s
+values with the filter's initial state solved once per design, in the cached
+design itself.
 """
 
 from __future__ import annotations
@@ -139,53 +141,57 @@ def _zero_phase(sos: np.ndarray) -> _ZeroPhase:
 
 def _filtfilt(design: _ZeroPhase, x: np.ndarray, recording_id: str,
               name: str) -> np.ndarray:
-    """``sps.sosfiltfilt(design.sos, x, axis=0)``, value for value.
+    """``sps.sosfiltfilt(design.sos, x)``, value for value, along the last
+    axis: a signal, or (3, n) component rows.
 
     The same odd extension and the same two ``sps.sosfilt`` runs, started
     from the design's ``zi`` scaled by the first sample of each pass; only
     ``zi`` is not solved again on every call.
     """
     sos, zi, edge = design
-    n = x.shape[0]
+    n = x.shape[-1]
     if n <= edge:
         raise EmptyStream(
             f"record {recording_id!r} has {n} samples, too few for the {name}: "
             f"it pads {edge} at each end")
-    zi = zi.reshape(zi.shape + (1,) * (x.ndim - 1))
-    ext = np.concatenate((2 * x[:1] - x[edge:0:-1], x,
-                          2 * x[-1:] - x[-2:-edge - 2:-1]))
-    y, _ = sps.sosfilt(sos, ext, axis=0, zi=zi * ext[:1])
-    y, _ = sps.sosfilt(sos, y[::-1], axis=0, zi=zi * y[-1:])
-    return y[::-1][edge:-edge]
+    zi = zi.reshape(zi.shape[:1] + (1,) * (x.ndim - 1) + zi.shape[1:])
+    ext = np.concatenate((2 * x[..., :1] - x[..., edge:0:-1], x,
+                          2 * x[..., -1:] - x[..., -2:-edge - 2:-1]), axis=-1)
+    y, _ = sps.sosfilt(sos, ext, zi=zi * ext[..., :1])
+    y, _ = sps.sosfilt(sos, y[..., ::-1], zi=zi * y[..., -1:])
+    return y[..., ::-1][..., edge:-edge]
 
 
 # -- gravity alignment -------------------------------------------------------------
 
 def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate row vectors v (n, 3) by quaternions q (n, 4), scalar first."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    vx, vy, vz = v[:, 0], v[:, 1], v[:, 2]
-    rx = ((1 - 2 * (y * y + z * z)) * vx
-          + 2 * (x * y - w * z) * vy
-          + 2 * (x * z + w * y) * vz)
-    ry = (2 * (x * y + w * z) * vx
-          + (1 - 2 * (x * x + z * z)) * vy
-          + 2 * (y * z - w * x) * vz)
-    rz = (2 * (x * z - w * y) * vx
-          + 2 * (y * z + w * x) * vy
-          + (1 - 2 * (x * x + y * y)) * vz)
-    return np.stack([rx, ry, rz], axis=1)
+    """Rotate vectors v by quaternions q, both as component rows: q is
+    (4, n), scalar first, and v and the result are (3, n).  A (4, 1) q turns
+    every vector by one quaternion.  Each product of two quaternion
+    components is formed once and shared by the rows that use it."""
+    w, x, y, z = q
+    vx, vy, vz = v
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    return np.stack([
+        (1 - 2 * (yy + zz)) * vx + 2 * (xy - wz) * vy + 2 * (xz + wy) * vz,
+        2 * (xy + wz) * vx + (1 - 2 * (xx + zz)) * vy + 2 * (yz - wx) * vz,
+        2 * (xz - wy) * vx + 2 * (yz + wx) * vy + (1 - 2 * (xx + yy)) * vz,
+    ])
 
 
 def _gyro_frame(rec: ImuRecord) -> np.ndarray:
-    """Quaternions (n, 4) from each sample's device frame to the first one's.
+    """Quaternion rows (4, n), scalar first, from each sample's device frame
+    to the first one's.
 
     Sample i turns the device by the body-frame rate ``gyro[i]`` over
     ``t[i] - t[i-1]``; composing those turns in order is a prefix product,
-    done in log2 n doubling passes and normalised once at the end.  Each
-    quaternion w + xi + yj + zk is held as a complex pair, a = w + xi and
-    b = y + zi, so that it reads a + bj.  Since j c = conj(c) j for a complex
-    c, the Hamilton product of a0 + b0 j and a1 + b1 j is
+    done in log2 n doubling passes and normalised once at the end.  The rates
+    are read as three contiguous component rows.  Each quaternion
+    w + xi + yj + zk is held as a complex pair, a = w + xi and b = y + zi, so
+    that it reads a + bj.  Since j c = conj(c) j for a complex c, the
+    Hamilton product of a0 + b0 j and a1 + b1 j is
     (a0 a1 - b0 conj(b1)) + (a0 b1 + b0 conj(a1)) j: four complex multiplies
     per pass over whole arrays.
     """
@@ -194,18 +200,19 @@ def _gyro_frame(rec: ImuRecord) -> np.ndarray:
     b = np.empty(n, dtype=complex)
     a[0], b[0] = 1.0, 0.0
     dt = np.diff(rec.t)
-    angle = np.linalg.norm(rec.gyro[1:], axis=1) * dt
+    rate = np.ascontiguousarray(rec.gyro.T)[:, 1:]
+    gx, gy, gz = rate
+    angle = np.sqrt((gx * gx + gy * gy) + gz * gz) * dt
     a.real[1:] = np.cos(0.5 * angle)
     # axis * sin(angle / 2), written with sinc so a zero rate needs no division
-    a.imag[1:], b.real[1:], b.imag[1:] = (
-        0.5 * dt * rec.gyro[1:].T * np.sinc(angle / (2.0 * np.pi)))
+    a.imag[1:], b.real[1:], b.imag[1:] = 0.5 * dt * rate * np.sinc(angle / (2.0 * np.pi))
     shift = 1
     while shift < n:
         a0, b0, a1, b1 = a[:-shift], b[:-shift], a[shift:], b[shift:]
         a[shift:], b[shift:] = a0 * a1 - b0 * b1.conj(), a0 * b1 + b0 * a1.conj()
         shift *= 2
     q = np.stack([a.real, a.imag, b.real, b.imag])
-    return (q / np.linalg.norm(q, axis=0)).T
+    return q / np.linalg.norm(q, axis=0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -229,11 +236,14 @@ def extract_vertical(rec: ImuRecord) -> VerticalSignal:
     the frame slowly, and the low-pass follows it.
     """
     rec.validate()
-    acc = rotate_vectors(_gyro_frame(rec), rec.acc)
+    acc = rotate_vectors(_gyro_frame(rec), np.ascontiguousarray(rec.acc.T))
     gravity = _filtfilt(_gravity_lowpass(rec.sample_rate), acc, rec.recording_id,
                         "gravity low-pass")
-    norm = np.linalg.norm(gravity, axis=1)
-    z = np.divide(np.einsum("ij,ij->i", acc, gravity), norm,
+    (ax, ay, az), (gx, gy, gz) = acc, gravity
+    # summed x, y, z in turn: the order np.linalg.norm(axis=1) of (n, 3) rows
+    # sums in, so the values match it bit for bit
+    norm = np.sqrt((gx * gx + gy * gy) + gz * gz)
+    z = np.divide((ax * gx + ay * gy) + az * gz, norm,
                   out=np.zeros_like(norm), where=norm > 0.0)
     return VerticalSignal(
         sample_rate=rec.sample_rate,
@@ -299,8 +309,8 @@ def resample_uniform(rec: ImuRecord) -> ImuRecord:
     dt = 1.0 / rec.sample_rate
     n_out = int(math.floor((rec.t[-1] - rec.t[0]) / dt)) + 1
     grid = rec.t[0] + dt * np.arange(n_out)
-    acc = np.stack([np.interp(grid, rec.t, rec.acc[:, i]) for i in range(3)], axis=1)
-    gyro = np.stack([np.interp(grid, rec.t, rec.gyro[:, i]) for i in range(3)], axis=1)
+    acc = np.stack([np.interp(grid, rec.t, rec.acc[:, i]) for i in range(3)]).T
+    gyro = np.stack([np.interp(grid, rec.t, rec.gyro[:, i]) for i in range(3)]).T
     return ImuRecord(rec.sample_rate, grid, acc, gyro,
                      rec.subject_id, rec.position, rec.recording_id)
 

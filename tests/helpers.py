@@ -1,15 +1,18 @@
 """Shared test utilities: independent rotation oracles, synthetic records,
-and crafted gait sequences whose fingerprints sit at chosen codespace points.
+crafted gait sequences whose fingerprints sit at chosen codespace points, and
+a corpus that mixes sample rates.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from gaitpair.config import Config
-from gaitpair.dataset_io import synthetic_vertical_signal
+from gaitpair.dataset_io import (Corpus, SyntheticGaitSpec, generate_synthetic,
+                                 synthetic_vertical_signal)
 from gaitpair.fuzzy_ecc import CodeParams, encode
 from gaitpair.gait import GaitSequence
 from gaitpair.signals import GRAVITY, ImuRecord
@@ -199,3 +202,14 @@ def craft_codeword_pair(seed: int, n_flips: int, cfg: Config, params: CodeParams
                     delta_to_sequence(delta_b, cfg.rho, b),
                     message)
     raise RuntimeError("could not craft a balanced codeword pair")
+
+
+# -- corpora -------------------------------------------------------------------------
+
+def mixed_rate_corpus() -> Corpus:
+    """One 50 Hz subject (seed 3) and one 100 Hz subject (seed 4), 60 cycles each."""
+    slow = generate_synthetic(SyntheticGaitSpec(n_cycles=60, n_subjects=1, rng_seed=3))
+    fast = generate_synthetic(SyntheticGaitSpec(n_cycles=60, n_subjects=1, rng_seed=4,
+                                                sample_rate=100.0))
+    return Corpus(records=slow.records + [dataclasses.replace(r, subject_id="s01")
+                                          for r in fast.records])

@@ -12,6 +12,8 @@ from gaitpair.fingerprint import (average_cycle, quantize, reduce, reliability_o
                                   similarity)
 from gaitpair.protocol import SessionResult, draw_nonce
 
+from helpers import mixed_rate_corpus
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -543,7 +545,7 @@ EXIT_FAMILIES = {
     64: {"ConfigError", "NoSuitableCode"},
     2: {"SchemaMismatch", "MissingColumns", "NonMonotoneTimestamps"},
     5: {"InsufficientData", "SignalTooShort", "InsufficientPairs", "InsufficientBits",
-        "MissingPosition", "TooFewKeys"},
+        "MissingPosition", "MixedSampleRates", "TooFewKeys"},
     3: {"GaitPairError", "EmptyStream", "NonFiniteSample", "LengthMismatch",
         "InvalidBand", "UnstableFilter", "ZeroVariance", "TooFewMaxima",
         "NoPeriodicity", "CycleTooShort", "TooFewCycles", "IndivisibleSegments",
@@ -574,6 +576,17 @@ def test_pair_window_must_exist_on_both_records(preprocessed_dir, tmp_path, caps
     rec = str(sorted(preprocessed_dir.glob("*.json"))[0])
     assert cli.main(["pair", rec, rec, "--window", "99"]) == 5
     assert capsys.readouterr().err.startswith("insufficient data: SignalTooShort")
+
+
+def test_coherence_on_mixed_sample_rates_exits_insufficient_data(tmp_path, capsys):
+    save_csv(mixed_rate_corpus(), tmp_path / "mixed")
+    rc = cli.main(["eval", str(tmp_path / "mixed"), "--analysis", "coherence",
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 5, err
+    assert err.startswith("insufficient data: MixedSampleRates: "), err
+    assert "50 Hz, 100 Hz" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "coherence.json").exists()
 
 
 def test_corpus_warnings_go_to_stderr(corpus_dir, tmp_path, capsys):

@@ -8,7 +8,8 @@ from scipy import signal as sps
 
 from gaitpair.config import Config
 from gaitpair.dataset_io import Corpus, PositionSpec, SyntheticGaitSpec, generate_synthetic
-from gaitpair.errors import ConfigError, InsufficientPairs, MissingPosition, TooFewKeys
+from gaitpair.errors import (ConfigError, InsufficientPairs, MissingPosition, MixedSampleRates,
+                             TooFewKeys)
 from gaitpair.fingerprint import average_cycle, quantize, reduce, reliability_order, similarity
 from gaitpair.gait import GaitSequence, cycles_from_bounds, detect_cycles
 from gaitpair.eval_harness import (
@@ -21,6 +22,8 @@ from gaitpair.eval_harness import (
     security_arithmetic,
 )
 from gaitpair.signals import GRAVITY, ImuRecord, extract_vertical, preprocess_record
+
+from helpers import mixed_rate_corpus
 
 
 # -- coherence -------------------------------------------------------------------------
@@ -134,6 +137,13 @@ def test_coherence_needs_simultaneous_pairs():
         coherence_analysis(corpus)
 
 
+def test_coherence_rejects_mixed_sample_rates():
+    # pairs are compared sample by sample: a 50 Hz and a 100 Hz record share
+    # no time base, and their bins would be added by index
+    with pytest.raises(MixedSampleRates, match="50 Hz, 100 Hz"):
+        coherence_analysis(mixed_rate_corpus())
+
+
 # -- reference: windows resampled one by one ------------------------------------------
 
 def _reference_fingerprints(corpus, cfg, window_cycles):
@@ -197,6 +207,75 @@ def test_discriminability_equals_per_window_resampling(small_corpus, cfg):
     fps = _reference_fingerprints(small_corpus, cfg, cfg.cycles_per_fingerprint)
     assert _pair_values(rep.intra_pairs) == _reference_intra(fps, cfg.cutoff)
     assert _pair_values(rep.inter_pairs) == _reference_inter(fps, cfg.cutoff)
+
+
+# -- reference: the batched pass against one window at a time ---------------------------
+
+@pytest.fixture(scope="module")
+def uneven_corpus():
+    """2 subjects x 3 positions of 120 cycles, with s00's forearm cut to a
+    fifth (shorter than the smallest sweep window) and s01's waist to
+    three quarters (fewer windows than its partners)."""
+    def cut(r, share):
+        k = int(share * r.t.shape[0])
+        return dataclasses.replace(r, t=r.t[:k], acc=r.acc[:k], gyro=r.gyro[:k])
+
+    share = {("s00", "forearm"): 0.2, ("s01", "waist"): 0.75}
+    corpus = generate_synthetic(SyntheticGaitSpec(n_cycles=120, rng_seed=5))
+    return Corpus(records=[cut(r, share[r.subject_id, r.position])
+                           if (r.subject_id, r.position) in share else r
+                           for r in corpus.records])
+
+
+@pytest.mark.parametrize("window_cycles", [32, 36, 40, 44, 48, 64])
+def test_batched_pass_equals_per_window_fingerprints(uneven_corpus, cfg, window_cycles):
+    from gaitpair.dataset_io import cut_windows
+    from gaitpair.eval_harness import _fingerprints, _inter_keys, _intra_keys, \
+        _preprocess_corpus, _window_pairs
+    from gaitpair.fingerprint import compute_fingerprint, window_fingerprints
+
+    processed = _preprocess_corpus(uneven_corpus, cfg)
+    per_window = {}
+    counts = set()
+    for key, seq in processed.items():
+        bits, deltas, orders = window_fingerprints(seq, window_cycles, cfg.bits_per_cycle)
+        wins = cut_windows(seq, window_cycles)
+        assert bits.shape == deltas.shape == orders.shape \
+            == (len(wins), window_cycles * cfg.bits_per_cycle)
+        per_window[key] = [compute_fingerprint(w.sequence, cfg.bits_per_cycle)
+                           for w in wins]
+        for row, (fp, order) in enumerate(per_window[key]):
+            assert np.array_equal(bits[row], fp.bits), (key, row)
+            assert np.array_equal(deltas[row], fp.deltas), (key, row)
+            assert np.array_equal(orders[row], order), (key, row)
+        counts.add(len(wins))
+    assert 0 in counts and len(counts) >= 3  # a record without windows, and uneven pairs
+
+    fingerprints = _fingerprints(processed, cfg, window_cycles)
+    for keys in (_intra_keys(processed), _inter_keys(processed)):
+        want = [(ka[0], ka[1], kb[0], kb[1], w,
+                 similarity(reduce(fa, order, cfg.cutoff), reduce(fb, order, cfg.cutoff)))
+                for ka, kb in keys
+                for w, ((fa, order), (fb, _)) in enumerate(zip(per_window[ka],
+                                                                per_window[kb]))]
+        got = [(p.subject_a, p.position_a, p.subject_b, p.position_b, p.window, p.value)
+               for p in _window_pairs(fingerprints, keys, cfg.cutoff)]
+        assert got == want
+
+
+def test_fingerprint_keys_equal_per_window_reduction(uneven_corpus, cfg):
+    from gaitpair.dataset_io import cut_windows
+    from gaitpair.eval_harness import _preprocess_corpus, fingerprint_keys
+    from gaitpair.fingerprint import compute_fingerprint
+
+    want = []
+    for seq in _preprocess_corpus(uneven_corpus, cfg).values():
+        for w in cut_windows(seq, cfg.cycles_per_fingerprint):
+            fp, order = compute_fingerprint(w.sequence, cfg.bits_per_cycle)
+            want.append(reduce(fp, order, cfg.cutoff).bits)
+    got = fingerprint_keys(uneven_corpus, cfg)
+    assert len(got) == len(want) > 0
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # -- reliability sweep -------------------------------------------------------------------

@@ -157,12 +157,13 @@ def test_gyro_frame_matches_sequential_product():
         want[i] = _hamilton(want[i - 1], step)
     want /= np.linalg.norm(want, axis=1, keepdims=True)
     got = _gyro_frame(rec)
-    assert got.shape == (rec.n_samples, 4)
-    assert np.max(np.abs(got - want)) < 1e-12
+    assert got.shape == (4, rec.n_samples)
+    assert np.max(np.abs(got - want.T)) < 1e-12
 
 
 def _sequential_frame(rec) -> np.ndarray:
-    """The oracle above as a function: one sample after another, then normalised."""
+    """The oracle above as a function: one sample after another, then
+    normalised, as (4, n) component rows."""
     want = np.empty((rec.n_samples, 4))
     want[0] = (1.0, 0.0, 0.0, 0.0)
     for i in range(1, rec.n_samples):
@@ -170,7 +171,7 @@ def _sequential_frame(rec) -> np.ndarray:
         angle = float(np.linalg.norm(rate)) * (rec.t[i] - rec.t[i - 1])
         step = quat_from_axis_angle(rate, angle) if angle > 0 else want[0]
         want[i] = _hamilton(want[i - 1], step)
-    return want / np.linalg.norm(want, axis=1, keepdims=True)
+    return (want / np.linalg.norm(want, axis=1, keepdims=True)).T
 
 
 def test_gyro_frame_matches_sequential_product_past_two_to_the_15():
@@ -186,7 +187,7 @@ def test_gyro_frame_matches_sequential_product_through_zero_rate_runs():
     for run in (slice(0, 7), slice(300, 420), slice(-64, None)):
         rec.gyro[run] = 0.0
     got = _gyro_frame(rec)
-    assert np.array_equal(got[:7], np.tile([1.0, 0.0, 0.0, 0.0], (7, 1)))
+    assert np.array_equal(got[:, :7], np.tile([[1.0], [0.0], [0.0], [0.0]], (1, 7)))
     assert np.max(np.abs(got - _sequential_frame(rec))) < 1e-12
 
 
@@ -290,10 +291,10 @@ def _design(name: str, fs: float):
 def test_filtfilt_equals_sosfiltfilt(name, fs, width, length):
     design = _design(name, fs)
     n = 3000 if length == "long" else design.edge + 1
-    shape = (n,) if width is None else (n, width)
+    shape = (n,) if width is None else (width, n)
     x = 9.81 + np.random.default_rng(8).standard_normal(shape)
     got = _filtfilt(design, x, "r", name)
-    assert np.array_equal(got, sps.sosfiltfilt(design.sos, x, axis=0))
+    assert np.array_equal(got, sps.sosfiltfilt(design.sos, x, axis=-1))
 
 
 @pytest.mark.parametrize("name", ["lowpass", "bandpass"])
