@@ -161,10 +161,9 @@ def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
                                       seed=args.insecure_session_seed)
     elapsed = time.monotonic() - t0
 
-    # out-of-band diagnostic: similarity under the order actually applied,
-    # None when the session ended before either end applied one
-    applied = res_a.applied_order if res_a.applied_order is not None \
-        else res_b.applied_order
+    # out-of-band diagnostic: similarity under the initiator's order, the one
+    # both ends apply; None for a result that holds no applied order
+    applied = res_a.applied_order
     diag_similarity = None
     if applied is not None:
         fp_a, fp_b = (compute_fingerprint(seq, cfg.bits_per_cycle)[0]
@@ -297,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("--window", type=int, default=0,
                         help="window index to pair on")
     p_pair.add_argument("--insecure-session-seed", type=int, default=None,
-                        help="INSECURE: derive nonces and PAKE salts from this "
+                        help="INSECURE: derive PAKE salts from this "
                              "seed (reproducible sessions for testing only)")
     _add_config_flags(p_pair, "rho", "bits_per_cycle", "fingerprint_bits", "cutoff",
                       "threshold")

@@ -28,7 +28,7 @@ from .errors import (
 from .fingerprint import check_order, window_fingerprints
 from .fuzzy_ecc import choose_params
 from .gait import GaitSequence, detect_cycles, split_and_normalize
-from .signals import VerticalSignal, extract_vertical, preprocess_record, resample_uniform
+from .signals import VerticalSignal, extract_vertical, preprocess_record
 
 RANDOMNESS_ALPHA = 0.001
 SECONDS_PER_DAY = 86400
@@ -274,7 +274,7 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
     verticals: dict[RecordKey, VerticalSignal] = {}
     for rec in corpus.records:
         verticals[(rec.subject_id, rec.position, rec.recording_id)] = \
-            extract_vertical(resample_uniform(rec))
+            extract_vertical(rec)
 
     same_pairs = _intra_keys(verticals)
     diff_pairs = _inter_keys(verticals)

@@ -1,12 +1,10 @@
 """Two-party pairing handshake over independently measured gait fingerprints.
 
-Sequence: the initiator requests authentication; both endpoints exchange their
-reliability ordering together with a random 90-bit value; the ordering that
-arrived with the larger value is applied on both sides to reduce each local
-fingerprint; each side decodes its reduced fingerprint to a key; a PAKE turns
-matching keys into a strong shared secret; explicit key confirmation closes
-the session.  Fingerprint bits and reliability magnitudes never cross the
-wire: only index permutations, random values, PAKE payloads, and MACs do.
+Sequence: the initiator opens with its reliability ordering; both ends reduce
+their own fingerprint by that one ordering and decode the reduced bits to a
+key; a PAKE turns matching keys into a strong shared secret; explicit key
+confirmation closes the session.  Fingerprint bits and reliability magnitudes
+never cross the wire: only an index permutation, PAKE payloads, and MACs do.
 
 One end of a session is a ``Session``: a state machine that does no I/O.
 ``start()`` and ``receive(frame)`` return the frames to send, and ``result``
@@ -14,8 +12,7 @@ is set once the session has ended.  ``run_pair_in_memory`` drives both ends.
 
 Wire format (documented bit-exactly in docs/wire-format.md):
   frame   = [1B version=0x01][1B type][2B big-endian payload length][payload]
-  reliability exchange payload = [2B M][M x 1B indices][12B value, 90 bits
-  right-aligned, zero-padded to 96]
+  reliability order payload = [2B M][M x 1B indices]
 """
 
 from __future__ import annotations
@@ -43,18 +40,15 @@ from .fuzzy_ecc import CodeParams, FuzzyKey, choose_params, decode
 from .gait import GaitSequence
 
 PROTOCOL_VERSION = 0x01
-NONCE_BITS = 90
-NONCE_BYTES = 12  # 90 bits zero-padded to 96
 
-MSG_AUTH_REQUEST = 0x01
-MSG_RELIABILITY_EXCHANGE = 0x02
+MSG_RELIABILITY_ORDER = 0x02  # 0x01 is unassigned
 MSG_PAKE = 0x03
 MSG_CONFIRM = 0x04
 MSG_ABORT = 0x05
 
 # the reasons a Session itself sends in an Abort; any other reason a peer
 # sends is reported by its length alone, so peer text never reaches the result
-ABORT_REASONS = frozenset({"decode failure", "malformed message", "nonce tie",
+ABORT_REASONS = frozenset({"decode failure", "malformed message",
                            "fingerprint length mismatch"})
 
 
@@ -78,30 +72,23 @@ def decode_frame(frame: bytes) -> tuple[int, bytes]:
     return msg_type, frame[4:]
 
 
-def encode_reliability_payload(order: np.ndarray, nonce: int) -> bytes:
+def encode_reliability_payload(order: np.ndarray) -> bytes:
     m = order.shape[0]
     if m > 256:
         raise MalformedMessage(f"M={m} exceeds 8-bit index encoding")
-    if not 0 <= nonce < (1 << NONCE_BITS):
-        raise MalformedMessage("nonce outside the 90-bit range")
-    return (struct.pack(">H", m) + order.astype(np.uint8).tobytes()
-            + nonce.to_bytes(NONCE_BYTES, "big"))
+    return struct.pack(">H", m) + order.astype(np.uint8).tobytes()
 
 
-def decode_reliability_payload(payload: bytes) -> tuple[np.ndarray, int]:
-    if len(payload) < 2 + NONCE_BYTES:
+def decode_reliability_payload(payload: bytes) -> np.ndarray:
+    if len(payload) < 2:
         raise MalformedMessage("reliability payload too short")
     (m,) = struct.unpack(">H", payload[:2])
-    if len(payload) != 2 + m + NONCE_BYTES:
-        raise MalformedMessage(
-            f"reliability payload length {len(payload)} != {2 + m + NONCE_BYTES}")
-    order = np.frombuffer(payload[2:2 + m], dtype=np.uint8).astype(int)
+    if len(payload) != 2 + m:
+        raise MalformedMessage(f"reliability payload length {len(payload)} != {2 + m}")
+    order = np.frombuffer(payload[2:], dtype=np.uint8).astype(int)
     if not np.array_equal(np.sort(order), np.arange(m)):
         raise MalformedMessage("reliability indices are not a permutation")
-    nonce = int.from_bytes(payload[2 + m:], "big")
-    if nonce >= (1 << NONCE_BITS):
-        raise MalformedMessage("nonce outside the 90-bit range")
-    return order, nonce
+    return order
 
 
 # -- transcript / key confirmation ----------------------------------------------------
@@ -191,13 +178,6 @@ class SessionResult:
     elapsed_s: float = 0.0
 
 
-def draw_nonce(rng: np.random.Generator | None = None) -> int:
-    """Uniform 90-bit value; system entropy unless an explicit RNG is forced."""
-    if rng is None:
-        return secrets.randbits(NONCE_BITS)
-    return int.from_bytes(rng.bytes(NONCE_BYTES), "big") & ((1 << NONCE_BITS) - 1)
-
-
 def session_code_params(cfg: Config) -> CodeParams:
     """Code used at the decode step for a given configuration."""
     return choose_params(cfg.cutoff, 1.0 - cfg.threshold)
@@ -208,17 +188,18 @@ class Session:
 
     ``start()``, called once, and then ``receive(frame)`` for each peer frame
     return the frames to send, in order.  ``result`` is set once the session
-    has ended; frames received after that are ignored.  The ends are
-    role-symmetric apart from who opens with the authentication request.
-    Decode failures and dissimilar fingerprints are expected outcomes that
-    simply end the attempt (fresh gait data is required for the next one).
-    A wrong or malformed frame ends the session; the frame types expected in
-    turn are auth request (responder only), reliability exchange, PAKE
-    commitment, PAKE salt and confirmation.
+    has ended; frames received after that are ignored.  The initiator's
+    ``start()`` sends its reliability order, reduces its own fingerprint by it
+    and decodes, then sends its PAKE commitment, or the decode-failure Abort.
+    The responder sends no order: it reduces by the one it receives and
+    decodes, and from there the ends are symmetric.  Decode failures and
+    dissimilar fingerprints are expected outcomes that simply end the attempt
+    (fresh gait data is required for the next one).  A wrong or malformed
+    frame ends the session; the frame types expected in turn are reliability
+    order (responder only), PAKE commitment, PAKE salt and confirmation.
     """
 
     def __init__(self, local_gait: GaitSequence, cfg: Config, *, initiator: bool,
-                 nonce_rng: np.random.Generator | None = None,
                  salt_rng: np.random.Generator | None = None):
         self._t_start = time.monotonic()
         self._cfg = cfg
@@ -233,18 +214,19 @@ class Session:
                 f"n={self._params.n}")
         self._initiator = initiator
         self._role = "A" if initiator else "B"
-        self._nonce = draw_nonce(nonce_rng)
         self._salt_rng = salt_rng
         self._transcript = Transcript()
-        self._expect(MSG_AUTH_REQUEST, self._on_auth_request)
-        self._winning: np.ndarray | None = None
+        # an initiator expects nothing but an Abort until it has started
+        self._expect(None if initiator else MSG_RELIABILITY_ORDER, self._on_order)
+        self._applied: np.ndarray | None = None
         self.result: SessionResult | None = None
 
     def start(self) -> list[bytes]:
         if not self._initiator:
             return []
-        auth_frame = encode_frame(MSG_AUTH_REQUEST)
-        return [auth_frame] + self._on_auth_request(auth_frame, b"")
+        frame = encode_frame(MSG_RELIABILITY_ORDER,
+                             encode_reliability_payload(self._local_order))
+        return [frame] + self._apply(frame, self._local_order)
 
     def receive(self, frame: bytes) -> list[bytes]:
         if self.result is not None:
@@ -274,10 +256,10 @@ class Session:
         return [] if abort is None else [encode_frame(MSG_ABORT, abort.encode())]
 
     def _applied_order(self) -> np.ndarray | None:
-        """The winning order once the exchange has chosen one, else None."""
-        return None if self._winning is None else self._winning.copy()
+        """The initiator's order once this end has applied it, else None."""
+        return None if self._applied is None else self._applied.copy()
 
-    def _expect(self, msg_type: int, handler) -> None:
+    def _expect(self, msg_type: int | None, handler) -> None:
         self._expected, self._handler = msg_type, handler
 
     def _add_both(self, label: str, mine: bytes, peers: bytes) -> None:
@@ -288,27 +270,19 @@ class Session:
 
     # -- states, one per expected frame --
 
-    def _on_auth_request(self, frame: bytes, payload: bytes) -> list[bytes]:
-        self._transcript.add("auth-request", frame)
-        self._exchange = encode_frame(
-            MSG_RELIABILITY_EXCHANGE,
-            encode_reliability_payload(self._local_order, self._nonce))
-        self._expect(MSG_RELIABILITY_EXCHANGE, self._on_exchange)
-        return [self._exchange]
-
-    def _on_exchange(self, frame: bytes, payload: bytes) -> list[bytes]:
-        peer_order, peer_nonce = decode_reliability_payload(payload)
+    def _on_order(self, frame: bytes, payload: bytes) -> list[bytes]:
+        order = decode_reliability_payload(payload)
         m = self._fp.bits.size
-        if peer_order.shape[0] != m:
-            return self._end(f"peer M={peer_order.shape[0]} != local M={m}",
+        if order.shape[0] != m:
+            return self._end(f"peer M={order.shape[0]} != local M={m}",
                              abort="fingerprint length mismatch")
-        self._add_both("exchange", self._exchange, frame)
-        if peer_nonce == self._nonce:
-            return self._end("nonce tie; restart the session", abort="nonce tie")
+        return self._apply(frame, order)
 
-        # the ordering accompanying the larger value wins on both sides
-        self._winning = peer_order if peer_nonce > self._nonce else self._local_order
-        reduced = reduce(self._fp, self._winning, self._cfg.cutoff)
+    def _apply(self, frame: bytes, order: np.ndarray) -> list[bytes]:
+        """Reduce the local fingerprint by the initiator's order and decode."""
+        self._transcript.add("order", frame)
+        self._applied = order
+        reduced = reduce(self._fp, order, self._cfg.cutoff)
         try:
             self._key = decode(reduced.bits[: self._params.n], self._params)
         except DecodeFailure:
@@ -354,16 +328,14 @@ def run_pair_in_memory(seq_a: GaitSequence, seq_b: GaitSequence, cfg: Config, *,
     """Run both ends of one session in this thread, handing each end's frames
     to the other until neither has a frame left to send.
 
-    With ``seed`` set, nonces and PAKE salts are drawn deterministically; this
-    is for tests and evaluation only and is insecure for real pairing.
-    ``capture``, if given, receives every frame sent.
+    With ``seed`` set, both ends draw their PAKE salts from one generator
+    seeded with it, initiator first; this is for tests and evaluation only
+    and is insecure for real pairing.  ``capture``, if given, receives every
+    frame sent.
     """
-    if seed is None:
-        rngs = [None] * 4
-    else:
-        rngs = [np.random.default_rng([seed, i]) for i in range(1, 5)]
-    a = Session(seq_a, cfg, initiator=True, nonce_rng=rngs[0], salt_rng=rngs[2])
-    b = Session(seq_b, cfg, initiator=False, nonce_rng=rngs[1], salt_rng=rngs[3])
+    rng = None if seed is None else np.random.default_rng(seed)
+    a = Session(seq_a, cfg, initiator=True, salt_rng=rng)
+    b = Session(seq_b, cfg, initiator=False, salt_rng=rng)
     a_out, b_out = a.start(), b.start()
     while a_out or b_out:
         if capture is not None:
@@ -374,4 +346,3 @@ def run_pair_in_memory(seq_a: GaitSequence, seq_b: GaitSequence, cfg: Config, *,
         if session.result is None:
             session._end("peer stopped sending")
     return a.result, b.result
-

@@ -226,7 +226,8 @@ def _gravity_lowpass(sample_rate: float) -> _ZeroPhase:
 
 
 def extract_vertical(rec: ImuRecord) -> VerticalSignal:
-    """Acceleration along the gravity estimate, sample for sample.
+    """Acceleration along the gravity estimate, sample for sample of the
+    record on its uniform grid (``resample_uniform``, which validates it).
 
     The gyro-stabilised frame (``_gyro_frame``) stays fixed in the world while
     the device swings, so gravity in it is the acceleration's slow part: its
@@ -235,7 +236,7 @@ def extract_vertical(rec: ImuRecord) -> VerticalSignal:
     motion; a sample whose estimate has zero norm reads 0.  Gyro bias turns
     the frame slowly, and the low-pass follows it.
     """
-    rec.validate()
+    rec = resample_uniform(rec)
     acc = rotate_vectors(_gyro_frame(rec), np.ascontiguousarray(rec.acc.T))
     gravity = _filtfilt(_gravity_lowpass(rec.sample_rate), acc, rec.recording_id,
                         "gravity low-pass")
@@ -317,13 +318,14 @@ def resample_uniform(rec: ImuRecord) -> ImuRecord:
 
 def preprocess_record(rec: ImuRecord, band: tuple[float, float] = Config.band
                       ) -> VerticalSignal:
-    """Full preprocessing chain: align to gravity, bandpass, trim warm-up."""
-    rec = resample_uniform(rec)
+    """Full preprocessing chain: align to gravity on the uniform grid,
+    bandpass, trim warm-up."""
+    vertical = extract_vertical(rec)
     skip = int(round(TRANSIENT_DISCARD_S * rec.sample_rate))
-    if skip >= rec.n_samples:  # before filtering, which needs a few samples
+    if skip >= vertical.n_samples:  # before the bandpass, which needs a few samples
         raise EmptyStream(
             f"record {rec.recording_id!r} shorter than the "
             f"{TRANSIENT_DISCARD_S}s warm-up")
-    filtered = bandpass(extract_vertical(rec), band)
+    filtered = bandpass(vertical, band)
     filtered.z = filtered.z[skip:]
     return filtered

@@ -1,21 +1,25 @@
 import hashlib
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gaitpair import protocol
 from gaitpair.config import Config
 from gaitpair.errors import ConfirmMismatch, MalformedMessage, PakeFailure
+from gaitpair.fingerprint import compute_fingerprint
 from gaitpair.protocol import (
+    ABORT_REASONS,
     MSG_ABORT,
-    MSG_AUTH_REQUEST,
-    MSG_RELIABILITY_EXCHANGE,
+    MSG_PAKE,
+    MSG_RELIABILITY_ORDER,
     Session,
     SimulatedPake,
     confirm_key,
     decode_frame,
     decode_reliability_payload,
-    draw_nonce,
     encode_frame,
     encode_reliability_payload,
     run_pair_in_memory,
@@ -28,10 +32,10 @@ from helpers import craft_codeword_pair, random_delta_sequence
 # -- wire format -------------------------------------------------------------------
 
 def test_frame_encoding_byte_exact():
-    frame = encode_frame(MSG_RELIABILITY_EXCHANGE, b"xy")
+    frame = encode_frame(MSG_RELIABILITY_ORDER, b"xy")
     assert frame == b"\x01\x02\x00\x02xy"
     msg_type, payload = decode_frame(frame)
-    assert msg_type == MSG_RELIABILITY_EXCHANGE and payload == b"xy"
+    assert msg_type == MSG_RELIABILITY_ORDER and payload == b"xy"
 
 
 def test_frame_rejects_bad_version():
@@ -46,15 +50,12 @@ def test_frame_rejects_truncation():
 
 def test_reliability_payload_layout():
     order = np.array([2, 0, 3, 1])
-    nonce = 0x0102030405060708090A
-    payload = encode_reliability_payload(order, nonce)
-    assert payload[:2] == b"\x00\x04"
-    assert payload[2:6] == b"\x02\x00\x03\x01"
-    assert len(payload) == 2 + 4 + 12
-    assert payload[6:] == nonce.to_bytes(12, "big")
-    got_order, got_nonce = decode_reliability_payload(payload)
-    assert np.array_equal(got_order, [2, 0, 3, 1])
-    assert got_nonce == nonce
+    payload = encode_reliability_payload(order)
+    assert payload == b"\x00\x04" + b"\x02\x00\x03\x01"
+    assert np.array_equal(decode_reliability_payload(payload), [2, 0, 3, 1])
+    for bad in (payload[:-1], payload + b"\x00", payload[:1]):
+        with pytest.raises(MalformedMessage):
+            decode_reliability_payload(bad)
 
 
 def test_reliability_payload_bytes_are_pinned():
@@ -62,33 +63,31 @@ def test_reliability_payload_bytes_are_pinned():
     # opens with index 255; the digest pins the bytes of the per-entry encoder
     digest = hashlib.sha256()
     orders = [np.random.default_rng(m).permutation(m) for m in (128, 192, 256)]
-    nonces = [(1 << 90) - 1 - m for m in (128, 192, 256)]
-    for order, nonce in zip(orders + [np.r_[255, np.arange(255)]], nonces + [7]):
-        payload = encode_reliability_payload(order, nonce)
-        assert payload == (struct.pack(">H", order.size) + bytes(int(v) for v in order)
-                           + nonce.to_bytes(12, "big"))
+    for order in orders + [np.r_[255, np.arange(255)]]:
+        payload = encode_reliability_payload(order)
+        assert payload == struct.pack(">H", order.size) + bytes(int(v) for v in order)
         digest.update(payload)
     assert digest.hexdigest() == (
-        "09072bd1046db695eb0fc126c67dd100f3fe1e19fd022f8b813b6a2d22058789")
+        "6e98fc7bf8af02da7ac9cee582bb61ecd78c83ffefb1163fdf6c3caf6f34fb35")
 
 
 def test_reliability_payload_rejects_non_permutation():
-    payload = b"\x00\x03" + b"\x00\x00\x01" + bytes(12)
+    payload = b"\x00\x03" + b"\x00\x00\x01"
     with pytest.raises(MalformedMessage):
         decode_reliability_payload(payload)
 
 
-def test_reliability_payload_rejects_oversized_nonce():
-    order = np.arange(4)
-    with pytest.raises(MalformedMessage):
-        encode_reliability_payload(order, 1 << 90)
-
-
-def test_nonce_is_90_bits():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        assert 0 <= draw_nonce(rng) < (1 << 90)
-    assert 0 <= draw_nonce() < (1 << 90)
+def test_wire_format_doc_matches_the_code():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "wire-format.md").read_text(
+        encoding="utf-8")
+    # the table names a type in CamelCase, the constant in UPPER_SNAKE case
+    types = {re.sub(r"(?<!^)(?=[A-Z])", "_", name).upper(): int(value, 16)
+             for value, name in re.findall(r"^\| `0x([0-9a-f]{2})` \| (\w+)", doc, re.M)}
+    constants = {name[len("MSG_"):]: value for name, value in vars(protocol).items()
+                 if name.startswith("MSG_")}
+    assert types == constants
+    section = doc.split("## Abort payload", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^- `([^`]+)`$", section, re.M)) == ABORT_REASONS
 
 
 # -- sessions ------------------------------------------------------------------------
@@ -137,6 +136,15 @@ def test_order_agreement_instrumentation(cfg, code_params):
     seq_a, seq_b, _ = craft_codeword_pair(12, 5, cfg, code_params)
     res_a, res_b = run_pair_in_memory(seq_a, seq_b, cfg, seed=4)
     assert np.array_equal(res_a.applied_order, res_b.applied_order)
+    # both ends apply the initiator's own order, whichever record opens
+    pair = [random_delta_sequence(i, cfg) for i in (1, 2)]
+    for seq_a, seq_b in (pair, pair[::-1]):
+        own_a, own_b = (compute_fingerprint(seq, cfg.bits_per_cycle)[1]
+                        for seq in (seq_a, seq_b))
+        assert not np.array_equal(own_a, own_b)
+        for seed in range(4):
+            for res in run_pair_in_memory(seq_a, seq_b, cfg, seed=seed):
+                assert np.array_equal(res.applied_order, own_a)
 
 
 def test_role_symmetry(cfg, code_params):
@@ -151,23 +159,46 @@ def test_role_symmetry(cfg, code_params):
     assert ind_fwd[0].established == ind_rev[0].established == False  # noqa: E712
 
 
-def shuttle(a: Session, b: Session) -> None:
-    """Hand frames between two sessions until neither has one to send."""
+def shuttle(a: Session, b: Session) -> tuple[list[bytes], list[bytes]]:
+    """Hand frames between two sessions until neither has one to send, and
+    return the frames each one sent."""
     to_b, to_a = a.start(), b.start()
+    sent = (list(to_b), list(to_a))
     while to_a or to_b:
         to_a, to_b = ([out for frame in to_b for out in b.receive(frame)],
                       [out for frame in to_a for out in a.receive(frame)])
+        sent[0].extend(to_b)
+        sent[1].extend(to_a)
+    return sent
 
 
-def test_nonce_tie_aborts(cfg, code_params):
-    seq_a, seq_b, _ = craft_codeword_pair(14, 0, cfg, code_params)
-    # identical RNG stream on both sides forces an exact nonce tie
-    a = Session(seq_a, cfg, initiator=True, nonce_rng=np.random.default_rng(99))
-    b = Session(seq_b, cfg, initiator=False, nonce_rng=np.random.default_rng(99))
-    shuttle(a, b)
-    assert not a.result.established and not b.result.established
-    assert "tie" in (a.result.failure or "") \
-        or "abort" in (a.result.failure or "")
+# name -> (build(cfg, params) -> (initiator's sequence, responder's sequence),
+#          frames and bytes both ends send)
+SESSION_KINDS = {
+    "established": (lambda c, p: craft_codeword_pair(11, p.t, c, p)[:2], 7, 382),
+    "responder fails decode":
+        (lambda c, p: craft_codeword_pair(12, p.t + 1, c, p)[:2], 3, 252),
+    "initiator fails decode":
+        (lambda c, p: craft_codeword_pair(12, p.t + 1, c, p)[1::-1], 3, 252),
+    "both fail decode":
+        (lambda c, p: (random_delta_sequence(1, c), random_delta_sequence(2, c)), 3, 234),
+    "mismatched keys": (lambda c, p: (craft_codeword_pair(40, 0, c, p)[0],
+                                      craft_codeword_pair(41, 0, c, p)[0]), 5, 310),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SESSION_KINDS))
+def test_frames_a_session_sends(cfg, code_params, kind):
+    build, n_frames, n_bytes = SESSION_KINDS[kind]
+    seq_a, seq_b = build(cfg, code_params)
+    sent_a, sent_b = shuttle(Session(seq_a, cfg, initiator=True),
+                             Session(seq_b, cfg, initiator=False))
+    # the initiator's order opens the session, and it is the only one sent
+    types_a = [decode_frame(f)[0] for f in sent_a]
+    assert types_a[0] == MSG_RELIABILITY_ORDER
+    assert MSG_RELIABILITY_ORDER not in types_a[1:] + [decode_frame(f)[0] for f in sent_b]
+    frames = sent_a + sent_b
+    assert (len(frames), sum(len(f) for f in frames)) == (n_frames, n_bytes)
 
 
 def test_in_memory_end_left_waiting_times_out(cfg, code_params, monkeypatch):
@@ -192,7 +223,7 @@ def test_no_fingerprint_bits_on_the_wire(cfg, code_params):
     seq_a, seq_b, _ = craft_codeword_pair(15, 9, cfg, code_params)
     capture = []
     run_pair_in_memory(seq_a, seq_b, cfg, seed=7, capture=capture)
-    assert len(capture) >= 9
+    assert len(capture) == 7
     blob = b"|".join(capture)
     for seq in (seq_a, seq_b):
         fp = quantize(seq, average_cycle(seq), cfg.bits_per_cycle)
@@ -201,21 +232,44 @@ def test_no_fingerprint_bits_on_the_wire(cfg, code_params):
         assert np.packbits(1 - fp.bits).tobytes() not in blob
 
 
+def _order_frame(seq, cfg) -> bytes:
+    order = compute_fingerprint(seq, cfg.bits_per_cycle)[1]
+    return encode_frame(MSG_RELIABILITY_ORDER, encode_reliability_payload(order))
+
+
 def test_malformed_message_fails_session(cfg, code_params):
     seq_b, _, _ = craft_codeword_pair(17, 0, cfg, code_params)
     b = Session(seq_b, cfg, initiator=False)
     assert b.start() == []
-    b.receive(encode_frame(MSG_AUTH_REQUEST))
+    assert [decode_frame(f)[0] for f in b.receive(_order_frame(seq_b, cfg))] == [MSG_PAKE]
     out = b.receive(encode_frame(0x7F, b"junk"))
     assert not b.result.established
     assert "malformed" in b.result.failure
     assert [decode_frame(f)[0] for f in out] == [MSG_ABORT]
 
 
+def test_opening_type_0x01_is_malformed(cfg, code_params):
+    seq_b, _, _ = craft_codeword_pair(17, 0, cfg, code_params)
+    b = Session(seq_b, cfg, initiator=False)
+    out = b.receive(encode_frame(0x01))
+    assert b.result.failure == "malformed message: expected message type 2, got 1"
+    assert b.result.applied_order is None
+    assert out == [encode_frame(MSG_ABORT, b"malformed message")]
+
+
+def test_initiator_rejects_an_order(cfg, code_params):
+    seq_a, _, _ = craft_codeword_pair(17, 0, cfg, code_params)
+    a = Session(seq_a, cfg, initiator=True)
+    assert [decode_frame(f)[0] for f in a.start()] == [MSG_RELIABILITY_ORDER, MSG_PAKE]
+    out = a.receive(_order_frame(seq_a, cfg))
+    assert a.result.failure == "malformed message: expected message type 3, got 2"
+    assert out == [encode_frame(MSG_ABORT, b"malformed message")]
+
+
 def test_peer_abort_text_is_bounded(cfg, code_params):
     seq_b, _, _ = craft_codeword_pair(17, 0, cfg, code_params)
     b = Session(seq_b, cfg, initiator=False)
-    b.receive(encode_frame(MSG_AUTH_REQUEST))
+    b.receive(_order_frame(seq_b, cfg))
     control = bytes(i % 32 for i in range(60_000))
     assert b.receive(encode_frame(MSG_ABORT, control)) == []
     failure = b.result.failure

@@ -21,11 +21,9 @@ from gaitpair.errors import MalformedMessage
 from gaitpair.fingerprint import compute_fingerprint
 from gaitpair.protocol import (
     MSG_ABORT,
-    MSG_AUTH_REQUEST,
     MSG_CONFIRM,
     MSG_PAKE,
-    MSG_RELIABILITY_EXCHANGE,
-    NONCE_BITS,
+    MSG_RELIABILITY_ORDER,
     Session,
     decode_frame,
     decode_reliability_payload,
@@ -39,26 +37,24 @@ from helpers import craft_codeword_pair
 
 CFG = Config()
 # a gait sequence whose own reduced fingerprint decodes, so a session on it
-# reaches the PAKE whenever its own ordering wins
+# reaches the PAKE whenever its own ordering applies
 SEQ = craft_codeword_pair(21, 0, CFG, session_code_params(CFG))[0]
 
 
-def exchange_payload(order, nonce: int) -> bytes:
-    return encode_reliability_payload(np.asarray(order), nonce)
+def order_payload(order) -> bytes:
+    return encode_reliability_payload(np.asarray(order))
 
 
 OWN_ORDER = compute_fingerprint(SEQ, CFG.bits_per_cycle)[1]
 payloads = st.one_of(
     st.binary(max_size=64),
-    st.builds(exchange_payload,
-              st.one_of(st.just(OWN_ORDER), st.permutations(range(CFG.fingerprint_bits))),
-              st.integers(0, (1 << NONCE_BITS) - 1)),
+    st.builds(order_payload,
+              st.one_of(st.just(OWN_ORDER), st.permutations(range(CFG.fingerprint_bits)))),
     st.binary(min_size=16, max_size=16),
     st.binary(min_size=32, max_size=32),
 )
 msg_types = st.one_of(
-    st.sampled_from([MSG_AUTH_REQUEST, MSG_RELIABILITY_EXCHANGE, MSG_PAKE,
-                     MSG_CONFIRM, MSG_ABORT]),
+    st.sampled_from([MSG_RELIABILITY_ORDER, MSG_PAKE, MSG_CONFIRM, MSG_ABORT]),
     st.integers(0, 255))
 frames = st.one_of(st.builds(encode_frame, msg_types, payloads),
                    st.binary(max_size=300))
@@ -76,28 +72,26 @@ def test_decode_frame_returns_or_raises_malformed(data):
 @given(st.binary(max_size=300))
 def test_decode_reliability_payload_returns_or_raises_malformed(data):
     try:
-        order, nonce = decode_reliability_payload(data)
+        order = decode_reliability_payload(data)
     except MalformedMessage:
         return
     assert np.array_equal(np.sort(order), np.arange(order.shape[0]))
-    assert 0 <= nonce < (1 << NONCE_BITS)
+    assert encode_reliability_payload(order) == data
 
 
 def plausible_opening(initiator: bool) -> list[bytes]:
-    """Frames that take the session to its PAKE salt round: the auth request
-    (to a responder), an exchange with a smaller value, so the session's own
-    ordering wins and its key decodes, and a PAKE commitment."""
-    opening = [] if initiator else [encode_frame(MSG_AUTH_REQUEST)]
-    return opening + [
-        encode_frame(MSG_RELIABILITY_EXCHANGE, exchange_payload(OWN_ORDER, 0)),
-        encode_frame(MSG_PAKE, bytes(32))]
+    """Frames that take the session to its PAKE salt round: the session's own
+    ordering (to a responder), so its key decodes, and a PAKE commitment."""
+    opening = [] if initiator else [
+        encode_frame(MSG_RELIABILITY_ORDER, order_payload(OWN_ORDER))]
+    return opening + [encode_frame(MSG_PAKE, bytes(32))]
 
 
 @settings(deadline=None)
 @given(st.booleans(), st.integers(0, 3), st.lists(frames, max_size=8))
 def test_session_on_arbitrary_frames_never_raises_or_establishes(
         initiator, n_opening, inbound):
-    session = Session(SEQ, CFG, initiator=initiator, nonce_rng=np.random.default_rng(0))
+    session = Session(SEQ, CFG, initiator=initiator, salt_rng=np.random.default_rng(0))
     sent = session.start()
     for frame in plausible_opening(initiator)[:n_opening] + inbound:
         sent += session.receive(frame)
@@ -128,11 +122,9 @@ relay_ops = st.lists(st.tuples(
 @settings(deadline=None)
 @given(st.integers(0, len(PAIRS) - 1), st.integers(0, 7), relay_ops)
 def test_two_sessions_through_a_mangling_relay(pair, seed, ops):
-    rngs = [np.random.default_rng([seed, i]) for i in range(1, 5)]
-    ends = (Session(PAIRS[pair][0], CFG, initiator=True,
-                    nonce_rng=rngs[0], salt_rng=rngs[2]),
-            Session(PAIRS[pair][1], CFG, initiator=False,
-                    nonce_rng=rngs[1], salt_rng=rngs[3]))
+    rng = np.random.default_rng(seed)  # as run_pair_in_memory seeds both ends
+    ends = (Session(PAIRS[pair][0], CFG, initiator=True, salt_rng=rng),
+            Session(PAIRS[pair][1], CFG, initiator=False, salt_rng=rng))
     inbound = (deque(), deque())  # frames in flight to end 0 and to end 1
 
     def send(sender: int, frames: list[bytes]) -> None:

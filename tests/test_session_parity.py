@@ -70,41 +70,41 @@ CASES = {
 # name -> ((established, failure, secret sha) for A, same for B, frames sha)
 GOLDEN = {
     "crafted-0-flips": (
-        (True, None, "43074c54145c7cb0495c37d89ba9642eff63f85d8b657fd174e6b28b055febaa"),
-        (True, None, "43074c54145c7cb0495c37d89ba9642eff63f85d8b657fd174e6b28b055febaa"),
-        "0140bfb9452eaff7e604c07e8b790c045865511a88af50de7d94f9e4b020b50f"),
+        (True, None, "e07c597049470ee8765f9aa1f2dc397cf36440986ad021b6275a99da81c3b82f"),
+        (True, None, "e07c597049470ee8765f9aa1f2dc397cf36440986ad021b6275a99da81c3b82f"),
+        "12d1cd230160ac290071646e18aadb00ecf9a9804f12e6bded0beee5d6208b91"),
     "crafted-t+1-flips": (
         (False, "peer abort: decode failure", None),
         (False, "decode failure: fingerprint too far from the codespace", None),
-        "84e9a0693d1890911187e7e3c87fea5a8a755b79aee1927b2506b2485b3d96f6"),
+        "8db79a3a1a2ce88172fe5939f9f8380e14341a69a4ce298f9e86fa85c781ad04"),
     "crafted-t+1-flips-reversed": (
         (False, "decode failure: fingerprint too far from the codespace", None),
         (False, "peer abort: decode failure", None),
-        "499b6f0ff88c5397a62d290a20168ba86b0427374e8113c6e8d099427155ed8c"),
+        "203d366dc1a4bc0aceee80df5f5928c002f14d3437fcbe0d314ca326c1443d18"),
     "crafted-t-flips": (
-        (True, None, "e861179dec7169160a5c8277269fee04c5ffdd3dd75079eba34d4084f24d3d57"),
-        (True, None, "e861179dec7169160a5c8277269fee04c5ffdd3dd75079eba34d4084f24d3d57"),
-        "4cfef772c8133b196f7c93843b880d56350b2fb57c73347b4e1077d14e61f304"),
+        (True, None, "f80a130655a44d1651169ddcbc5ab796fcaf5d2da310f4881b2ea5974634de8f"),
+        (True, None, "f80a130655a44d1651169ddcbc5ab796fcaf5d2da310f4881b2ea5974634de8f"),
+        "69ac22e1c0292a19fe07995261edd5f0850b5b860de8dcfec6a215e5f45772b9"),
     "crafted-t-flips-reversed": (
-        (True, None, "b4f710a21bfafa53f6c3e58f208ee498e5a622af77d86c9d23b086affff3b77d"),
-        (True, None, "b4f710a21bfafa53f6c3e58f208ee498e5a622af77d86c9d23b086affff3b77d"),
-        "448f4964c1ae7a06f3db1b5a52b1bb85b4b079caa5d29157d7a4c347f01dda88"),
+        (True, None, "e97b64676cce001581bec49f7a665857c6cfbc0c51291de92e9fa90f44c51a79"),
+        (True, None, "e97b64676cce001581bec49f7a665857c6cfbc0c51291de92e9fa90f44c51a79"),
+        "4c7eead2532fa138af8e395b88afdfc71e2d335c66ea7d8cfda546d71a988169"),
     "gait-window": (
         (False, "decode failure: fingerprint too far from the codespace", None),
         (False, "decode failure: fingerprint too far from the codespace", None),
-        "99acf2c2725731f1a5590f07a5c1c9e5d2e259690dbab7917d30c378a1482ca7"),
+        "c33685b259c877ffa509a520b6809f6609cb37b81aa0646a19a53ba9c1b00797"),
     "independent-1-2": (
         (False, "decode failure: fingerprint too far from the codespace", None),
         (False, "decode failure: fingerprint too far from the codespace", None),
-        "c2dfa0e851b078707334cc7407fa55e517e569523b5861bc6b2eedc54d912de6"),
+        "70488c0ef1e061dbea137f3f623abee95fd475376766f9702d96bac18fdb243b"),
     "independent-4-3": (
         (False, "decode failure: fingerprint too far from the codespace", None),
         (False, "decode failure: fingerprint too far from the codespace", None),
-        "89ab7a2d0b518283f4808e35e134361635d929f38c4b9ec0ec94969900e4fcfc"),
+        "3c90bf603e0765dfff9a4b6c5d437634e0cb103b31bb97b9a98acd083b56a67f"),
     "mismatched-keys": (
         (False, "PakeFailure: commitment mismatch: passwords differ", None),
         (False, "PakeFailure: commitment mismatch: passwords differ", None),
-        "5d1c6b027bc3e8d142ace548c0897c1c31b3410270d60cfd8908108bf853773d"),
+        "515ba274bf1d9bc0ca8701bc6cacfe4f337d3d0cc46953288def589b33827f1d"),
 }
 
 

@@ -349,6 +349,25 @@ def test_validate_rejects_rate_mismatch():
         rec.validate()
 
 
+@pytest.mark.parametrize("jitter", [0.0, 0.004])
+def test_each_record_is_validated_once(monkeypatch, jitter):
+    calls = []
+    validate = ImuRecord.validate
+
+    def counting_validate(self):
+        calls.append(self.n_samples)
+        validate(self)
+
+    monkeypatch.setattr(ImuRecord, "validate", counting_validate)
+    rec = vertical_motion_record(np.sin(2 * np.pi * np.arange(400) / 50.0))
+    rec.t = rec.t + np.random.default_rng(4).uniform(-jitter, jitter, size=400)
+    assert rec.is_uniform() == (jitter == 0.0)
+    preprocess_record(rec)
+    assert calls == [400]
+    extract_vertical(rec)  # all of the coherence analysis's front end
+    assert calls == [400, 400]
+
+
 @pytest.mark.parametrize("n", [5, 20, 100])
 def test_preprocess_record_rejects_record_within_warmup(n):
     rec = static_record(np.array([1.0, 0, 0, 0]), duration_s=n / 50.0)
