@@ -144,6 +144,9 @@ def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
     if args.window < 0:
         raise ConfigError(f"--window must be >= 0, got {args.window}")
+    if args.insecure_session_seed is not None and args.insecure_session_seed < 0:
+        raise ConfigError(f"--insecure-session-seed must be >= 0, "
+                          f"got {args.insecure_session_seed}")
     params = session_code_params(cfg)  # a threshold or cutoff with no code fails here
     sig_a = _signal_from_json(Path(args.record_a))
     sig_b = _signal_from_json(Path(args.record_b))

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import secrets
-import zipfile
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -68,10 +67,11 @@ class Corpus:
 # -- CSV corpus -------------------------------------------------------------------
 
 def _read_recording_csv(base: Path, name: str) -> np.ndarray:
-    """The (n, 7) samples of one recording, parsed once per file content.
+    """The (7, n) component rows of one recording, one contiguous row per
+    column, parsed once per file content.
 
     The file is read once.  The SHA-256 of its bytes keys a binary copy of
-    the parse at ``.gaitpair-cache/<csv name>.npz`` beside the CSV, one entry
+    the rows at ``.gaitpair-cache/<csv name>.rows`` beside the CSV, one entry
     per CSV name; a missing, unreadable or stale entry means a fresh parse,
     which rewrites it.  Header and timestamp checks run on both paths, and a
     file that fails one is never cached.
@@ -93,9 +93,9 @@ def _read_recording_csv(base: Path, name: str) -> np.ndarray:
         raise SchemaMismatch(
             f"{path.name}: header {cols} != {CSV_COLUMNS}")
     digest = hashlib.sha256(raw).digest()
-    entry = path.parent / CACHE_DIR / f"{path.name}.npz"
-    data = _cached_parse(entry, digest)
-    parsed = data is None
+    entry = path.parent / CACHE_DIR / f"{path.name}.rows"
+    rows = _cached_parse(entry, digest)
+    parsed = rows is None
     if parsed:
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
@@ -105,11 +105,12 @@ def _read_recording_csv(base: Path, name: str) -> np.ndarray:
             data = np.empty((0, len(CSV_COLUMNS)))
         elif data.shape[1] != len(CSV_COLUMNS):
             raise SchemaMismatch(f"{path.name}: row width {data.shape[1]}")
-    if data.shape[0] >= 2 and (np.diff(data[:, 0] / 1000.0) <= 0).any():
+        rows = np.ascontiguousarray(data.T)
+    if rows.shape[1] >= 2 and (np.diff(rows[0] / 1000.0) <= 0).any():
         raise NonMonotoneTimestamps(f"{name}: timestamps not increasing")
     if parsed:
-        _store_parse(entry, digest, data)
-    return data
+        _store_parse(entry, digest, rows)
+    return rows
 
 
 def _parse_error(raw: bytes, exc: ValueError) -> str:
@@ -146,20 +147,29 @@ def _decode_error(raw: bytes, exc: UnicodeDecodeError) -> str:
 
 
 def _cached_parse(entry: Path, digest: bytes) -> np.ndarray | None:
-    """The cached samples of a CSV whose bytes hash to ``digest``, or None."""
+    """The cached rows of a CSV whose bytes hash to ``digest``, or None.
+
+    An entry is the digest followed by the rows in the ``.npy`` format,
+    version 1.0.  The header is checked against the file's size before the
+    rows are read, so a damaged one cannot ask for a large allocation.
+    """
     try:
-        with np.load(entry, allow_pickle=False) as npz:
-            if npz["sha256"].tobytes() != digest:
+        with open(entry, "rb") as fh:
+            if (fh.read(len(digest)) != digest
+                    or np.lib.format.read_magic(fh) != (1, 0)):
                 return None
-            data = npz["data"]
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if (dtype != np.float64 or fortran_order or len(shape) != 2
+                    or shape[0] != len(CSV_COLUMNS)
+                    or size != shape[0] * shape[1] * dtype.itemsize):
+                return None
+            return np.fromfile(fh, dtype=dtype).reshape(shape)
+    except (OSError, ValueError):
         return None
-    if data.dtype != np.float64 or data.ndim != 2 or data.shape[1] != len(CSV_COLUMNS):
-        return None
-    return data
 
 
-def _store_parse(entry: Path, digest: bytes, data: np.ndarray) -> None:
+def _store_parse(entry: Path, digest: bytes, rows: np.ndarray) -> None:
     """Write a cache entry atomically; skipped where it cannot be written.
 
     The entry is written under a unique temporary name that ``open`` creates,
@@ -173,7 +183,8 @@ def _store_parse(entry: Path, digest: bytes, data: np.ndarray) -> None:
         return
     try:
         with fh:
-            np.savez(fh, sha256=np.frombuffer(digest, dtype=np.uint8), data=data)
+            fh.write(digest)
+            np.lib.format.write_array(fh, rows, version=(1, 0), allow_pickle=False)
         os.replace(tmp, entry)
     except OSError:
         with contextlib.suppress(OSError):
@@ -207,7 +218,7 @@ def load_csv(path: str | Path) -> Corpus:
             raise SchemaMismatch(f"{manifest_path}: sample_rate_hz is {rate}")
         # one contiguous row per column, so acc and gyro hand the signal
         # chain contiguous component rows as their transposes
-        rows = np.ascontiguousarray(_read_recording_csv(base, str(entry["file"])).T)
+        rows = _read_recording_csv(base, str(entry["file"]))
         records.append(ImuRecord(
             sample_rate=rate,
             t=rows[0] / 1000.0,

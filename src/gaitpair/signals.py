@@ -7,9 +7,14 @@ along it, then a zero-phase Type-II Chebyshev bandpass to strip DC/drift below
 the step band and sensor noise above it.  There is no magnetometer, so heading
 stays unconstrained; only the vertical component is used.
 
-The rotations compose as a prefix product of quaternions held as complex
-pairs (``_gyro_frame``).  Quaternions, rates and accelerations pass through
-the chain as contiguous component rows, (4, n) or (3, n).  Both zero-phase
+The rotations compose as a blocked prefix product of quaternions held as
+complex pairs (``_gyro_frame``): doubling passes inside blocks of
+``_SCAN_BLOCK`` samples and over the block totals, then one pass that carries
+each block's predecessors into it.  Every product takes its operands in one
+fixed order (``_hamilton``), because numpy's complex multiply is not bitwise
+commutative and may swap the operands of an expression on its own.
+Quaternions, rates and accelerations pass through the chain as contiguous
+component rows, (4, n) or (3, n).  Both zero-phase
 filters run through ``_filtfilt``, which gives ``scipy.signal.sosfiltfilt``'s
 values with the filter's initial state solved once per design, in the cached
 design itself.
@@ -45,6 +50,10 @@ GRAVITY_CUTOFF_HZ = 0.3
 #: low-pass and the bandpass both warm up at the record's edges, which
 #: corrupts the leading samples.
 TRANSIENT_DISCARD_S = 2.0
+
+#: Samples per block of the gyro frame's blocked prefix product
+#: (``_gyro_frame``).
+_SCAN_BLOCK = 32
 
 
 # -- domain types ---------------------------------------------------------------
@@ -181,37 +190,88 @@ def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     ])
 
 
+def _hamilton(a0: np.ndarray, b0: np.ndarray, a1: np.ndarray, b1: np.ndarray,
+              out_a: np.ndarray, out_b: np.ndarray, s: np.ndarray, t: np.ndarray
+              ) -> None:
+    """Hamilton products (a0 + b0 j)(a1 + b1 j) of quaternions held as complex
+    pairs, written to out_a + out_b j; s and t are scratch of the result's
+    shape.  out_a and out_b may be a1 and b1 themselves, but may not
+    otherwise overlap an operand.
+
+    Since j c = conj(c) j for a complex c, the product is
+    (a0 a1 - b0 conj(b1)) + (a0 b1 + b0 conj(a1)) j, and every multiply takes
+    its operands in that order (``_gyro_frame`` says why).
+    """
+    np.multiply(b0, np.conjugate(b1, out=s), out=s)
+    np.multiply(b0, np.conjugate(a1, out=t), out=t)
+    np.add(np.multiply(a0, b1, out=out_b), t, out=out_b)
+    np.subtract(np.multiply(a0, a1, out=out_a), s, out=out_a)
+
+
+def _doubling_scan(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive prefix products down axis 0 of the quaternions a + b j, in
+    log2 of its length doubling passes (Hillis and Steele).  Each pass reads
+    one pair of buffers and writes the other, so no operand overlaps its
+    output; the result is in a new pair or in a, b themselves."""
+    a2, b2, s, t = (np.empty_like(a) for _ in range(4))
+    n, shift = a.shape[0], 1
+    while shift < n:
+        k = n - shift
+        _hamilton(a[:k], b[:k], a[shift:], b[shift:], a2[shift:], b2[shift:],
+                  s[:k], t[:k])
+        a2[:shift], b2[:shift] = a[:shift], b[:shift]
+        a, b, a2, b2 = a2, b2, a, b
+        shift *= 2
+    return a, b
+
+
 def _gyro_frame(rec: ImuRecord) -> np.ndarray:
     """Quaternion rows (4, n), scalar first, from each sample's device frame
     to the first one's.
 
     Sample i turns the device by the body-frame rate ``gyro[i]`` over
     ``t[i] - t[i-1]``; composing those turns in order is a prefix product,
-    done in log2 n doubling passes and normalised once at the end.  The rates
-    are read as three contiguous component rows.  Each quaternion
-    w + xi + yj + zk is held as a complex pair, a = w + xi and b = y + zi, so
-    that it reads a + bj.  Since j c = conj(c) j for a complex c, the
-    Hamilton product of a0 + b0 j and a1 + b1 j is
-    (a0 a1 - b0 conj(b1)) + (a0 b1 + b0 conj(a1)) j: four complex multiplies
-    per pass over whole arrays.
+    normalised once at the end.  The rates are read as three contiguous
+    component rows.  Each quaternion w + xi + yj + zk is held as a complex
+    pair, a = w + xi and b = y + zi, so that it reads a + bj and a product is
+    four complex multiplies over whole arrays (``_hamilton``).
+
+    The scan is blocked, the work-efficient layout of Blelloch (1990): the
+    turns, padded with the identity, are laid out as ``_SCAN_BLOCK`` rows
+    with one block per column, so each block's prefix products take
+    log2 ``_SCAN_BLOCK`` doubling passes down contiguous rows.  The block
+    totals are scanned the same way, and one last pass left-multiplies every
+    block by the product of the blocks before it: about
+    n (log2 ``_SCAN_BLOCK`` + 1) products, where doubling over the whole
+    record takes n log2 n.
+
+    Every product takes its operands in the order ``_hamilton`` writes out.
+    numpy's complex multiply is not bitwise commutative where it uses fused
+    multiply-adds, and it may evaluate ``b0 * b1.conj()`` as
+    ``conj(b1) * b0`` when it reuses a large temporary, so an expression
+    left to numpy rounds one way on short records and another on long ones.
     """
     n = rec.n_samples
-    a = np.empty(n, dtype=complex)
-    b = np.empty(n, dtype=complex)
-    a[0], b[0] = 1.0, 0.0
+    blocks = -(-n // _SCAN_BLOCK)
+    a = np.ones(blocks * _SCAN_BLOCK, dtype=complex)  # the identity, a = 1, b = 0
+    b = np.zeros(blocks * _SCAN_BLOCK, dtype=complex)
     dt = np.diff(rec.t)
     rate = np.ascontiguousarray(rec.gyro.T)[:, 1:]
     gx, gy, gz = rate
     angle = np.sqrt((gx * gx + gy * gy) + gz * gz) * dt
-    a.real[1:] = np.cos(0.5 * angle)
+    a.real[1:n] = np.cos(0.5 * angle)
     # axis * sin(angle / 2), written with sinc so a zero rate needs no division
-    a.imag[1:], b.real[1:], b.imag[1:] = 0.5 * dt * rate * np.sinc(angle / (2.0 * np.pi))
-    shift = 1
-    while shift < n:
-        a0, b0, a1, b1 = a[:-shift], b[:-shift], a[shift:], b[shift:]
-        a[shift:], b[shift:] = a0 * a1 - b0 * b1.conj(), a0 * b1 + b0 * a1.conj()
-        shift *= 2
-    q = np.stack([a.real, a.imag, b.real, b.imag])
+    a.imag[1:n], b.real[1:n], b.imag[1:n] = 0.5 * dt * rate * np.sinc(angle / (2.0 * np.pi))
+    a, b = _doubling_scan(np.ascontiguousarray(a.reshape(blocks, _SCAN_BLOCK).T),
+                          np.ascontiguousarray(b.reshape(blocks, _SCAN_BLOCK).T))
+    # copies: the scan may leave its result in its input, and the last row
+    # of each block is still needed below
+    ta, tb = _doubling_scan(a[-1].copy(), b[-1].copy())
+    s, t = np.empty_like(a[:, 1:]), np.empty_like(a[:, 1:])
+    _hamilton(ta[:-1], tb[:-1], a[:, 1:], b[:, 1:], a[:, 1:], b[:, 1:], s, t)
+    q = np.empty((4, blocks, _SCAN_BLOCK))
+    q[0], q[1], q[2], q[3] = a.real.T, a.imag.T, b.real.T, b.imag.T
+    q = q.reshape(4, -1)[:, :n]
     return q / np.linalg.norm(q, axis=0)
 
 

@@ -574,6 +574,14 @@ def test_pair_window_must_exist_on_both_records(preprocessed_dir, tmp_path, caps
     assert capsys.readouterr().err.startswith("insufficient data: SignalTooShort")
 
 
+def test_pair_rejects_a_negative_session_seed_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["pair", missing, missing, "--insecure-session-seed", "-1"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ConfigError: --insecure-session-seed")
+    assert "Traceback" not in err
+
+
 def test_coherence_on_mixed_sample_rates_exits_insufficient_data(tmp_path, capsys):
     save_csv(mixed_rate_corpus(), tmp_path / "mixed")
     rc = cli.main(["eval", str(tmp_path / "mixed"), "--analysis", "coherence",

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 
@@ -207,10 +208,33 @@ def cache_entries(corpus_dir):
     return sorted(p.name for p in (corpus_dir / CACHE_DIR).iterdir())
 
 
+def write_entry(entry, digest, rows):
+    """A cache entry as the loader lays it out: the CSV's SHA-256, then the
+    (7, n) rows in the .npy format."""
+    with open(entry, "wb") as fh:
+        fh.write(digest)
+        np.lib.format.write_array(fh, np.ascontiguousarray(rows))
+
+
+def read_entry(entry):
+    raw = entry.read_bytes()
+    return raw[:32], np.lib.format.read_array(io.BytesIO(raw[32:]))
+
+
 def test_warm_load_equals_cold_load(saved_corpus):
     cold = load_csv(saved_corpus)
-    assert cache_entries(saved_corpus) == [f"rec_{i:04d}.csv.npz" for i in range(3)]
+    assert cache_entries(saved_corpus) == [f"rec_{i:04d}.csv.rows" for i in range(3)]
     assert_same_records(load_csv(saved_corpus), cold)
+
+
+def test_entry_is_the_digest_then_the_component_rows(saved_corpus):
+    rec = load_csv(saved_corpus).records[1]
+    digest, rows = read_entry(saved_corpus / CACHE_DIR / "rec_0001.csv.rows")
+    assert digest == hashlib.sha256((saved_corpus / "rec_0001.csv").read_bytes()).digest()
+    assert rows.dtype == np.float64 and rows.shape == (7, rec.n_samples)
+    assert rows.flags.c_contiguous
+    assert np.array_equal(rows[0] / 1000.0, rec.t)
+    assert np.array_equal(rows[1:4], rec.acc.T) and np.array_equal(rows[4:7], rec.gyro.T)
 
 
 def test_warm_load_does_not_parse(saved_corpus, loadtxt_calls):
@@ -237,7 +261,7 @@ def test_edit_with_size_and_mtime_restored_is_reparsed(saved_corpus, loadtxt_cal
     after = load_csv(saved_corpus).records[0]
     assert len(loadtxt_calls) == calls + 1
     assert after.acc[0, 0] == float(cells[1]) != before.acc[0, 0]
-    assert cache_entries(saved_corpus) == [f"rec_{i:04d}.csv.npz" for i in range(3)]
+    assert cache_entries(saved_corpus) == [f"rec_{i:04d}.csv.rows" for i in range(3)]
     assert load_csv(saved_corpus).records[0].acc[0, 0] == after.acc[0, 0]
     assert len(loadtxt_calls) == calls + 1
 
@@ -245,15 +269,14 @@ def test_edit_with_size_and_mtime_restored_is_reparsed(saved_corpus, loadtxt_cal
 @pytest.mark.parametrize("damage", ["truncate", "garbage", "wrong-digest"])
 def test_damaged_entry_falls_back_and_is_rewritten(saved_corpus, loadtxt_calls, damage):
     cold = load_csv(saved_corpus)
-    entry = saved_corpus / CACHE_DIR / "rec_0001.csv.npz"
+    entry = saved_corpus / CACHE_DIR / "rec_0001.csv.rows"
     if damage == "truncate":
         entry.write_bytes(entry.read_bytes()[:1000])
     elif damage == "garbage":
         entry.write_bytes(b"not a cache entry")
     else:
-        with np.load(entry) as npz:
-            data = npz["data"]
-        np.savez(entry, sha256=np.zeros(32, dtype=np.uint8), data=data + 1.0)
+        _, rows = read_entry(entry)
+        write_entry(entry, bytes(32), rows + 1.0)
 
     calls = len(loadtxt_calls)
     assert_same_records(load_csv(saved_corpus), cold)
@@ -343,18 +366,47 @@ def test_malformed_manifest_is_a_schema_error_naming_it(tmp_path, manifest):
         load_csv(tmp_path)
 
 
-def test_cache_hit_still_checks_timestamps(tmp_path):
+def test_cache_hit_still_checks_timestamps(tmp_path, loadtxt_calls):
     write_one_recording(tmp_path, ",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS))
     load_csv(tmp_path)
     rows = GOOD_ROWS[::-1]
     text = ",".join(CSV_COLUMNS) + "\n" + "\n".join(rows)
     write_one_recording(tmp_path, text)
     # an entry for exactly these bytes, as if the check had once been skipped
-    np.savez(tmp_path / CACHE_DIR / "rec.csv.npz",
-             sha256=np.frombuffer(hashlib.sha256(text.encode()).digest(), dtype=np.uint8),
-             data=np.array([[float(v) for v in r.split(",")] for r in rows]))
+    write_entry(tmp_path / CACHE_DIR / "rec.csv.rows", hashlib.sha256(text.encode()).digest(),
+                np.array([[float(v) for v in r.split(",")] for r in rows]).T)
     with pytest.raises(NonMonotoneTimestamps):
         load_csv(tmp_path)
+    assert len(loadtxt_calls) == 1  # the entry was a hit: the reversed rows were never parsed
+
+
+def test_stale_npz_entry_beside_a_fresh_corpus_is_not_read(saved_corpus, loadtxt_calls,
+                                                           monkeypatch):
+    # entries in the earlier .npz layout, keyed by the right digests but
+    # holding other samples
+    (saved_corpus / CACHE_DIR).mkdir()
+    for i in range(3):
+        csv = saved_corpus / f"rec_{i:04d}.csv"
+        np.savez(saved_corpus / CACHE_DIR / f"{csv.name}.npz",
+                 sha256=np.frombuffer(hashlib.sha256(csv.read_bytes()).digest(),
+                                      dtype=np.uint8),
+                 data=np.zeros((5, len(CSV_COLUMNS))))
+    stale = {p.name: p.read_bytes() for p in (saved_corpus / CACHE_DIR).iterdir()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a .npz entry was opened")
+
+    monkeypatch.setattr(np, "load", refuse)
+    loaded = load_csv(saved_corpus)
+    assert len(loadtxt_calls) == 3
+    assert {p.name: p.read_bytes() for p in (saved_corpus / CACHE_DIR).iterdir()
+            if p.suffix == ".npz"} == stale
+    assert cache_entries(saved_corpus) == sorted(
+        list(stale) + [f"rec_{i:04d}.csv.rows" for i in range(3)])
+    for entry in (saved_corpus / CACHE_DIR).iterdir():
+        entry.unlink()
+    assert_same_records(loaded, load_csv(saved_corpus))
+    assert len(loadtxt_calls) == 6
 
 
 def test_cold_and_warm_eval_reports_are_byte_identical(tmp_path, capsys, loadtxt_calls):

@@ -20,7 +20,7 @@ from gaitpair import cli
 GOLDEN = {
     "coherence": {
         "coherence.json":
-            "bfddfa308ba4e037f927d2576c831e502113a9398040c075f419ac767cb00837",
+            "3f4cd88eb32e4fafc56d0d7f570930a6782875bc764cf8c35cb75377ca0cd73c",
     },
     "discriminability": {
         "discriminability.json":

@@ -191,6 +191,34 @@ def test_gyro_frame_matches_sequential_product_through_zero_rate_runs():
     assert np.max(np.abs(got - _sequential_frame(rec))) < 1e-12
 
 
+def _random_rate_record(n: int, seed: int = 5) -> ImuRecord:
+    rng = np.random.default_rng(seed)
+    return ImuRecord(sample_rate=50.0, t=np.arange(n) / 50.0,
+                     acc=rng.normal(size=(n, 3)), gyro=rng.normal(scale=3.0, size=(n, 3)))
+
+
+def _head(rec: ImuRecord, n: int) -> ImuRecord:
+    return ImuRecord(rec.sample_rate, rec.t[:n], rec.acc[:n], rec.gyro[:n])
+
+
+@pytest.mark.parametrize("kind", ["random-rate", "swinging"])
+def test_gyro_frame_matches_sequential_product_at_block_boundaries(kind):
+    # records that end just before, on and after a block or a power of two;
+    # the frame of a record's first n samples is the first n of its frame
+    block = signals._SCAN_BLOCK
+    longest = 2 ** 15 + 1
+    if kind == "random-rate":
+        rec = _random_rate_record(longest)
+    else:
+        rec = _head(swinging_record(seed=3, n_cycles=330, turn_rate=1.0)[0], longest)
+    want = _sequential_frame(rec)
+    for n in (2, 3, block - 1, block, block + 1, 2 * block, 2 * block + 1, 16_385,
+              longest):
+        got = _gyro_frame(_head(rec, n))
+        assert got.shape == (4, n)
+        assert np.max(np.abs(got - want[:, :n])) < 1e-12, n
+
+
 def test_swinging_device_needs_the_gyro():
     # Without the gyro the frame turns with the device, and the projection
     # reads about (g + motion) cos(theta): an error at the step rate whose
