@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -194,9 +195,25 @@ def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
 
 # -- eval ------------------------------------------------------------------------------
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, report) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(_json_value(report), fh, indent=2)
+
+
+def _json_value(value):
+    """A report as JSON values: a dataclass's fields in order, arrays as
+    lists, nested reports, dicts and lists walked.  The ``repr=False``
+    fields, the raw pair lists that go to CSV, are left out."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name))
+                for f in dataclasses.fields(value) if f.repr}
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_value(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
 def _write_pairs_csv(path: Path, pairs) -> None:
@@ -227,19 +244,19 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     corpus = _load_corpus(args.corpus)
     if args.analysis == "coherence":
         rep = eval_harness.coherence_analysis(corpus, cfg)
-        _write_json(out_dir / "coherence.json", rep.to_dict())
+        _write_json(out_dir / "coherence.json", rep)
         summary = {"n_same_pairs": rep.n_same_pairs,
                    "n_diff_pairs": rep.n_diff_pairs,
                    "low_band_elevated": rep.low_band_elevated}
     elif args.analysis == "reliability":
         rep = eval_harness.reliability_sweep(corpus, cfg=cfg)
-        _write_json(out_dir / "reliability.json", rep.to_dict())
+        _write_json(out_dir / "reliability.json", rep)
         for entry in rep.entries:
             _write_pairs_csv(out_dir / f"reliability_M{entry.M}.csv", entry.pairs)
         summary = {f"mean_M{e.M}": e.summary.mean for e in rep.entries}
     elif args.analysis == "discriminability":
         rep = eval_harness.discriminability(corpus, cfg=cfg)
-        _write_json(out_dir / "discriminability.json", rep.to_dict())
+        _write_json(out_dir / "discriminability.json", rep)
         _write_pairs_csv(out_dir / "discriminability_intra.csv", rep.intra_pairs)
         _write_pairs_csv(out_dir / "discriminability_inter.csv", rep.inter_pairs)
         summary = {"intra_mean": rep.intra.mean,
@@ -247,12 +264,12 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
                    "collision_rate": rep.collision_rate_above_threshold}
     elif args.analysis == "positions":
         rep = eval_harness.position_table(corpus, cfg=cfg)
-        _write_json(out_dir / "positions.json", rep.to_dict())
+        _write_json(out_dir / "positions.json", rep)
         summary = {"positions": ";".join(rep.positions)}
     elif args.analysis == "randomness":
         keys = eval_harness.fingerprint_keys(corpus, cfg)
         rep = eval_harness.randomness_suite(keys)
-        _write_json(out_dir / "randomness.json", rep.to_dict())
+        _write_json(out_dir / "randomness.json", rep)
         summary = {"passed": rep.passed, **rep.p_values}
     print(json.dumps(summary, indent=2))
     return EXIT_OK

@@ -174,6 +174,8 @@ def _store_parse(entry: Path, digest: bytes, rows: np.ndarray) -> None:
 
     The entry is written under a unique temporary name that ``open`` creates,
     so its mode follows the umask and other users of the corpus can read it.
+    Once it is in place, an entry of the earlier ``<csv name>.npz`` layout
+    beside it is removed, unread.
     """
     tmp = entry.with_name(f"{entry.name}.{secrets.token_hex(8)}.tmp")
     try:
@@ -189,6 +191,9 @@ def _store_parse(entry: Path, digest: bytes, rows: np.ndarray) -> None:
     except OSError:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        return
+    with contextlib.suppress(OSError):  # the entry in the earlier .npz layout
+        os.unlink(entry.with_suffix(".npz"))
 
 
 def load_csv(path: str | Path) -> Corpus:
@@ -427,7 +432,6 @@ def generate_synthetic(spec: SyntheticGaitSpec) -> Corpus:
 class Window:
     """A run of consecutive gait cycles; only same-index windows are compared."""
 
-    index: int
     start_cycle: int
     sequence: GaitSequence
 
@@ -435,49 +439,19 @@ class Window:
 def sliding_windows(sig: VerticalSignal, window_cycles: int,
                     overlap: float = 0.5, rho: int = 40,
                     detection: CycleDetection | None = None) -> list[Window]:
-    """Cut a processed signal into half-overlapping runs of full gait cycles.
+    """Cut a processed signal into runs of ``window_cycles`` full gait cycles,
+    consecutive runs sharing ``overlap`` of their cycles.
 
     Windows are aligned to detected half-cycle boundaries, so every window
     covers an integer number of half cycles.  The record's cycles are
-    resampled once; see ``cut_windows``.
+    resampled once, and each window's cycles are one read-only row of the
+    view that ``GaitSequence.windows`` returns.
     """
-    _check_window(window_cycles, overlap)
     det = detection if detection is not None else detect_cycles(sig)
     total_cycles = (det.minima_indices.shape[0] - 1) // 2
     if total_cycles < window_cycles:
         raise SignalTooShort(
             f"{total_cycles} cycles available, window needs {window_cycles}")
-    return cut_windows(split_and_normalize(sig, det, rho), window_cycles, overlap)
-
-
-def cut_windows(seq: GaitSequence, window_cycles: int,
-                overlap: float = 0.5) -> list[Window]:
-    """Runs of ``window_cycles`` consecutive cycles of a resampled record.
-
-    Each window's cycles are a read-only slice of ``seq.cycles``, so cycle i
-    of the window starting at cycle s is the record's cycle s + i.  A record
-    shorter than one window gives no windows.
-    """
-    windows = []
-    for index, start in enumerate(window_starts(seq.q, window_cycles, overlap)):
-        cycles = seq.cycles[start:start + window_cycles]
-        cycles.setflags(write=False)
-        windows.append(Window(index=index, start_cycle=start,
-                              sequence=GaitSequence(cycles=cycles, rho=seq.rho)))
-    return windows
-
-
-def window_starts(q: int, window_cycles: int, overlap: float = 0.5) -> range:
-    """First cycle of each window of ``window_cycles`` cycles in a record of q,
-    consecutive windows sharing ``overlap`` of their cycles; empty when the
-    record is shorter than one window."""
-    _check_window(window_cycles, overlap)
-    step = max(1, int(round(window_cycles * (1.0 - overlap))))
-    return range(0, q - window_cycles + 1, step)
-
-
-def _check_window(window_cycles: int, overlap: float) -> None:
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError(f"overlap must be in [0, 1), got {overlap}")
-    if window_cycles < 1:
-        raise ValueError("window_cycles must be >= 1")
+    starts, view = split_and_normalize(sig, det, rho).windows(window_cycles, overlap)
+    return [Window(start_cycle=start, sequence=GaitSequence(cycles=cycles, rho=rho))
+            for start, cycles in zip(starts, view)]

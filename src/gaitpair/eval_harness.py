@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal as sps
@@ -35,6 +35,9 @@ SECONDS_PER_DAY = 86400
 
 
 # -- report containers ----------------------------------------------------------------
+
+# The CLI writes each report's fields to JSON in declaration order; the
+# ``repr=False`` fields are the raw pair lists, which go to CSV instead.
 
 @dataclass
 class DistributionSummary:
@@ -82,18 +85,10 @@ class SimilarityReport:
     inter: dict[str, DistributionSummary]
     collision_rate_above_threshold: float
     threshold: float
+    n_intra: int
+    n_inter: int
     intra_pairs: list[PairSimilarity] = field(repr=False, default_factory=list)
     inter_pairs: list[PairSimilarity] = field(repr=False, default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "intra": asdict(self.intra),
-            "inter": {k: asdict(v) for k, v in self.inter.items()},
-            "collision_rate_above_threshold": self.collision_rate_above_threshold,
-            "threshold": self.threshold,
-            "n_intra": len(self.intra_pairs),
-            "n_inter": len(self.inter_pairs),
-        }
 
 
 @dataclass
@@ -112,15 +107,6 @@ class SweepReport:
     def mean_by_extra(self) -> dict[int, float]:
         return {e.extra_bits: e.summary.mean for e in self.entries}
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "entries": [
-                {"M": e.M, "extra_bits": e.extra_bits, "summary": asdict(e.summary)}
-                for e in self.entries
-            ],
-        }
-
 
 @dataclass
 class CoherenceReport:
@@ -132,30 +118,12 @@ class CoherenceReport:
     low_band_hz: float
     low_band_elevated: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "freqs": self.freqs.tolist(),
-            "mean_same_subject": self.mean_same_subject.tolist(),
-            "mean_different_subject": self.mean_different_subject.tolist(),
-            "n_same_pairs": self.n_same_pairs,
-            "n_diff_pairs": self.n_diff_pairs,
-            "low_band_hz": self.low_band_hz,
-            "low_band_elevated": self.low_band_elevated,
-        }
-
 
 @dataclass
 class PositionTable:
     positions: list[str]
     matrix: np.ndarray
     n_values: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "positions": self.positions,
-            "matrix": self.matrix.tolist(),
-            "n_values": self.n_values.tolist(),
-        }
 
 
 @dataclass
@@ -166,16 +134,6 @@ class RandomnessReport:
     details: dict[str, float]
     passed: bool
     failures: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_bits": self.n_bits,
-            "alpha": self.alpha,
-            "p_values": self.p_values,
-            "details": self.details,
-            "passed": self.passed,
-            "failures": self.failures,
-        }
 
 
 # -- pipeline helpers --------------------------------------------------------------------
@@ -376,6 +334,8 @@ def discriminability(corpus: Corpus, cfg: Config | None = None) -> SimilarityRep
                for pos, vals in sorted(inter_by_pos.items())},
         collision_rate_above_threshold=collision,
         threshold=cfg.threshold,
+        n_intra=len(intra),
+        n_inter=len(inter),
         intra_pairs=intra,
         inter_pairs=inter,
     )

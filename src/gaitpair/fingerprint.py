@@ -6,7 +6,8 @@ says how far the cycle sat from the average, i.e. how likely a second device
 on the same body is to have extracted the same bit.
 
 ``compute_fingerprint`` takes one window; ``window_fingerprints`` takes every
-window of a record at once, as rows.  Both run on the same arithmetic core.
+window of a record at once, as the rows of ``GaitSequence.windows``.  Both run
+on the same arithmetic core.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset_io import window_starts
 from .errors import CutoffTooLarge, IndivisibleSegments, LengthMismatch, TooFewCycles
 from .gait import GaitSequence
 
@@ -125,18 +125,12 @@ def window_fingerprints(seq: GaitSequence, window_cycles: int, b: int
     """Bits, deltas and own reliability orders of every half-overlapping
     window of a record, as (W, M) rows with M = window_cycles * b.
 
-    Row w is what ``compute_fingerprint`` gives for the w-th window of
-    ``dataset_io.cut_windows(seq, window_cycles)``, value for value: the
-    windows are one strided (W, window_cycles, rho) view of ``seq.cycles``,
-    and each row goes through the same mean, segment sums and stable sort.
-    A record shorter than one window gives W = 0.
+    Row w is what ``compute_fingerprint`` gives for row w of the view that
+    ``seq.windows(window_cycles)`` returns, value for value: each row goes
+    through the same mean, segment sums and stable sort.  A record shorter
+    than one window gives W = 0.
     """
-    q, rho = seq.cycles.shape
-    starts = window_starts(q, window_cycles)
-    stride_q, stride_rho = seq.cycles.strides
-    windows = np.lib.stride_tricks.as_strided(
-        seq.cycles, shape=(len(starts), window_cycles, rho),
-        strides=(starts.step * stride_q, stride_q, stride_rho), writeable=False)
+    _, windows = seq.windows(window_cycles)
     bits, deltas = _quantize(windows, _mean_cycle(windows), b)
     return bits, deltas, _order(deltas)
 

@@ -57,10 +57,6 @@ class CodeParams:
     m: int
     generator: int
 
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
-
 
 @dataclass
 class FuzzyKey:
@@ -355,15 +351,6 @@ class _Decoder:
 @lru_cache(maxsize=None)
 def _decoder(params: CodeParams) -> _Decoder:
     return _Decoder(params)
-
-
-def _syndromes(bits: np.ndarray, params: CodeParams) -> np.ndarray:
-    """Odd syndromes S_1, S_3, .., S_2t-1 of r; all-zero iff r is a codeword.
-
-    The even ones follow as S_2i = S_i^2, so they vanish with the odd ones.
-    """
-    packed = _decoder(params).syndromes(bits)
-    return np.frombuffer(packed.to_bytes(params.t, "little"), dtype=np.uint8)
 
 
 def decode(bits: np.ndarray, params: CodeParams) -> FuzzyKey:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy import fft as sp_fft
 from scipy import signal as sps
 
@@ -56,6 +56,28 @@ class GaitSequence:
     @property
     def q(self) -> int:
         return int(self.cycles.shape[0])
+
+    def windows(self, window_cycles: int, overlap: float = 0.5
+                ) -> tuple[range, np.ndarray]:
+        """Runs of ``window_cycles`` consecutive cycles, consecutive runs
+        sharing ``overlap`` of their cycles.
+
+        Returns the first cycle of each run and the runs as one read-only
+        (W, window_cycles, rho) strided view of ``cycles``, so cycle i of the
+        run starting at cycle s is cycle s + i.  A sequence shorter than one
+        run gives W = 0.
+        """
+        if not 0.0 <= overlap < 1.0:
+            raise ValueError(f"overlap must be in [0, 1), got {overlap}")
+        if window_cycles < 1:
+            raise ValueError("window_cycles must be >= 1")
+        step = max(1, int(round(window_cycles * (1.0 - overlap))))
+        starts = range(0, self.q - window_cycles + 1, step)
+        stride_q, stride_rho = self.cycles.strides
+        view = as_strided(self.cycles,
+                          shape=(len(starts), window_cycles, self.cycles.shape[1]),
+                          strides=(step * stride_q, stride_q, stride_rho), writeable=False)
+        return starts, view
 
 
 def autocorrelate(sig: VerticalSignal) -> np.ndarray:

@@ -21,7 +21,6 @@ import hashlib
 import hmac
 import secrets
 import struct
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,27 +90,7 @@ def decode_reliability_payload(payload: bytes) -> np.ndarray:
     return order
 
 
-# -- transcript / key confirmation ----------------------------------------------------
-
-class Transcript:
-    """Canonical, role-labeled record of the frames both sides agree on."""
-
-    def __init__(self) -> None:
-        self._items: list[tuple[str, bytes]] = []
-
-    def add(self, label: str, frame: bytes) -> None:
-        self._items.append((label, frame))
-
-    def digest(self) -> bytes:
-        h = hashlib.sha256()
-        for label, frame in self._items:
-            tag = label.encode()
-            h.update(struct.pack(">H", len(tag)))
-            h.update(tag)
-            h.update(struct.pack(">I", len(frame)))
-            h.update(frame)
-        return h.digest()
-
+# -- key confirmation ------------------------------------------------------------------
 
 def confirm_key(secret: bytes, transcript: bytes, role: str = "") -> bytes:
     """256-bit confirmation MAC over the transcript under a key derived from s."""
@@ -175,7 +154,6 @@ class SessionResult:
     key: FuzzyKey | None = None
     applied_order: np.ndarray | None = field(default=None, repr=False)
     corrected_errors: int | None = None
-    elapsed_s: float = 0.0
 
 
 def session_code_params(cfg: Config) -> CodeParams:
@@ -201,21 +179,18 @@ class Session:
 
     def __init__(self, local_gait: GaitSequence, cfg: Config, *, initiator: bool,
                  salt_rng: np.random.Generator | None = None):
-        self._t_start = time.monotonic()
         self._cfg = cfg
         self._params = session_code_params(cfg)
         self._fp, self._local_order = compute_fingerprint(local_gait, cfg.bits_per_cycle)
         m = self._fp.bits.size
         if m > 256:
             raise ConfigError(f"M={m} exceeds the wire encoding limit of 256")
-        if m < cfg.cutoff or cfg.cutoff < self._params.n:
-            raise ConfigError(
-                f"need M >= cutoff >= n, got M={m}, cutoff={cfg.cutoff}, "
-                f"n={self._params.n}")
+        if m < cfg.cutoff:  # the code, chosen for the cutoff, has n <= cutoff
+            raise ConfigError(f"need M >= cutoff, got M={m}, cutoff={cfg.cutoff}")
         self._initiator = initiator
         self._role = "A" if initiator else "B"
         self._salt_rng = salt_rng
-        self._transcript = Transcript()
+        self._transcript = hashlib.sha256()  # fed each entry as it is added
         # an initiator expects nothing but an Abort until it has started
         self._expect(None if initiator else MSG_RELIABILITY_ORDER, self._on_order)
         self._applied: np.ndarray | None = None
@@ -251,8 +226,7 @@ class Session:
 
     def _end(self, failure: str, abort: str | None = None) -> list[bytes]:
         self.result = SessionResult(established=False, failure=failure,
-                                    applied_order=self._applied_order(),
-                                    elapsed_s=time.monotonic() - self._t_start)
+                                    applied_order=self._applied_order())
         return [] if abort is None else [encode_frame(MSG_ABORT, abort.encode())]
 
     def _applied_order(self) -> np.ndarray | None:
@@ -262,11 +236,18 @@ class Session:
     def _expect(self, msg_type: int | None, handler) -> None:
         self._expected, self._handler = msg_type, handler
 
+    def _add(self, label: str, value: bytes) -> None:
+        """Feed one entry, len16(label) || label || len32(value) || value, to
+        the transcript digest."""
+        tag = label.encode()
+        self._transcript.update(struct.pack(">H", len(tag)) + tag
+                                + struct.pack(">I", len(value)) + value)
+
     def _add_both(self, label: str, mine: bytes, peers: bytes) -> None:
         """Add a pair of values to the transcript, initiator's first."""
         a, b = (mine, peers) if self._initiator else (peers, mine)
-        self._transcript.add(f"{label}-A", a)
-        self._transcript.add(f"{label}-B", b)
+        self._add(f"{label}-A", a)
+        self._add(f"{label}-B", b)
 
     # -- states, one per expected frame --
 
@@ -280,7 +261,7 @@ class Session:
 
     def _apply(self, frame: bytes, order: np.ndarray) -> list[bytes]:
         """Reduce the local fingerprint by the initiator's order and decode."""
-        self._transcript.add("order", frame)
+        self._add("order", frame)
         self._applied = order
         reduced = reduce(self._fp, order, self._cfg.cutoff)
         try:
@@ -316,7 +297,6 @@ class Session:
             key=self._key,
             applied_order=self._applied_order(),
             corrected_errors=self._key.corrected_errors,
-            elapsed_s=time.monotonic() - self._t_start,
         )
         return []
 

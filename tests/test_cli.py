@@ -582,6 +582,15 @@ def test_pair_rejects_a_negative_session_seed_before_reading(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_pair_over_the_wire_limit_names_it(long_signal, capsys):
+    # 65 cycles of b = 4 bits: a window exists, but its order cannot go on the wire
+    rc = cli.main(["pair", str(long_signal), str(long_signal), "--fingerprint-bits", "260"])
+    err = capsys.readouterr().err
+    assert rc == 64, err
+    assert err.startswith("config error: ConfigError: M=260 exceeds the wire encoding "
+                          "limit of 256"), err
+
+
 def test_coherence_on_mixed_sample_rates_exits_insufficient_data(tmp_path, capsys):
     save_csv(mixed_rate_corpus(), tmp_path / "mixed")
     rc = cli.main(["eval", str(tmp_path / "mixed"), "--analysis", "coherence",

@@ -227,9 +227,15 @@ def uneven_corpus():
                            for r in corpus.records])
 
 
+def half_overlapping_windows(seq, w):
+    """Reference cut: each window's cycles as a plain slice of the record's,
+    starting every w // 2 cycles, built apart from ``GaitSequence.windows``."""
+    return [GaitSequence(cycles=seq.cycles[s:s + w], rho=seq.rho)
+            for s in range(0, seq.q - w + 1, w // 2)]
+
+
 @pytest.mark.parametrize("window_cycles", [32, 36, 40, 44, 48, 64])
 def test_batched_pass_equals_per_window_fingerprints(uneven_corpus, cfg, window_cycles):
-    from gaitpair.dataset_io import cut_windows
     from gaitpair.eval_harness import _fingerprints, _inter_keys, _intra_keys, \
         _preprocess_corpus, _window_pairs
     from gaitpair.fingerprint import compute_fingerprint, window_fingerprints
@@ -239,11 +245,10 @@ def test_batched_pass_equals_per_window_fingerprints(uneven_corpus, cfg, window_
     counts = set()
     for key, seq in processed.items():
         bits, deltas, orders = window_fingerprints(seq, window_cycles, cfg.bits_per_cycle)
-        wins = cut_windows(seq, window_cycles)
+        wins = half_overlapping_windows(seq, window_cycles)
         assert bits.shape == deltas.shape == orders.shape \
             == (len(wins), window_cycles * cfg.bits_per_cycle)
-        per_window[key] = [compute_fingerprint(w.sequence, cfg.bits_per_cycle)
-                           for w in wins]
+        per_window[key] = [compute_fingerprint(w, cfg.bits_per_cycle) for w in wins]
         for row, (fp, order) in enumerate(per_window[key]):
             assert np.array_equal(bits[row], fp.bits), (key, row)
             assert np.array_equal(deltas[row], fp.deltas), (key, row)
@@ -264,14 +269,13 @@ def test_batched_pass_equals_per_window_fingerprints(uneven_corpus, cfg, window_
 
 
 def test_fingerprint_keys_equal_per_window_reduction(uneven_corpus, cfg):
-    from gaitpair.dataset_io import cut_windows
     from gaitpair.eval_harness import _preprocess_corpus, fingerprint_keys
     from gaitpair.fingerprint import compute_fingerprint
 
     want = []
     for seq in _preprocess_corpus(uneven_corpus, cfg).values():
-        for w in cut_windows(seq, cfg.cycles_per_fingerprint):
-            fp, order = compute_fingerprint(w.sequence, cfg.bits_per_cycle)
+        for w in half_overlapping_windows(seq, cfg.cycles_per_fingerprint):
+            fp, order = compute_fingerprint(w, cfg.bits_per_cycle)
             want.append(reduce(fp, order, cfg.cutoff).bits)
     got = fingerprint_keys(uneven_corpus, cfg)
     assert len(got) == len(want) > 0
@@ -294,7 +298,6 @@ def test_sweep_grid_and_direction(small_corpus, cfg):
 def test_sweep_baseline_is_pure_truncation(small_corpus, cfg):
     # with M == N the reduction permutes all bits on both sides: similarity
     # equals the raw fingerprint agreement
-    from gaitpair.dataset_io import cut_windows
     from gaitpair.eval_harness import _preprocess_corpus
 
     rep = reliability_sweep(small_corpus, extra_bits=(0,), cfg=cfg)
@@ -302,8 +305,8 @@ def test_sweep_baseline_is_pure_truncation(small_corpus, cfg):
     pair = rep.entries[0].pairs[0]
 
     def fingerprint(subject, position):
-        seq = cut_windows(processed[subject, position, "r0"], 128 // cfg.bits_per_cycle,
-                          overlap=0.5)[pair.window].sequence
+        seq = half_overlapping_windows(processed[subject, position, "r0"],
+                                       128 // cfg.bits_per_cycle)[pair.window]
         return quantize(seq, average_cycle(seq), cfg.bits_per_cycle)
 
     fa = fingerprint(pair.subject_a, pair.position_a)

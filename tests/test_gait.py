@@ -10,6 +10,7 @@ from gaitpair.errors import (CycleTooShort, NoPeriodicity, SignalTooShort, TooFe
 from gaitpair.gait import (
     MIN_PROMINENCE,
     CycleDetection,
+    GaitSequence,
     autocorrelate,
     cycles_from_bounds,
     detect_cycles,
@@ -345,3 +346,29 @@ def test_energy_preserved_by_resampling():
         rms_raw = np.sqrt(np.mean(raw ** 2))
         rms_new = np.sqrt(np.mean(seq.cycles[i] ** 2))
         assert abs(rms_new - rms_raw) <= 0.1 * rms_raw
+
+
+# -- windows ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("window_cycles,overlap", [(0, 0.5), (-1, 0.5), (4, 1.0), (4, -0.1)])
+def test_windows_reject_a_bad_shape(window_cycles, overlap):
+    seq = GaitSequence(cycles=np.zeros((10, 8)), rho=8)
+    with pytest.raises(ValueError):
+        seq.windows(window_cycles, overlap)
+
+
+def test_sequence_shorter_than_a_window_has_none():
+    starts, view = GaitSequence(cycles=np.zeros((5, 8)), rho=8).windows(6)
+    assert starts == range(0)
+    assert view.shape == (0, 6, 8)
+
+
+@pytest.mark.parametrize("overlap,step", [(0.0, 4), (0.5, 2), (0.9, 1)])
+def test_windows_are_read_only_runs_of_the_cycles(overlap, step):
+    cycles = np.arange(11 * 8, dtype=float).reshape(11, 8)
+    starts, view = GaitSequence(cycles=cycles, rho=8).windows(4, overlap)
+    assert starts == range(0, 8, step)
+    assert view.shape == (len(starts), 4, 8)
+    for start, window in zip(starts, view):
+        assert np.array_equal(window, cycles[start:start + 4])
+    assert not view.flags.writeable

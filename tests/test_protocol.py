@@ -8,7 +8,7 @@ import pytest
 
 from gaitpair import protocol
 from gaitpair.config import Config
-from gaitpair.errors import ConfirmMismatch, MalformedMessage, PakeFailure
+from gaitpair.errors import ConfigError, ConfirmMismatch, MalformedMessage, PakeFailure
 from gaitpair.fingerprint import compute_fingerprint
 from gaitpair.protocol import (
     ABORT_REASONS,
@@ -26,7 +26,7 @@ from gaitpair.protocol import (
     verify_confirm,
 )
 
-from helpers import craft_codeword_pair, random_delta_sequence
+from helpers import craft_codeword_pair, delta_to_sequence, random_delta_sequence
 
 
 # -- wire format -------------------------------------------------------------------
@@ -275,6 +275,18 @@ def test_peer_abort_text_is_bounded(cfg, code_params):
     failure = b.result.failure
     assert failure == "peer abort: unrecognised reason (60000 bytes)"
     assert len(failure) <= 64 and failure.isprintable()
+
+
+@pytest.mark.parametrize("initiator", [True, False])
+@pytest.mark.parametrize("cycles,message", [
+    (65, "M=260 exceeds the wire encoding limit of 256"),
+    (24, "need M >= cutoff, got M=96, cutoff=128"),
+])
+def test_session_rejects_a_window_of_the_wrong_size(cfg, initiator, cycles, message):
+    delta = np.random.default_rng(cycles).normal(size=(cycles, cfg.bits_per_cycle))
+    seq = delta_to_sequence(delta - delta.mean(axis=0), cfg.rho, cfg.bits_per_cycle)
+    with pytest.raises(ConfigError, match=message):
+        Session(seq, cfg, initiator=initiator)
 
 
 # -- key confirmation ---------------------------------------------------------------
