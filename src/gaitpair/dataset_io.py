@@ -16,6 +16,8 @@ import json
 import math
 import os
 import secrets
+from collections.abc import Callable, Sequence
+from concurrent import futures
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -64,53 +66,114 @@ class Corpus:
         return sorted({r.position for r in self.records})
 
 
+def _map_in_order(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]`` on one thread per CPU the process may run
+    on (its affinity), at most one per item.  The first failure in list
+    order propagates, as the loop's would; items after it may have run.
+
+    Every per-record loop of a corpus runs through here.  Its work is numpy,
+    scipy, hashing and file reads, which release the GIL.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with futures.ThreadPoolExecutor(max(1, min(len(items), cpus))) as pool:
+        return list(pool.map(fn, items))
+
+
 # -- CSV corpus -------------------------------------------------------------------
 
 def _read_recording_csv(base: Path, name: str) -> np.ndarray:
     """The (7, n) component rows of one recording, one contiguous row per
     column, parsed once per file content.
 
-    The file is read once.  The SHA-256 of its bytes keys a binary copy of
-    the rows at ``.gaitpair-cache/<csv name>.rows`` beside the CSV, one entry
-    per CSV name; a missing, unreadable or stale entry means a fresh parse,
-    which rewrites it.  Header and timestamp checks run on both paths, and a
-    file that fails one is never cached.
+    The SHA-256 of the file, hashed as a stream, keys a binary copy of the
+    rows at ``.gaitpair-cache/<csv name>.rows`` beside the CSV, one entry per
+    CSV name; a hit reads only the header line besides.  A missing,
+    unreadable or stale entry means a fresh parse, which hashes the bytes it
+    parses as they stream past and rewrites the entry under that digest, so
+    an entry never pairs a digest with rows of other bytes, even if the file
+    changes during the load.  No path holds the whole file in memory.
+    Header and timestamp checks run on both paths, and a file that fails one
+    is never cached.  An entry of the earlier ``<csv name>.npz`` layout
+    beside a loaded file is removed, unread.
     """
     path = base / name
     try:
-        raw = path.read_bytes()
-        fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-        header = fh.readline().strip()
-    except UnicodeDecodeError as exc:  # the first chunk read is not UTF-8
-        raise SchemaMismatch(f"{name}: {_decode_error(raw, exc)}") from exc
+        with open(path, "rb") as fh:
+            digest = hashlib.file_digest(fh, "sha256").digest()
+        # a header that is not UTF-8 cannot name the columns either
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            header = fh.readline()
     except (OSError, ValueError) as exc:  # missing or unreadable
         raise SchemaMismatch(f"{name}: {exc}") from exc
-    cols = tuple(c.strip() for c in header.split(","))
+    entry = path.parent / CACHE_DIR / f"{path.name}.rows"
+    rows = _cached_parse(entry, digest)
+    parsed = rows is None
+    if parsed:
+        digest, rows = _parse_csv(path, name)
+    else:
+        _check_header(path, header)
+    if rows.shape[1] >= 2 and (np.diff(rows[0] / 1000.0) <= 0).any():
+        raise NonMonotoneTimestamps(f"{name}: timestamps not increasing")
+    if parsed:
+        _store_parse(entry, digest, rows)
+    with contextlib.suppress(OSError):  # the entry in the earlier .npz layout
+        os.unlink(entry.with_suffix(".npz"))
+    return rows
+
+
+def _parse_csv(path: Path, name: str) -> tuple[bytes, np.ndarray]:
+    """The SHA-256 of a CSV's bytes and its (7, n) rows, header checked,
+    parsed from those same bytes as they are hashed."""
+    try:
+        with open(path, "rb", buffering=0) as raw:
+            hashed = _HashingReader(raw)
+            fh = io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8")
+            try:
+                header = fh.readline()
+            except UnicodeDecodeError as exc:  # the first chunk read is not UTF-8
+                raise SchemaMismatch(
+                    f"{name}: {_decode_error(path.read_bytes(), exc)}") from exc
+            _check_header(path, header)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:  # not UTF-8, not a number, or ragged rows
+                raise SchemaMismatch(
+                    f"{name}: {_parse_error(path.read_bytes(), exc)}") from exc
+    except (OSError, ValueError) as exc:  # missing or unreadable
+        raise SchemaMismatch(f"{name}: {exc}") from exc
+    if data.size == 0:
+        data = np.empty((0, len(CSV_COLUMNS)))
+    elif data.shape[1] != len(CSV_COLUMNS):
+        raise SchemaMismatch(f"{path.name}: row width {data.shape[1]}")
+    return hashed.sha256.digest(), np.ascontiguousarray(data.T)
+
+
+class _HashingReader(io.RawIOBase):
+    """A binary file that hashes its bytes as they are read, so that a parse
+    of the whole file and its digest see the same bytes."""
+
+    def __init__(self, raw) -> None:
+        self._raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._raw.readinto(buf)
+        self.sha256.update(memoryview(buf)[:n])
+        return n
+
+
+def _check_header(path: Path, header: str) -> None:
+    cols = tuple(c.strip() for c in header.strip().split(","))
     missing = [c for c in CSV_COLUMNS if c not in cols]
     if missing:
         raise MissingColumns(f"{path.name}: missing columns {missing}")
     if cols != CSV_COLUMNS:
         raise SchemaMismatch(
             f"{path.name}: header {cols} != {CSV_COLUMNS}")
-    digest = hashlib.sha256(raw).digest()
-    entry = path.parent / CACHE_DIR / f"{path.name}.rows"
-    rows = _cached_parse(entry, digest)
-    parsed = rows is None
-    if parsed:
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:  # not UTF-8, not a number, or ragged rows
-            raise SchemaMismatch(f"{name}: {_parse_error(raw, exc)}") from exc
-        if data.size == 0:
-            data = np.empty((0, len(CSV_COLUMNS)))
-        elif data.shape[1] != len(CSV_COLUMNS):
-            raise SchemaMismatch(f"{path.name}: row width {data.shape[1]}")
-        rows = np.ascontiguousarray(data.T)
-    if rows.shape[1] >= 2 and (np.diff(rows[0] / 1000.0) <= 0).any():
-        raise NonMonotoneTimestamps(f"{name}: timestamps not increasing")
-    if parsed:
-        _store_parse(entry, digest, rows)
-    return rows
 
 
 def _parse_error(raw: bytes, exc: ValueError) -> str:
@@ -173,9 +236,8 @@ def _store_parse(entry: Path, digest: bytes, rows: np.ndarray) -> None:
     """Write a cache entry atomically; skipped where it cannot be written.
 
     The entry is written under a unique temporary name that ``open`` creates,
-    so its mode follows the umask and other users of the corpus can read it.
-    Once it is in place, an entry of the earlier ``<csv name>.npz`` layout
-    beside it is removed, unread.
+    so its mode follows the umask and other users of the corpus can read it,
+    and concurrent loads of one corpus never see a partial entry.
     """
     tmp = entry.with_name(f"{entry.name}.{secrets.token_hex(8)}.tmp")
     try:
@@ -191,9 +253,6 @@ def _store_parse(entry: Path, digest: bytes, rows: np.ndarray) -> None:
     except OSError:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-        return
-    with contextlib.suppress(OSError):  # the entry in the earlier .npz layout
-        os.unlink(entry.with_suffix(".npz"))
 
 
 def load_csv(path: str | Path) -> Corpus:
@@ -208,8 +267,8 @@ def load_csv(path: str | Path) -> Corpus:
         raise SchemaMismatch(f"{manifest_path} lacks a 'recordings' list")
 
     base = manifest_path.parent
-    records = []
-    for entry in manifest["recordings"]:
+
+    def read(entry) -> ImuRecord:
         if not isinstance(entry, dict):
             raise SchemaMismatch(f"{manifest_path}: entry {entry!r} is not an object")
         for key in ("file", "subject_id", "position", "recording_id", "sample_rate_hz"):
@@ -222,17 +281,20 @@ def load_csv(path: str | Path) -> Corpus:
         if not math.isfinite(rate):
             raise SchemaMismatch(f"{manifest_path}: sample_rate_hz is {rate}")
         # one contiguous row per column, so acc and gyro hand the signal
-        # chain contiguous component rows as their transposes
+        # chain contiguous component rows as their transposes; the
+        # timestamps turn from ms to s in their own row
         rows = _read_recording_csv(base, str(entry["file"]))
-        records.append(ImuRecord(
+        return ImuRecord(
             sample_rate=rate,
-            t=rows[0] / 1000.0,
+            t=np.divide(rows[0], 1000.0, out=rows[0]),
             acc=rows[1:4].T,
             gyro=rows[4:7].T,
             subject_id=str(entry["subject_id"]),
             position=str(entry["position"]),
             recording_id=str(entry["recording_id"]),
-        ))
+        )
+
+    records = _map_in_order(read, manifest["recordings"])
 
     try:
         warnings = list(manifest.get("warnings", []))

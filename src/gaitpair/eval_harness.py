@@ -16,7 +16,7 @@ from scipy import signal as sps
 from scipy.special import erfc, gammaincc
 
 from .config import Config
-from .dataset_io import Corpus
+from .dataset_io import Corpus, _map_in_order
 from .errors import (
     ConfigError,
     InsufficientBits,
@@ -153,7 +153,7 @@ def _preprocess_corpus(corpus: Corpus, cfg: Config
                if det.minima_indices.shape[0] >= 3 else None)
         return (rec.subject_id, rec.position, rec.recording_id), seq
 
-    return dict(work(rec) for rec in corpus.records)
+    return dict(_map_in_order(work, corpus.records))
 
 
 def _fingerprints(processed, cfg: Config, window_cycles: int
@@ -229,10 +229,10 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
         raise MixedSampleRates(
             "coherence compares records sample by sample and needs one sample "
             f"rate; the corpus has {', '.join(f'{r:g} Hz' for r in rates)}")
-    verticals: dict[RecordKey, VerticalSignal] = {}
-    for rec in corpus.records:
-        verticals[(rec.subject_id, rec.position, rec.recording_id)] = \
-            extract_vertical(rec)
+    verticals: dict[RecordKey, VerticalSignal] = {
+        (rec.subject_id, rec.position, rec.recording_id): vertical
+        for rec, vertical in zip(corpus.records,
+                                 _map_in_order(extract_vertical, corpus.records))}
 
     same_pairs = _intra_keys(verticals)
     diff_pairs = _inter_keys(verticals)

@@ -183,11 +183,11 @@ def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    return np.stack([
-        (1 - 2 * (yy + zz)) * vx + 2 * (xy - wz) * vy + 2 * (xz + wy) * vz,
-        2 * (xy + wz) * vx + (1 - 2 * (xx + zz)) * vy + 2 * (yz - wx) * vz,
-        2 * (xz - wy) * vx + 2 * (yz + wx) * vy + (1 - 2 * (xx + yy)) * vz,
-    ])
+    out = np.empty(v.shape)
+    out[0] = (1 - 2 * (yy + zz)) * vx + 2 * (xy - wz) * vy + 2 * (xz + wy) * vz
+    out[1] = 2 * (xy + wz) * vx + (1 - 2 * (xx + zz)) * vy + 2 * (yz - wx) * vz
+    out[2] = 2 * (xz - wy) * vx + 2 * (yz + wx) * vy + (1 - 2 * (xx + yy)) * vz
+    return out
 
 
 def _hamilton(a0: np.ndarray, b0: np.ndarray, a1: np.ndarray, b1: np.ndarray,
@@ -253,7 +253,28 @@ def _gyro_frame(rec: ImuRecord) -> np.ndarray:
     """
     n = rec.n_samples
     blocks = -(-n // _SCAN_BLOCK)
-    a = np.ones(blocks * _SCAN_BLOCK, dtype=complex)  # the identity, a = 1, b = 0
+    a, b = _doubling_scan(*_turns(rec, blocks))
+    # copies: the scan may leave its result in its input, and the last row
+    # of each block is still needed below
+    ta, tb = _doubling_scan(a[-1].copy(), b[-1].copy())
+    s, t = np.empty_like(a[:, 1:]), np.empty_like(a[:, 1:])
+    _hamilton(ta[:-1], tb[:-1], a[:, 1:], b[:, 1:], a[:, 1:], b[:, 1:], s, t)
+    del s, t  # scratch and pairs go as soon as they are read, to bound the peak
+    q = np.empty((4, blocks, _SCAN_BLOCK))
+    q[0], q[1], q[2], q[3] = a.real.T, a.imag.T, b.real.T, b.imag.T
+    del a, b
+    q = q.reshape(4, -1)[:, :n]
+    q /= np.linalg.norm(q, axis=0)
+    return q
+
+
+def _turns(rec: ImuRecord, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's turn as a complex pair (a, b), padded with the identity
+    (a = 1, b = 0) to ``blocks`` blocks and laid out one block per column,
+    ``_SCAN_BLOCK`` contiguous rows.  Apart from ``_gyro_frame`` so that
+    its temporaries are freed before the scan allocates its buffers."""
+    n = rec.n_samples
+    a = np.ones(blocks * _SCAN_BLOCK, dtype=complex)
     b = np.zeros(blocks * _SCAN_BLOCK, dtype=complex)
     dt = np.diff(rec.t)
     rate = np.ascontiguousarray(rec.gyro.T)[:, 1:]
@@ -262,17 +283,8 @@ def _gyro_frame(rec: ImuRecord) -> np.ndarray:
     a.real[1:n] = np.cos(0.5 * angle)
     # axis * sin(angle / 2), written with sinc so a zero rate needs no division
     a.imag[1:n], b.real[1:n], b.imag[1:n] = 0.5 * dt * rate * np.sinc(angle / (2.0 * np.pi))
-    a, b = _doubling_scan(np.ascontiguousarray(a.reshape(blocks, _SCAN_BLOCK).T),
-                          np.ascontiguousarray(b.reshape(blocks, _SCAN_BLOCK).T))
-    # copies: the scan may leave its result in its input, and the last row
-    # of each block is still needed below
-    ta, tb = _doubling_scan(a[-1].copy(), b[-1].copy())
-    s, t = np.empty_like(a[:, 1:]), np.empty_like(a[:, 1:])
-    _hamilton(ta[:-1], tb[:-1], a[:, 1:], b[:, 1:], a[:, 1:], b[:, 1:], s, t)
-    q = np.empty((4, blocks, _SCAN_BLOCK))
-    q[0], q[1], q[2], q[3] = a.real.T, a.imag.T, b.real.T, b.imag.T
-    q = q.reshape(4, -1)[:, :n]
-    return q / np.linalg.norm(q, axis=0)
+    a = np.ascontiguousarray(a.reshape(blocks, _SCAN_BLOCK).T)
+    return a, np.ascontiguousarray(b.reshape(blocks, _SCAN_BLOCK).T)
 
 
 @functools.lru_cache(maxsize=64)

@@ -279,6 +279,16 @@ def test_eval_single_subject_insufficient(tmp_path, capsys):
     assert rc == 5
 
 
+@pytest.mark.parametrize("analysis", ["coherence", "reliability", "discriminability",
+                                      "positions", "randomness"])
+def test_eval_on_an_empty_manifest_exits_insufficient_data(tmp_path, capsys, analysis):
+    (tmp_path / "manifest.json").write_text(json.dumps({"recordings": []}))
+    rc = cli.main(["eval", str(tmp_path), "--analysis", analysis,
+                   "--out", str(tmp_path / "r")])
+    assert rc == 5
+    assert capsys.readouterr().err.startswith("insufficient data: ")
+
+
 def test_eval_reliability_writes_sweep(corpus_dir, tmp_path):
     rc = cli.main(["eval", str(corpus_dir), "--analysis", "reliability",
                    "--out", str(tmp_path)])

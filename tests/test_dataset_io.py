@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import os
+import shutil
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -403,6 +406,97 @@ def test_stale_npz_entry_beside_a_fresh_corpus_is_not_read(saved_corpus, loadtxt
         entry.unlink()
     assert_same_records(loaded, load_csv(saved_corpus))
     assert len(loadtxt_calls) == 6
+
+
+def test_npz_entry_beside_a_current_entry_is_removed_on_a_hit(saved_corpus, loadtxt_calls):
+    # a corpus cached by an earlier loader, then loaded by this one: its
+    # .rows entries are current, and a .npz entry still lies beside each
+    load_csv(saved_corpus)
+    for i in range(3):
+        (saved_corpus / CACHE_DIR / f"rec_{i:04d}.csv.npz").write_bytes(b"stale")
+    calls = len(loadtxt_calls)
+    load_csv(saved_corpus)
+    assert len(loadtxt_calls) == calls
+    assert cache_entries(saved_corpus) == [f"rec_{i:04d}.csv.rows" for i in range(3)]
+
+
+def test_concurrent_cold_loads_of_one_corpus_agree(saved_corpus, monkeypatch):
+    # more threads than CPUs, each loading with a pool wider than the CPUs,
+    # and a short switch interval: every load must see a whole entry or none
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    reference = load_csv(saved_corpus)
+    results, errors = [], []
+
+    def load():
+        try:
+            results.append(load_csv(saved_corpus))
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shutil.rmtree(saved_corpus / CACHE_DIR)
+            threads = [threading.Thread(target=load) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and len(results) == 18
+    for corpus in results:
+        assert_same_records(corpus, reference)
+    assert cache_entries(saved_corpus) == [f"rec_{i:04d}.csv.rows" for i in range(3)]
+    for i in range(3):
+        digest, rows = read_entry(saved_corpus / CACHE_DIR / f"rec_{i:04d}.csv.rows")
+        assert digest == hashlib.sha256((saved_corpus / f"rec_{i:04d}.csv").read_bytes()).digest()
+        assert np.array_equal(rows[0] / 1000.0, reference.records[i].t)
+
+
+def write_recordings(corpus_dir, entries):
+    """good.csv, badheader.csv and a manifest of ``entries``: each is
+    MANIFEST_ENTRY updated by it, and a key it sets to None is left out."""
+    texts = {"good.csv": ",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS),
+             "badheader.csv": "a,b,c\n" + "\n".join(GOOD_ROWS)}
+    for name, text in texts.items():
+        (corpus_dir / name).write_text(text)
+    recordings = [{key: value for key, value in
+                   {**MANIFEST_ENTRY, "recording_id": str(i), **entry}.items()
+                   if value is not None}
+                  for i, entry in enumerate(entries)]
+    (corpus_dir / "manifest.json").write_text(json.dumps({"recordings": recordings}))
+
+
+@pytest.mark.parametrize("entries, error, match", [
+    ([{"file": "good.csv"}, {"file": "good.csv", "subject_id": None},
+      {"file": "good.csv"}, {"file": "missing.csv"}, {"file": "good.csv"}],
+     SchemaMismatch, "entry missing 'subject_id'.*'recording_id': '1'"),
+    ([{"file": "missing.csv"}, {"file": "good.csv"}, {"file": "badheader.csv"}],
+     SchemaMismatch, "missing.csv: .*No such file"),
+], ids=["missing-key-before-missing-file", "missing-file-before-bad-header"])
+def test_first_bad_entry_in_manifest_order_is_named(tmp_path, entries, error, match):
+    write_recordings(tmp_path, entries)
+    for cpus in ({0}, set(range(8))):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            with pytest.raises(error, match=match) as info:
+                load_csv(tmp_path)
+        assert type(info.value) is error
+
+
+def test_loaded_records_keep_manifest_order(tmp_path):
+    corpus = generate_synthetic(SyntheticGaitSpec(n_cycles=5, rng_seed=4, n_subjects=3))
+    save_csv(corpus, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["recordings"].reverse()
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    loaded = load_csv(tmp_path)
+    assert_same_records(loaded, Corpus(records=corpus.records[::-1]))
+    assert [(r.subject_id, r.position) for r in loaded.records] == \
+        [(r.subject_id, r.position) for r in corpus.records[::-1]]
 
 
 def test_cold_and_warm_eval_reports_are_byte_identical(tmp_path, capsys, loadtxt_calls):

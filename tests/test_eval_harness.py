@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -280,6 +283,89 @@ def test_fingerprint_keys_equal_per_window_reduction(uneven_corpus, cfg):
     got = fingerprint_keys(uneven_corpus, cfg)
     assert len(got) == len(want) > 0
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# -- the per-record pool ----------------------------------------------------------------
+
+@pytest.mark.parametrize("cpus", [None, {0}], ids=["all-cpus", "one-cpu"])
+def test_preprocessed_corpus_equals_a_serial_loop(uneven_corpus, cfg, monkeypatch, cpus):
+    from gaitpair.eval_harness import _preprocess_corpus
+    from gaitpair.gait import split_and_normalize
+
+    want = {}
+    for rec in uneven_corpus.records:
+        sig = preprocess_record(rec, band=cfg.band)
+        det = detect_cycles(sig)
+        want[rec.subject_id, rec.position, rec.recording_id] = \
+            split_and_normalize(sig, det, cfg.rho).cycles
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    got = _preprocess_corpus(uneven_corpus, cfg)
+    assert list(got) == list(want)
+    for key, cycles in want.items():
+        assert got[key].rho == cfg.rho
+        assert got[key].cycles.dtype == cycles.dtype
+        assert np.array_equal(got[key].cycles, cycles), key
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}, set(range(64))], ids=len)
+def test_pool_takes_one_thread_per_usable_cpu_in_list_order(monkeypatch, cpus):
+    from gaitpair.dataset_io import _map_in_order
+
+    threads = set()
+
+    def square(x):
+        threads.add(threading.get_ident())
+        return x * x
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert _map_in_order(square, range(12)) == [x * x for x in range(12)]
+    assert threading.get_ident() not in threads
+    assert 1 <= len(threads) <= min(12, len(cpus))
+    assert _map_in_order(square, []) == []
+
+
+def test_first_failure_in_list_order_propagates(monkeypatch):
+    from gaitpair.dataset_io import _map_in_order
+
+    def work(x):
+        if x == 1:
+            time.sleep(0.05)
+            raise ValueError("item 1")
+        if x == 4:
+            raise KeyError("item 4")
+        return x
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(ValueError, match="item 1"):
+        _map_in_order(work, range(6))
+
+
+def test_first_failure_in_corpus_order_propagates(cfg):
+    # the 2nd record is constant and fails only after the whole signal
+    # chain; the 5th ends inside the warm-up and fails at once
+    records = generate_synthetic(SyntheticGaitSpec(n_cycles=40, n_subjects=2,
+                                                   rng_seed=3)).records
+    still = records[1]
+    acc = np.zeros_like(still.acc)
+    acc[:, 2] = GRAVITY
+    records[1] = dataclasses.replace(still, acc=acc, gyro=np.zeros_like(still.gyro))
+    short = records[4]
+    records[4] = dataclasses.replace(short, t=short.t[:60], acc=short.acc[:60],
+                                     gyro=short.gyro[:60])
+    corpus = Corpus(records=records)
+
+    serial = []
+    for rec in records:
+        try:
+            detect_cycles(preprocess_record(rec, band=cfg.band))
+        except Exception as exc:
+            serial.append(exc)
+    assert [type(e).__name__ for e in serial] == ["ZeroVariance", "EmptyStream"]
+    for analysis in (discriminability, reliability_sweep, position_table):
+        with pytest.raises(type(serial[0])) as info:
+            analysis(corpus, cfg=cfg)
+        assert str(info.value) == str(serial[0])
 
 
 # -- reliability sweep -------------------------------------------------------------------
