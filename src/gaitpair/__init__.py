@@ -3,8 +3,8 @@
 Body-worn devices derive always-fresh shared secrets from the wearer's
 instantaneous gait: IMU streams are gravity-aligned and band-limited,
 segmented into normalized gait cycles, quantized into reliability-ranked
-binary fingerprints, and error-corrected into matching keys that seed a
-password-authenticated key exchange.
+binary fingerprints, and error-corrected into matching keys, which a
+nonce exchange and explicit key confirmation turn into a session secret.
 """
 
 from .config import Config
@@ -39,7 +39,6 @@ from .gait import (
 from .protocol import (
     Session,
     SessionResult,
-    SimulatedPake,
     confirm_key,
     run_pair_in_memory,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "split_and_normalize",
     "Session",
     "SessionResult",
-    "SimulatedPake",
     "confirm_key",
     "run_pair_in_memory",
     "ImuRecord",

@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("--window", type=int, default=0,
                         help="window index to pair on")
     p_pair.add_argument("--insecure-session-seed", type=int, default=None,
-                        help="INSECURE: derive PAKE salts from this "
+                        help="INSECURE: derive the session nonces from this "
                              "seed (reproducible sessions for testing only)")
     _add_config_flags(p_pair, "rho", "bits_per_cycle", "fingerprint_bits", "cutoff",
                       "threshold")

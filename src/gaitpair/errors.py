@@ -89,16 +89,13 @@ class ProtocolError(GaitPairError):
     """Base class for handshake failures."""
 
 
-class PakeFailure(ProtocolError):
-    """Key agreement failed; derived passwords do not match."""
-
-
 class MalformedMessage(ProtocolError):
     """Frame or payload violates the wire format."""
 
 
 class ConfirmMismatch(ProtocolError):
-    """Key-confirmation MAC did not verify."""
+    """Key-confirmation MAC did not verify: the two ends' keys differ, or a
+    frame was altered."""
 
 
 # -- dataset I/O ---------------------------------------------------------------

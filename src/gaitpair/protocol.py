@@ -1,10 +1,13 @@
 """Two-party pairing handshake over independently measured gait fingerprints.
 
-Sequence: the initiator opens with its reliability ordering; both ends reduce
-their own fingerprint by that one ordering and decode the reduced bits to a
-key; a PAKE turns matching keys into a strong shared secret; explicit key
-confirmation closes the session.  Fingerprint bits and reliability magnitudes
-never cross the wire: only an index permutation, PAKE payloads, and MACs do.
+Sequence: the initiator opens with its reliability ordering and a nonce; both
+ends reduce their own fingerprint by that one ordering and decode the reduced
+bits to a key; the responder answers with its nonce and a key confirmation
+MAC, and the initiator confirms back.  The secret hashes the key with the
+transcript.  There is no PAKE yet: a passive listener can still search the
+22-bit keys of the default code offline against a captured confirmation MAC.
+Fingerprint bits and reliability magnitudes never cross the wire: only an
+index permutation, nonces, and MACs do.
 
 One end of a session is a ``Session``: a state machine that does no I/O.
 ``start()`` and ``receive(frame)`` return the frames to send, and ``result``
@@ -13,6 +16,7 @@ is set once the session has ended.  ``run_pair_in_memory`` drives both ends.
 Wire format (documented bit-exactly in docs/wire-format.md):
   frame   = [1B version=0x01][1B type][2B big-endian payload length][payload]
   reliability order payload = [2B M][M x 1B indices]
+  nonce payload = [16B random]
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from .errors import (
     ConfirmMismatch,
     DecodeFailure,
     MalformedMessage,
-    PakeFailure,
-    ProtocolError,
 )
 from .fingerprint import compute_fingerprint, reduce
 from .fuzzy_ecc import CodeParams, FuzzyKey, choose_params, decode
@@ -41,14 +43,16 @@ from .gait import GaitSequence
 PROTOCOL_VERSION = 0x01
 
 MSG_RELIABILITY_ORDER = 0x02  # 0x01 is unassigned
-MSG_PAKE = 0x03
+MSG_NONCE = 0x03
 MSG_CONFIRM = 0x04
 MSG_ABORT = 0x05
+
+NONCE_SIZE = 16
 
 # the reasons a Session itself sends in an Abort; any other reason a peer
 # sends is reported by its length alone, so peer text never reaches the result
 ABORT_REASONS = frozenset({"decode failure", "malformed message",
-                           "fingerprint length mismatch"})
+                           "fingerprint length mismatch", "key confirmation failed"})
 
 
 # -- framing ------------------------------------------------------------------------
@@ -104,46 +108,6 @@ def verify_confirm(secret: bytes, transcript: bytes, role: str, mac: bytes) -> N
         raise ConfirmMismatch("key confirmation MAC mismatch")
 
 
-# -- PAKE ------------------------------------------------------------------------------
-
-class SimulatedPake:
-    """Commitment-based stand-in for a PAKE, for in-process use.
-
-    Each side commits to hash(role || password || salt), then reveals the
-    salt; the peer recomputes the commitment with its *own* password, so the
-    exchange fails unless the passwords agree.  The commitment does not resist
-    offline dictionary search against very-low-entropy passwords, which is
-    acceptable only in simulation.  A production PAKE must keep the same
-    contract: both sides derive the same secret iff the passwords match, and
-    mismatched passwords fail, never yielding silently unequal secrets.
-    ``Session`` runs the two rounds; this class holds the hash constructions.
-    """
-
-    def __init__(self, password: bytes, role: str,
-                 rng: np.random.Generator | None = None):
-        self._password = password
-        self._peer_role = "B" if role == "A" else "A"
-        self.salt = secrets.token_bytes(16) if rng is None else rng.bytes(16)
-        self.commit = self._commitment(role, password, self.salt)
-
-    @staticmethod
-    def _commitment(role: str, password: bytes, salt: bytes) -> bytes:
-        return hashlib.sha256(
-            b"gaitpair-pake-commit-v1" + role.encode() + password + salt).digest()
-
-    def verify(self, peer_commit: bytes, peer_salt: bytes) -> None:
-        """Raise unless the peer's commitment opens under our own password."""
-        if len(peer_salt) != 16 or len(peer_commit) != 32:
-            raise MalformedMessage("bad PAKE payload size")
-        expected = self._commitment(self._peer_role, self._password, peer_salt)
-        if not hmac.compare_digest(expected, peer_commit):
-            raise PakeFailure("commitment mismatch: passwords differ")
-
-    def secret(self, transcript_digest: bytes) -> bytes:
-        return hashlib.sha256(
-            b"gaitpair-pake-secret-v1" + self._password + transcript_digest).digest()
-
-
 # -- session ---------------------------------------------------------------------------
 
 @dataclass
@@ -168,17 +132,18 @@ class Session:
     return the frames to send, in order.  ``result`` is set once the session
     has ended; frames received after that are ignored.  The initiator's
     ``start()`` sends its reliability order, reduces its own fingerprint by it
-    and decodes, then sends its PAKE commitment, or the decode-failure Abort.
-    The responder sends no order: it reduces by the one it receives and
-    decodes, and from there the ends are symmetric.  Decode failures and
+    and decodes, then sends its nonce, or the decode-failure Abort.  The
+    responder sends no order: it reduces by the one it receives and decodes,
+    and answers the initiator's nonce with its own nonce and its confirmation;
+    the initiator confirms back once that has verified.  Decode failures and
     dissimilar fingerprints are expected outcomes that simply end the attempt
     (fresh gait data is required for the next one).  A wrong or malformed
     frame ends the session; the frame types expected in turn are reliability
-    order (responder only), PAKE commitment, PAKE salt and confirmation.
+    order (responder only), nonce and confirmation.
     """
 
     def __init__(self, local_gait: GaitSequence, cfg: Config, *, initiator: bool,
-                 salt_rng: np.random.Generator | None = None):
+                 nonce_rng: np.random.Generator | None = None):
         self._cfg = cfg
         self._params = session_code_params(cfg)
         self._fp, self._local_order = compute_fingerprint(local_gait, cfg.bits_per_cycle)
@@ -189,7 +154,7 @@ class Session:
             raise ConfigError(f"need M >= cutoff, got M={m}, cutoff={cfg.cutoff}")
         self._initiator = initiator
         self._role = "A" if initiator else "B"
-        self._salt_rng = salt_rng
+        self._nonce_rng = nonce_rng
         self._transcript = hashlib.sha256()  # fed each entry as it is added
         # an initiator expects nothing but an Abort until it has started
         self._expect(None if initiator else MSG_RELIABILITY_ORDER, self._on_order)
@@ -217,12 +182,10 @@ class Session:
                 raise MalformedMessage(
                     f"expected message type {self._expected}, got {msg_type}")
             return self._handler(frame, payload)
-        except (PakeFailure, ConfirmMismatch) as exc:
-            return self._end(f"{type(exc).__name__}: {exc}")
+        except ConfirmMismatch as exc:
+            return self._end(f"ConfirmMismatch: {exc}", abort="key confirmation failed")
         except MalformedMessage as exc:
             return self._end(f"malformed message: {exc}", abort="malformed message")
-        except ProtocolError as exc:
-            return self._end(str(exc))
 
     def _end(self, failure: str, abort: str | None = None) -> list[bytes]:
         self.result = SessionResult(established=False, failure=failure,
@@ -243,11 +206,12 @@ class Session:
         self._transcript.update(struct.pack(">H", len(tag)) + tag
                                 + struct.pack(">I", len(value)) + value)
 
-    def _add_both(self, label: str, mine: bytes, peers: bytes) -> None:
-        """Add a pair of values to the transcript, initiator's first."""
-        a, b = (mine, peers) if self._initiator else (peers, mine)
-        self._add(f"{label}-A", a)
-        self._add(f"{label}-B", b)
+    def _new_nonce(self) -> bytes:
+        rng = self._nonce_rng
+        return secrets.token_bytes(NONCE_SIZE) if rng is None else rng.bytes(NONCE_SIZE)
+
+    def _confirm(self) -> bytes:
+        return encode_frame(MSG_CONFIRM, confirm_key(self._secret, self._digest, self._role))
 
     # -- states, one per expected frame --
 
@@ -269,24 +233,30 @@ class Session:
         except DecodeFailure:
             return self._end("decode failure: fingerprint too far from the codespace",
                              abort="decode failure")
-        self._pake = SimulatedPake(self._key.to_bytes(), self._role, self._salt_rng)
-        self._expect(MSG_PAKE, self._on_pake_commit)
-        return [encode_frame(MSG_PAKE, self._pake.commit)]
+        self._expect(MSG_NONCE, self._on_nonce)
+        if not self._initiator:
+            return []
+        self._nonce = self._new_nonce()
+        return [encode_frame(MSG_NONCE, self._nonce)]
 
-    def _on_pake_commit(self, frame: bytes, payload: bytes) -> list[bytes]:
-        self._peer_commit = payload
-        self._add_both("pake-commit", self._pake.commit, payload)
-        self._expect(MSG_PAKE, self._on_pake_salt)
-        return [encode_frame(MSG_PAKE, self._pake.salt)]
-
-    def _on_pake_salt(self, frame: bytes, payload: bytes) -> list[bytes]:
-        self._pake.verify(self._peer_commit, payload)
-        self._add_both("pake-salt", self._pake.salt, payload)
+    def _on_nonce(self, frame: bytes, payload: bytes) -> list[bytes]:
+        """Derive the secret from the key and both nonces; the responder then
+        sends its own nonce and confirms first."""
+        if len(payload) != NONCE_SIZE:
+            raise MalformedMessage(f"nonce of {len(payload)} bytes, not {NONCE_SIZE}")
+        if not self._initiator:
+            self._nonce = self._new_nonce()
+        nonce_a, nonce_b = ((self._nonce, payload) if self._initiator
+                            else (payload, self._nonce))
+        self._add("nonce-A", nonce_a)
+        self._add("nonce-B", nonce_b)
         self._digest = self._transcript.digest()
-        self._secret = self._pake.secret(self._digest)
+        self._secret = hashlib.sha256(
+            b"gaitpair-secret-v1" + self._key.to_bytes() + self._digest).digest()
         self._expect(MSG_CONFIRM, self._on_confirm)
-        return [encode_frame(MSG_CONFIRM,
-                             confirm_key(self._secret, self._digest, self._role))]
+        if self._initiator:
+            return []
+        return [encode_frame(MSG_NONCE, self._nonce), self._confirm()]
 
     def _on_confirm(self, frame: bytes, payload: bytes) -> list[bytes]:
         peer_role = "B" if self._initiator else "A"
@@ -298,7 +268,7 @@ class Session:
             applied_order=self._applied_order(),
             corrected_errors=self._key.corrected_errors,
         )
-        return []
+        return [self._confirm()] if self._initiator else []
 
 
 def run_pair_in_memory(seq_a: GaitSequence, seq_b: GaitSequence, cfg: Config, *,
@@ -308,14 +278,14 @@ def run_pair_in_memory(seq_a: GaitSequence, seq_b: GaitSequence, cfg: Config, *,
     """Run both ends of one session in this thread, handing each end's frames
     to the other until neither has a frame left to send.
 
-    With ``seed`` set, both ends draw their PAKE salts from one generator
-    seeded with it, initiator first; this is for tests and evaluation only
-    and is insecure for real pairing.  ``capture``, if given, receives every
-    frame sent.
+    With ``seed`` set, both ends draw their nonces from one generator seeded
+    with it, initiator first; this is for tests and evaluation only and is
+    insecure for real pairing.  ``capture``, if given, receives every frame
+    sent.
     """
     rng = None if seed is None else np.random.default_rng(seed)
-    a = Session(seq_a, cfg, initiator=True, salt_rng=rng)
-    b = Session(seq_b, cfg, initiator=False, salt_rng=rng)
+    a = Session(seq_a, cfg, initiator=True, nonce_rng=rng)
+    b = Session(seq_b, cfg, initiator=False, nonce_rng=rng)
     a_out, b_out = a.start(), b.start()
     while a_out or b_out:
         if capture is not None:

@@ -243,7 +243,7 @@ def test_end_to_end_protocol():
 
         # byte-scan: no fingerprint bit pattern ever crossed the wire
         blob = b"|".join(capture)
-        assert len(capture) == 7 * 400 + 3 * 200
+        assert len(capture) == 5 * 400 + 3 * 200
         for packed in scan_targets:
             assert packed not in blob
         assert time.monotonic() - t0 < 60.0

@@ -556,7 +556,7 @@ EXIT_FAMILIES = {
         "InvalidBand", "UnstableFilter", "ZeroVariance", "TooFewMaxima",
         "NoPeriodicity", "CycleTooShort", "TooFewCycles", "IndivisibleSegments",
         "CutoffTooLarge", "DecodeFailure", "ProtocolError",
-        "PakeFailure", "MalformedMessage", "ConfirmMismatch"},
+        "MalformedMessage", "ConfirmMismatch"},
 }
 
 

@@ -22,7 +22,7 @@ from gaitpair.fingerprint import compute_fingerprint
 from gaitpair.protocol import (
     MSG_ABORT,
     MSG_CONFIRM,
-    MSG_PAKE,
+    MSG_NONCE,
     MSG_RELIABILITY_ORDER,
     Session,
     decode_frame,
@@ -37,7 +37,7 @@ from helpers import craft_codeword_pair
 
 CFG = Config()
 # a gait sequence whose own reduced fingerprint decodes, so a session on it
-# reaches the PAKE whenever its own ordering applies
+# reaches the nonce exchange whenever its own ordering applies
 SEQ = craft_codeword_pair(21, 0, CFG, session_code_params(CFG))[0]
 
 
@@ -54,7 +54,7 @@ payloads = st.one_of(
     st.binary(min_size=32, max_size=32),
 )
 msg_types = st.one_of(
-    st.sampled_from([MSG_RELIABILITY_ORDER, MSG_PAKE, MSG_CONFIRM, MSG_ABORT]),
+    st.sampled_from([MSG_RELIABILITY_ORDER, MSG_NONCE, MSG_CONFIRM, MSG_ABORT]),
     st.integers(0, 255))
 frames = st.one_of(st.builds(encode_frame, msg_types, payloads),
                    st.binary(max_size=300))
@@ -80,18 +80,18 @@ def test_decode_reliability_payload_returns_or_raises_malformed(data):
 
 
 def plausible_opening(initiator: bool) -> list[bytes]:
-    """Frames that take the session to its PAKE salt round: the session's own
-    ordering (to a responder), so its key decodes, and a PAKE commitment."""
+    """Frames that take the session to its confirmation: the session's own
+    ordering (to a responder), so its key decodes, and a 16-byte nonce."""
     opening = [] if initiator else [
         encode_frame(MSG_RELIABILITY_ORDER, order_payload(OWN_ORDER))]
-    return opening + [encode_frame(MSG_PAKE, bytes(32))]
+    return opening + [encode_frame(MSG_NONCE, bytes(16))]
 
 
 @settings(deadline=None)
 @given(st.booleans(), st.integers(0, 3), st.lists(frames, max_size=8))
 def test_session_on_arbitrary_frames_never_raises_or_establishes(
         initiator, n_opening, inbound):
-    session = Session(SEQ, CFG, initiator=initiator, salt_rng=np.random.default_rng(0))
+    session = Session(SEQ, CFG, initiator=initiator, nonce_rng=np.random.default_rng(0))
     sent = session.start()
     for frame in plausible_opening(initiator)[:n_opening] + inbound:
         sent += session.receive(frame)
@@ -123,8 +123,8 @@ relay_ops = st.lists(st.tuples(
 @given(st.integers(0, len(PAIRS) - 1), st.integers(0, 7), relay_ops)
 def test_two_sessions_through_a_mangling_relay(pair, seed, ops):
     rng = np.random.default_rng(seed)  # as run_pair_in_memory seeds both ends
-    ends = (Session(PAIRS[pair][0], CFG, initiator=True, salt_rng=rng),
-            Session(PAIRS[pair][1], CFG, initiator=False, salt_rng=rng))
+    ends = (Session(PAIRS[pair][0], CFG, initiator=True, nonce_rng=rng),
+            Session(PAIRS[pair][1], CFG, initiator=False, nonce_rng=rng))
     inbound = (deque(), deque())  # frames in flight to end 0 and to end 1
 
     def send(sender: int, frames: list[bytes]) -> None:

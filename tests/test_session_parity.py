@@ -70,25 +70,25 @@ CASES = {
 # name -> ((established, failure, secret sha) for A, same for B, frames sha)
 GOLDEN = {
     "crafted-0-flips": (
-        (True, None, "e07c597049470ee8765f9aa1f2dc397cf36440986ad021b6275a99da81c3b82f"),
-        (True, None, "e07c597049470ee8765f9aa1f2dc397cf36440986ad021b6275a99da81c3b82f"),
-        "12d1cd230160ac290071646e18aadb00ecf9a9804f12e6bded0beee5d6208b91"),
+        (True, None, "afd35a7ce21c3cdcb0778727938cf0a643ef359f64abca526ceba16ac916f74d"),
+        (True, None, "afd35a7ce21c3cdcb0778727938cf0a643ef359f64abca526ceba16ac916f74d"),
+        "67d400c21583261927f807a1da077c893ffcecbdb1d0ef8d42ff289ea967391c"),
     "crafted-t+1-flips": (
         (False, "peer abort: decode failure", None),
         (False, "decode failure: fingerprint too far from the codespace", None),
-        "8db79a3a1a2ce88172fe5939f9f8380e14341a69a4ce298f9e86fa85c781ad04"),
+        "8b35e39d003c834255b5c634c7562fd3fe80f1756b72c530503889ad6a8a6bc1"),
     "crafted-t+1-flips-reversed": (
         (False, "decode failure: fingerprint too far from the codespace", None),
         (False, "peer abort: decode failure", None),
-        "203d366dc1a4bc0aceee80df5f5928c002f14d3437fcbe0d314ca326c1443d18"),
+        "b2b45363f049b8785ebec4d9e3238024c862c412ce5d0afd27fa29387554ffe9"),
     "crafted-t-flips": (
-        (True, None, "f80a130655a44d1651169ddcbc5ab796fcaf5d2da310f4881b2ea5974634de8f"),
-        (True, None, "f80a130655a44d1651169ddcbc5ab796fcaf5d2da310f4881b2ea5974634de8f"),
-        "69ac22e1c0292a19fe07995261edd5f0850b5b860de8dcfec6a215e5f45772b9"),
+        (True, None, "7c1690da66f25ce567f7d042021132b6baa43f355305bd469ca8b9c199fcba43"),
+        (True, None, "7c1690da66f25ce567f7d042021132b6baa43f355305bd469ca8b9c199fcba43"),
+        "bab1d98bc90c2e39bb8c51ab29b71212c7b88572f5371ef7b4e4220adae6d5d3"),
     "crafted-t-flips-reversed": (
-        (True, None, "e97b64676cce001581bec49f7a665857c6cfbc0c51291de92e9fa90f44c51a79"),
-        (True, None, "e97b64676cce001581bec49f7a665857c6cfbc0c51291de92e9fa90f44c51a79"),
-        "4c7eead2532fa138af8e395b88afdfc71e2d335c66ea7d8cfda546d71a988169"),
+        (True, None, "906b35a271453435b3befafbab2c6e7a4d2e8406bd893cda61feca473623c34c"),
+        (True, None, "906b35a271453435b3befafbab2c6e7a4d2e8406bd893cda61feca473623c34c"),
+        "3f3c381a671291adf94789b3444d5ef531598d568cfbe6bccbeec6a0cd4fb2f6"),
     "gait-window": (
         (False, "decode failure: fingerprint too far from the codespace", None),
         (False, "decode failure: fingerprint too far from the codespace", None),
@@ -102,9 +102,9 @@ GOLDEN = {
         (False, "decode failure: fingerprint too far from the codespace", None),
         "3c90bf603e0765dfff9a4b6c5d437634e0cb103b31bb97b9a98acd083b56a67f"),
     "mismatched-keys": (
-        (False, "PakeFailure: commitment mismatch: passwords differ", None),
-        (False, "PakeFailure: commitment mismatch: passwords differ", None),
-        "515ba274bf1d9bc0ca8701bc6cacfe4f337d3d0cc46953288def589b33827f1d"),
+        (False, "ConfirmMismatch: key confirmation MAC mismatch", None),
+        (False, "peer abort: key confirmation failed", None),
+        "7294c7c0079d695e0dcb64e6d2f6a776cd5c1d38627e007f68fd502edbd581d8"),
 }
 
 
