@@ -10,18 +10,21 @@ exists without redistributing any third-party data.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import math
 import os
 import secrets
+import struct
 from collections.abc import Callable, Sequence
 from concurrent import futures
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .errors import (
     ConfigError,
@@ -46,16 +49,26 @@ _OSAKA_WARNINGS = (
 )
 
 
+#: Where a record loaded from CSV came from: the SHA-256 of the CSV's bytes
+#: and the path of its ``.cycles`` cache entry.
+Source = tuple[bytes, Path]
+
+
 @dataclass
 class Corpus:
     records: list[ImuRecord]
     schema_version: int = SCHEMA_VERSION
     warnings: list[str] = dc_field(default_factory=list)
+    #: one per record for a corpus read by ``load_csv``; empty for one built
+    #: in memory, which has no cache entries
+    sources: list[Source] = dc_field(default_factory=list)
 
     def __post_init__(self) -> None:
         keys = [(r.subject_id, r.position, r.recording_id) for r in self.records]
         if len(set(keys)) != len(keys):
             raise SchemaMismatch("duplicate (subject, position, recording) key")
+        if self.sources and len(self.sources) != len(self.records):
+            raise ValueError("a corpus needs one source per record, or none")
 
     @property
     def subjects(self) -> list[str]:
@@ -82,20 +95,21 @@ def _map_in_order(fn: Callable, items: Sequence) -> list:
 
 # -- CSV corpus -------------------------------------------------------------------
 
-def _read_recording_csv(base: Path, name: str) -> np.ndarray:
-    """The (7, n) component rows of one recording, one contiguous row per
-    column, parsed once per file content.
+def _read_recording_csv(base: Path, name: str) -> tuple[bytes, np.ndarray]:
+    """The SHA-256 of one recording's CSV and its (7, n) component rows, one
+    contiguous row per column, parsed once per file content.
 
-    The SHA-256 of the file, hashed as a stream, keys a binary copy of the
-    rows at ``.gaitpair-cache/<csv name>.rows`` beside the CSV, one entry per
-    CSV name; a hit reads only the header line besides.  A missing,
-    unreadable or stale entry means a fresh parse, which hashes the bytes it
-    parses as they stream past and rewrites the entry under that digest, so
-    an entry never pairs a digest with rows of other bytes, even if the file
-    changes during the load.  No path holds the whole file in memory.
-    Header and timestamp checks run on both paths, and a file that fails one
-    is never cached.  An entry of the earlier ``<csv name>.npz`` layout
-    beside a loaded file is removed, unread.
+    The digest keys a binary copy of the rows at
+    ``.gaitpair-cache/<csv name>.rows`` beside the CSV, one entry per CSV
+    name; a hit reads only the header line besides.  A missing, unreadable or
+    stale entry means a fresh parse, which hashes the bytes it parses as they
+    stream past and rewrites the entry under that digest, so an entry never
+    pairs a digest with rows of other bytes, even if the file changes during
+    the load.  The digest returned is always that of the rows returned, and
+    it keys the record's ``.cycles`` entry too (``cached_sequence``).  No
+    path holds the whole file in memory.  Header and timestamp checks run on
+    both paths, and a file that fails one is never cached.  An entry of the
+    earlier ``<csv name>.npz`` layout beside a loaded file is removed, unread.
     """
     path = base / name
     try:
@@ -107,7 +121,7 @@ def _read_recording_csv(base: Path, name: str) -> np.ndarray:
     except (OSError, ValueError) as exc:  # missing or unreadable
         raise SchemaMismatch(f"{name}: {exc}") from exc
     entry = path.parent / CACHE_DIR / f"{path.name}.rows"
-    rows = _cached_parse(entry, digest)
+    rows = _read_entry(entry, digest, (len(CSV_COLUMNS), None))
     parsed = rows is None
     if parsed:
         digest, rows = _parse_csv(path, name)
@@ -116,10 +130,10 @@ def _read_recording_csv(base: Path, name: str) -> np.ndarray:
     if rows.shape[1] >= 2 and (np.diff(rows[0] / 1000.0) <= 0).any():
         raise NonMonotoneTimestamps(f"{name}: timestamps not increasing")
     if parsed:
-        _store_parse(entry, digest, rows)
+        _write_entry(entry, digest, rows)
     with contextlib.suppress(OSError):  # the entry in the earlier .npz layout
         os.unlink(entry.with_suffix(".npz"))
-    return rows
+    return digest, rows
 
 
 def _parse_csv(path: Path, name: str) -> tuple[bytes, np.ndarray]:
@@ -209,30 +223,32 @@ def _decode_error(raw: bytes, exc: UnicodeDecodeError) -> str:
     return str(exc)
 
 
-def _cached_parse(entry: Path, digest: bytes) -> np.ndarray | None:
-    """The cached rows of a CSV whose bytes hash to ``digest``, or None.
+def _read_entry(entry: Path, key: bytes,
+                shape: tuple[int | None, int | None]) -> np.ndarray | None:
+    """The float64 array a cache entry holds under ``key``, or None.
 
-    An entry is the digest followed by the rows in the ``.npy`` format,
-    version 1.0.  The header is checked against the file's size before the
-    rows are read, so a damaged one cannot ask for a large allocation.
+    An entry is the 32-byte key followed by a 2-D array in the ``.npy``
+    format, version 1.0.  ``shape`` gives the dimensions it must have, None
+    for any.  The header is checked against the file's size before the
+    array is read, so a damaged one cannot ask for a large allocation.
     """
     try:
         with open(entry, "rb") as fh:
-            if (fh.read(len(digest)) != digest
+            if (fh.read(len(key)) != key
                     or np.lib.format.read_magic(fh) != (1, 0)):
                 return None
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            got, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
             size = os.fstat(fh.fileno()).st_size - fh.tell()
-            if (dtype != np.float64 or fortran_order or len(shape) != 2
-                    or shape[0] != len(CSV_COLUMNS)
-                    or size != shape[0] * shape[1] * dtype.itemsize):
+            if (dtype != np.float64 or fortran_order or len(got) != 2
+                    or any(w is not None and w != g for w, g in zip(shape, got))
+                    or size != got[0] * got[1] * dtype.itemsize):
                 return None
-            return np.fromfile(fh, dtype=dtype).reshape(shape)
+            return np.fromfile(fh, dtype=dtype).reshape(got)
     except (OSError, ValueError):
         return None
 
 
-def _store_parse(entry: Path, digest: bytes, rows: np.ndarray) -> None:
+def _write_entry(entry: Path, key: bytes, array: np.ndarray) -> None:
     """Write a cache entry atomically; skipped where it cannot be written.
 
     The entry is written under a unique temporary name that ``open`` creates,
@@ -247,12 +263,52 @@ def _store_parse(entry: Path, digest: bytes, rows: np.ndarray) -> None:
         return
     try:
         with fh:
-            fh.write(digest)
-            np.lib.format.write_array(fh, rows, version=(1, 0), allow_pickle=False)
+            fh.write(key)
+            np.lib.format.write_array(fh, np.ascontiguousarray(array), version=(1, 0),
+                                      allow_pickle=False)
         os.replace(tmp, entry)
     except OSError:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+
+
+@functools.cache
+def _code_digest() -> bytes:
+    """SHA-256 of the package's ``.py`` sources and the numpy and scipy
+    versions: the code that computed a ``.cycles`` entry.  The package
+    version never changes, so it cannot stand for the code."""
+    h = hashlib.sha256()
+    for src in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(src.name.encode() + b"\0" + hashlib.sha256(src.read_bytes()).digest())
+    h.update(f"numpy {np.__version__} scipy {scipy.__version__}".encode())
+    return h.digest()
+
+
+def cached_sequence(source: Source | None, sample_rate: float,
+                    band: tuple[float, float], rho: int,
+                    compute: Callable[[], GaitSequence | None]) -> GaitSequence | None:
+    """``compute()``, a record's resampled gait cycles, read from its
+    ``.cycles`` entry when one holds them for these inputs.
+
+    The entry's key is the SHA-256 of the CSV's digest, the sample rate, the
+    band, rho and ``_code_digest()``; any other change misses, recomputes
+    and rewrites the one entry per CSV name.  A record without a source
+    (built in memory) always computes.  A failure or a None result is never
+    stored, so a bad record raises the same error on every call; a stored
+    sequence was computed from validated samples of those bytes at that rate.
+    """
+    if source is None:
+        return compute()
+    digest, entry = source
+    key = hashlib.sha256(digest + struct.pack("<3dq", sample_rate, *band, rho)
+                         + _code_digest()).digest()
+    cycles = _read_entry(entry, key, (None, rho))
+    if cycles is not None:
+        return GaitSequence(cycles=cycles, rho=rho)
+    seq = compute()
+    if seq is not None:
+        _write_entry(entry, key, seq.cycles)
+    return seq
 
 
 def load_csv(path: str | Path) -> Corpus:
@@ -268,7 +324,7 @@ def load_csv(path: str | Path) -> Corpus:
 
     base = manifest_path.parent
 
-    def read(entry) -> ImuRecord:
+    def read(entry) -> tuple[ImuRecord, Source]:
         if not isinstance(entry, dict):
             raise SchemaMismatch(f"{manifest_path}: entry {entry!r} is not an object")
         for key in ("file", "subject_id", "position", "recording_id", "sample_rate_hz"):
@@ -283,7 +339,8 @@ def load_csv(path: str | Path) -> Corpus:
         # one contiguous row per column, so acc and gyro hand the signal
         # chain contiguous component rows as their transposes; the
         # timestamps turn from ms to s in their own row
-        rows = _read_recording_csv(base, str(entry["file"]))
+        csv = base / str(entry["file"])
+        digest, rows = _read_recording_csv(base, str(entry["file"]))
         return ImuRecord(
             sample_rate=rate,
             t=np.divide(rows[0], 1000.0, out=rows[0]),
@@ -292,9 +349,10 @@ def load_csv(path: str | Path) -> Corpus:
             subject_id=str(entry["subject_id"]),
             position=str(entry["position"]),
             recording_id=str(entry["recording_id"]),
-        )
+        ), (digest, csv.parent / CACHE_DIR / f"{csv.name}.cycles")
 
-    records = _map_in_order(read, manifest["recordings"])
+    loaded = _map_in_order(read, manifest["recordings"])
+    records = [rec for rec, _ in loaded]
 
     try:
         warnings = list(manifest.get("warnings", []))
@@ -303,7 +361,8 @@ def load_csv(path: str | Path) -> Corpus:
         raise SchemaMismatch(f"{manifest_path}: {exc}") from exc
     if manifest.get("dataset_family") == "osaka":
         warnings.extend(_OSAKA_WARNINGS)
-    return Corpus(records=records, schema_version=schema_version, warnings=warnings)
+    return Corpus(records=records, schema_version=schema_version, warnings=warnings,
+                  sources=[source for _, source in loaded])
 
 
 def save_csv(corpus: Corpus, out_dir: str | Path) -> Path:

@@ -16,7 +16,7 @@ from scipy import signal as sps
 from scipy.special import erfc, gammaincc
 
 from .config import Config
-from .dataset_io import Corpus, _map_in_order
+from .dataset_io import Corpus, _map_in_order, cached_sequence
 from .errors import (
     ConfigError,
     InsufficientBits,
@@ -144,16 +144,28 @@ RecordKey = tuple[str, str, str]  # subject, position, recording
 def _preprocess_corpus(corpus: Corpus, cfg: Config
                        ) -> dict[RecordKey, GaitSequence | None]:
     """Run the signal pipeline, cycle detection and cycle resampling once per
-    record.  Every window of every size is a slice of the record's one
-    resampled sequence, which is None for a record without a full cycle."""
-    def work(rec):
+    record content.  Every window of every size is a slice of the record's
+    one resampled sequence, which is None for a record without a full cycle.
+
+    A record loaded from CSV reads its sequence from the corpus's
+    ``.cycles`` cache entry when one holds it for this sample rate, band and
+    rho, and stores it there after a miss (``cached_sequence``); a record
+    built in memory always computes.
+    """
+    def compute(rec) -> GaitSequence | None:
         sig = preprocess_record(rec, band=cfg.band)
         det = detect_cycles(sig)
-        seq = (split_and_normalize(sig, det, cfg.rho)
-               if det.minima_indices.shape[0] >= 3 else None)
+        return (split_and_normalize(sig, det, cfg.rho)
+                if det.minima_indices.shape[0] >= 3 else None)
+
+    def work(item):
+        rec, source = item
+        seq = cached_sequence(source, rec.sample_rate, cfg.band, cfg.rho,
+                              lambda: compute(rec))
         return (rec.subject_id, rec.position, rec.recording_id), seq
 
-    return dict(_map_in_order(work, corpus.records))
+    sources = corpus.sources or [None] * len(corpus.records)
+    return dict(_map_in_order(work, list(zip(corpus.records, sources))))
 
 
 def _fingerprints(processed, cfg: Config, window_cycles: int
@@ -175,8 +187,8 @@ def _fingerprints(processed, cfg: Config, window_cycles: int
 def _window_pairs(fingerprints, key_pairs, N: int) -> list[PairSimilarity]:
     """Similarity of each same-index window pair of every (key_a, key_b).
 
-    The reliability order of key_a's window is applied to both sides,
-    mirroring the protocol's winner-order rule deterministically.  A key pair
+    The reliability order of key_a's window is applied to both sides, as a
+    session applies the initiator's order to both ends.  A key pair
     takes one gather of its disagreeing bits, through key_a's first N order
     entries, and one count per row; the values equal ``similarity`` of the
     two ``reduce``d windows.

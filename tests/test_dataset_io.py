@@ -5,11 +5,13 @@ import os
 import shutil
 import sys
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaitpair import cli, dataset_io
+from gaitpair import cli, dataset_io, eval_harness
 from gaitpair.config import Config
 from gaitpair.dataset_io import (
     CACHE_DIR,
@@ -24,12 +26,14 @@ from gaitpair.dataset_io import (
     synthetic_vertical_signal,
 )
 from gaitpair.errors import (
+    EmptyStream,
     MissingColumns,
     NonMonotoneTimestamps,
     SchemaMismatch,
     SignalTooShort,
 )
 from gaitpair.fingerprint import average_cycle, quantize, reduce, reliability_order, similarity
+from gaitpair.eval_harness import _preprocess_corpus
 from gaitpair.gait import cycles_from_bounds, detect_cycles
 from gaitpair.signals import preprocess_record
 
@@ -512,6 +516,214 @@ def test_cold_and_warm_eval_reports_are_byte_identical(tmp_path, capsys, loadtxt
     for name in names:
         assert (tmp_path / "cold" / name).read_bytes() == \
             (tmp_path / "warm" / name).read_bytes()
+
+
+# -- cycles cache ------------------------------------------------------------------------
+
+@pytest.fixture
+def gait_corpus(tmp_path):
+    """2 subjects x 3 positions of 60 cycles on disk, enough for one window."""
+    corpus_dir = tmp_path / "corpus"
+    save_csv(generate_synthetic(SyntheticGaitSpec(n_cycles=60, n_subjects=2,
+                                                  rng_seed=21)), corpus_dir)
+    return corpus_dir
+
+
+@pytest.fixture
+def front_ends(monkeypatch):
+    """The (subject, position) of every record the front end runs on."""
+    calls = []
+    real = eval_harness.preprocess_record
+
+    def counting(rec, band):
+        calls.append((rec.subject_id, rec.position))
+        return real(rec, band=band)
+
+    monkeypatch.setattr(eval_harness, "preprocess_record", counting)
+    return calls
+
+
+def refuse_front_end(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the front end ran on a cache hit")
+
+    monkeypatch.setattr(eval_harness, "preprocess_record", refuse)
+
+
+def assert_same_sequences(a, b):
+    assert a.keys() == b.keys()
+    for key, seq in a.items():
+        assert seq.rho == b[key].rho
+        assert seq.cycles.dtype == b[key].cycles.dtype
+        assert np.array_equal(seq.cycles, b[key].cycles)
+
+
+def eval_reports(corpus_dir, out_dir, *flags):
+    assert cli.main(["eval", str(corpus_dir), "--analysis", "discriminability",
+                     "--out", str(out_dir), *flags]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_cycles_entries_are_written_once_per_csv_and_hit(gait_corpus, front_ends,
+                                                        monkeypatch):
+    cold = _preprocess_corpus(load_csv(gait_corpus), Config())
+    assert len(front_ends) == 6
+    names = [f"rec_{i:04d}.csv" for i in range(6)]
+    assert cache_entries(gait_corpus) == sorted(
+        [f"{n}.cycles" for n in names] + [f"{n}.rows" for n in names])
+    in_memory = _preprocess_corpus(
+        Corpus(records=load_csv(gait_corpus).records), Config())
+    assert len(front_ends) == 12  # a corpus without sources always computes
+    assert_same_sequences(in_memory, cold)
+    refuse_front_end(monkeypatch)
+    assert_same_sequences(_preprocess_corpus(load_csv(gait_corpus), Config()), cold)
+
+
+def test_cycles_entry_is_the_key_then_the_cycles(gait_corpus):
+    cold = _preprocess_corpus(load_csv(gait_corpus), Config())
+    key, cycles = read_entry(gait_corpus / CACHE_DIR / "rec_0001.csv.cycles")
+    assert len(key) == 32
+    assert key != hashlib.sha256((gait_corpus / "rec_0001.csv").read_bytes()).digest()
+    seq = cold["s00", "forearm", "r0"]
+    assert cycles.dtype == np.float64 and cycles.shape == (seq.q, 40)
+    assert np.array_equal(cycles, seq.cycles)
+
+
+def edit_first_sample(corpus_dir):
+    csv = corpus_dir / "rec_0000.csv"
+    lines = csv.read_text().split("\n")
+    cells = lines[1].split(",")
+    cells[1] = cells[1][:-1] + str((int(cells[1][-1]) + 1) % 10)  # ax, same length
+    lines[1] = ",".join(cells)
+    csv.write_text("\n".join(lines))
+
+
+def set_first_rate(corpus_dir):
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    manifest["recordings"][0]["sample_rate_hz"] = 51.0
+    (corpus_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("change, cfg, recomputed", [
+    ("csv-byte", Config(), 1),
+    ("rate", Config(), 1),
+    ("band", Config(band=(0.6, 12.0)), 6),
+    ("rho", Config(rho=48), 6),
+    ("code", Config(), 6),
+], ids=["csv-byte", "rate", "band", "rho", "code"])
+def test_each_key_part_forces_a_recompute(gait_corpus, front_ends, monkeypatch,
+                                          change, cfg, recomputed):
+    _preprocess_corpus(load_csv(gait_corpus), Config())
+    if change == "csv-byte":
+        edit_first_sample(gait_corpus)
+    elif change == "rate":
+        set_first_rate(gait_corpus)
+    elif change == "code":  # any edit to the package's sources
+        monkeypatch.setattr(dataset_io, "_code_digest", lambda: bytes(32))
+    calls = len(front_ends)
+    corpus = load_csv(gait_corpus)
+    got = _preprocess_corpus(corpus, cfg)
+    assert len(front_ends) == calls + recomputed
+    assert_same_sequences(got, _preprocess_corpus(Corpus(records=corpus.records), cfg))
+    calls = len(front_ends)
+    assert_same_sequences(_preprocess_corpus(load_csv(gait_corpus), cfg), got)
+    assert len(front_ends) == calls  # the entries were rewritten for the new key
+    assert len(cache_entries(gait_corpus)) == 12
+
+
+@pytest.mark.parametrize("source, old, new", [
+    ("signals.py", "TRANSIENT_DISCARD_S = 2.0", "TRANSIENT_DISCARD_S = 2.5"),
+    ("signals.py", "GRAVITY_CUTOFF_HZ = 0.3", "GRAVITY_CUTOFF_HZ = 0.2"),
+    ("gait.py", "MIN_PROMINENCE = ", "MIN_PROMINENCE = 0.5 * "),
+])
+def test_code_digest_follows_every_source_edit(tmp_path, monkeypatch, source, old, new):
+    package = tmp_path / "gaitpair"
+    shutil.copytree(Path(dataset_io.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(dataset_io, "__file__", str(package / "dataset_io.py"))
+    before = dataset_io._code_digest.__wrapped__()
+    assert before == dataset_io._code_digest()
+    text = (package / source).read_text()
+    assert old in text
+    (package / source).write_text(text.replace(old, new, 1))
+    assert dataset_io._code_digest.__wrapped__() != before
+
+
+@pytest.mark.parametrize("flags", [["--cutoff", "120"], ["--fingerprint-bits", "160"]])
+def test_fingerprint_flags_still_hit(gait_corpus, tmp_path, monkeypatch, flags):
+    cold = eval_reports(gait_corpus, tmp_path / "cold", *flags)
+    shutil.rmtree(gait_corpus / CACHE_DIR)
+    eval_reports(gait_corpus, tmp_path / "defaults")
+    refuse_front_end(monkeypatch)
+    assert eval_reports(gait_corpus, tmp_path / "warm", *flags) == cold
+
+
+@pytest.mark.parametrize("damage", ["truncate", "wrong-key", "huge-shape"])
+def test_damaged_cycles_entry_is_recomputed_and_rewritten(gait_corpus, front_ends, damage):
+    cold = _preprocess_corpus(load_csv(gait_corpus), Config())
+    entry = gait_corpus / CACHE_DIR / "rec_0001.csv.cycles"
+    key, cycles = read_entry(entry)
+    if damage == "truncate":
+        entry.write_bytes(entry.read_bytes()[:-8])
+    elif damage == "wrong-key":
+        write_entry(entry, bytes(32), cycles + 1.0)
+    else:  # a header that asks for 2^24 cycles, about 5 GB, over a short body
+        with open(entry, "wb") as fh:
+            fh.write(key)
+            fh.write(np.lib.format.magic(1, 0))
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": "<f8", "fortran_order": False, "shape": (1 << 24, 40)})
+            fh.write(cycles.tobytes())
+    corpus = load_csv(gait_corpus)
+    calls = len(front_ends)
+    tracemalloc.start()
+    try:
+        got = _preprocess_corpus(corpus, Config())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert front_ends[calls:] == [("s00", "forearm")]
+    assert peak < 64 << 20
+    assert_same_sequences(got, cold)
+    assert read_entry(entry)[0] == key
+    assert np.array_equal(read_entry(entry)[1], cycles)
+
+
+def test_failing_record_leaves_no_cycles_entry(gait_corpus):
+    manifest = json.loads((gait_corpus / "manifest.json").read_text())
+    manifest["recordings"][2]["sample_rate_hz"] = 100.0  # its timestamps say 50 Hz
+    (gait_corpus / "manifest.json").write_text(json.dumps(manifest))
+    messages = []
+    for _ in ("cold", "warm"):
+        with pytest.raises(EmptyStream, match="inconsistent") as info:
+            _preprocess_corpus(load_csv(gait_corpus), Config())
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert not (gait_corpus / CACHE_DIR / "rec_0002.csv.cycles").exists()
+
+
+def test_read_only_cache_directory_gives_equal_reports(gait_corpus, tmp_path, monkeypatch):
+    writable = tmp_path / "writable"
+    shutil.copytree(gait_corpus, writable)
+    want = eval_reports(writable, tmp_path / "want")
+    load_csv(gait_corpus)  # the .rows entries, before the directory turns read-only
+    cache = gait_corpus / CACHE_DIR
+    before = cache_entries(gait_corpus)
+    real_open = open
+
+    def read_only(file, mode="r", *args, **kwargs):
+        if "x" in mode or "w" in mode:  # as a read-only directory refuses, even to root
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(dataset_io, "open", read_only, raising=False)
+    cache.chmod(0o555)
+    try:
+        for run in ("cold", "warm"):
+            assert eval_reports(gait_corpus, tmp_path / run) == want
+    finally:
+        cache.chmod(0o755)
+    assert cache_entries(gait_corpus) == before
 
 
 # -- sliding windows --------------------------------------------------------------------

@@ -3,18 +3,22 @@
 The corpus is written by `gaitpair synth` (4 subjects x 260 cycles, enough
 windows for the randomness suite's 100 keys) and read back from CSV, so the
 whole path from the files on disk to each report is covered.  Each case pins
-the SHA-256 of every file one analysis writes.  A change to the front end,
-the fingerprint layer, an analysis or a report writer that moves a single
-byte of any report shows here, file by file.
+the SHA-256 of every file one analysis writes, once cold (no cache entries,
+so every record goes through the front end) and once warm (every record's
+cycles read from its cache entry, the front end unreachable).  A change to
+the front end, the cache, the fingerprint layer, an analysis or a report
+writer that moves a single byte of any report shows here, file by file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import shutil
 
 import pytest
 
-from gaitpair import cli
+from gaitpair import cli, eval_harness
+from gaitpair.dataset_io import CACHE_DIR
 
 # analysis -> file name -> sha256 of its bytes
 GOLDEN = {
@@ -76,6 +80,17 @@ def _report_digests(corpus_dir, out_dir, analysis: str) -> dict[str, str]:
             for p in sorted(out_dir.iterdir())}
 
 
-@pytest.mark.parametrize("analysis", sorted(GOLDEN))
-def test_reports_match_golden(analysis, corpus_dir, tmp_path):
-    assert _report_digests(corpus_dir, tmp_path, analysis) == GOLDEN[analysis]
+# a cold case keeps the bare analysis name as its id
+@pytest.mark.parametrize("analysis, cache", [
+    pytest.param(analysis, cache, id=analysis if cache == "cold" else f"{analysis}-warm")
+    for analysis in sorted(GOLDEN) for cache in ("cold", "warm")])
+def test_reports_match_golden(analysis, cache, corpus_dir, tmp_path, monkeypatch):
+    shutil.rmtree(corpus_dir / CACHE_DIR, ignore_errors=True)
+    if cache == "warm":
+        _report_digests(corpus_dir, tmp_path / "first", analysis)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm eval ran the front end")
+
+        monkeypatch.setattr(eval_harness, "preprocess_record", refuse)
+    assert _report_digests(corpus_dir, tmp_path / "reports", analysis) == GOLDEN[analysis]
