@@ -101,46 +101,23 @@ def _read_recording_csv(base: Path, name: str) -> tuple[bytes, np.ndarray]:
 
     The digest keys a binary copy of the rows at
     ``.gaitpair-cache/<csv name>.rows`` beside the CSV, one entry per CSV
-    name; a hit reads only the header line besides.  A missing, unreadable or
-    stale entry means a fresh parse, which hashes the bytes it parses as they
-    stream past and rewrites the entry under that digest, so an entry never
-    pairs a digest with rows of other bytes, even if the file changes during
-    the load.  The digest returned is always that of the rows returned, and
-    it keys the record's ``.cycles`` entry too (``cached_sequence``).  No
-    path holds the whole file in memory.  Header and timestamp checks run on
-    both paths, and a file that fails one is never cached.  An entry of the
-    earlier ``<csv name>.npz`` layout beside a loaded file is removed, unread.
+    name.  One open of the CSV serves the whole load: it is hashed, its
+    header is read from the start, and a hit reads the entry.  A missing,
+    unreadable or stale entry means a fresh parse that continues on the same
+    stream, which hashes the bytes it parses as they stream past, and
+    rewrites the entry under that digest, so an entry never pairs a digest
+    with rows of other bytes, even if the file changes during the load.  The
+    digest returned is always that of the rows returned, and it keys the
+    record's ``.cycles`` entry too (``cached_sequence``).  No path holds the
+    whole file in memory.  Header and timestamp checks run on both paths,
+    and a file that fails one is never cached.
     """
     path = base / name
-    try:
-        with open(path, "rb") as fh:
-            digest = hashlib.file_digest(fh, "sha256").digest()
-        # a header that is not UTF-8 cannot name the columns either
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            header = fh.readline()
-    except (OSError, ValueError) as exc:  # missing or unreadable
-        raise SchemaMismatch(f"{name}: {exc}") from exc
     entry = path.parent / CACHE_DIR / f"{path.name}.rows"
-    rows = _read_entry(entry, digest, (len(CSV_COLUMNS), None))
-    parsed = rows is None
-    if parsed:
-        digest, rows = _parse_csv(path, name)
-    else:
-        _check_header(path, header)
-    if rows.shape[1] >= 2 and (np.diff(rows[0] / 1000.0) <= 0).any():
-        raise NonMonotoneTimestamps(f"{name}: timestamps not increasing")
-    if parsed:
-        _write_entry(entry, digest, rows)
-    with contextlib.suppress(OSError):  # the entry in the earlier .npz layout
-        os.unlink(entry.with_suffix(".npz"))
-    return digest, rows
-
-
-def _parse_csv(path: Path, name: str) -> tuple[bytes, np.ndarray]:
-    """The SHA-256 of a CSV's bytes and its (7, n) rows, header checked,
-    parsed from those same bytes as they are hashed."""
     try:
         with open(path, "rb", buffering=0) as raw:
+            digest = hashlib.file_digest(raw, "sha256").digest()
+            raw.seek(0)
             hashed = _HashingReader(raw)
             fh = io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8")
             try:
@@ -149,18 +126,25 @@ def _parse_csv(path: Path, name: str) -> tuple[bytes, np.ndarray]:
                 raise SchemaMismatch(
                     f"{name}: {_decode_error(path.read_bytes(), exc)}") from exc
             _check_header(path, header)
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:  # not UTF-8, not a number, or ragged rows
-                raise SchemaMismatch(
-                    f"{name}: {_parse_error(path.read_bytes(), exc)}") from exc
+            rows = _read_entry(entry, digest, (len(CSV_COLUMNS), None))
+            parsed = rows is None
+            if parsed:
+                try:
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                except ValueError as exc:  # not UTF-8, not a number, or ragged rows
+                    raise SchemaMismatch(
+                        f"{name}: {_parse_error(path.read_bytes(), exc)}") from exc
+                if data.size and data.shape[1] != len(CSV_COLUMNS):
+                    raise SchemaMismatch(f"{path.name}: row width {data.shape[1]}")
+                digest = hashed.sha256.digest()
+                rows = np.ascontiguousarray(data.reshape(-1, len(CSV_COLUMNS)).T)
     except (OSError, ValueError) as exc:  # missing or unreadable
         raise SchemaMismatch(f"{name}: {exc}") from exc
-    if data.size == 0:
-        data = np.empty((0, len(CSV_COLUMNS)))
-    elif data.shape[1] != len(CSV_COLUMNS):
-        raise SchemaMismatch(f"{path.name}: row width {data.shape[1]}")
-    return hashed.sha256.digest(), np.ascontiguousarray(data.T)
+    if rows.shape[1] >= 2 and (np.diff(rows[0] / 1000.0) <= 0).any():
+        raise NonMonotoneTimestamps(f"{name}: timestamps not increasing")
+    if parsed:
+        _write_entry(entry, digest, rows)
+    return digest, rows
 
 
 class _HashingReader(io.RawIOBase):
@@ -334,8 +318,9 @@ def load_csv(path: str | Path) -> Corpus:
             rate = float(entry["sample_rate_hz"])
         except (TypeError, ValueError) as exc:
             raise SchemaMismatch(f"{manifest_path}: sample_rate_hz: {exc}") from exc
-        if not math.isfinite(rate):
-            raise SchemaMismatch(f"{manifest_path}: sample_rate_hz is {rate}")
+        if not (math.isfinite(rate) and rate > 0):
+            raise SchemaMismatch(f"{manifest_path}: sample_rate_hz {rate} is not a "
+                                 "positive finite rate")
         # one contiguous row per column, so acc and gyro hand the signal
         # chain contiguous component rows as their transposes; the
         # timestamps turn from ms to s in their own row

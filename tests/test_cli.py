@@ -396,6 +396,7 @@ CORPUS_FAULTS = {
     "not-utf8-body": (_not_utf8(0.5), "rec_0000.csv"),
     "rate-not-a-number": (_edit_manifest(_first_entry(sample_rate_hz="fast")),
                           "manifest.json"),
+    "rate-zero": (_edit_manifest(_first_entry(sample_rate_hz=0)), "manifest.json"),
     "manifest-is-a-list": (_edit_manifest(lambda m: []), "manifest.json"),
     "entry-not-an-object": (_edit_manifest(lambda m: {**m, "recordings": [5]}),
                             "manifest.json"),

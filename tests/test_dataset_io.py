@@ -251,6 +251,37 @@ def test_warm_load_does_not_parse(saved_corpus, loadtxt_calls):
     assert len(loadtxt_calls) == 3
 
 
+def test_each_load_opens_each_csv_once(saved_corpus, monkeypatch):
+    opened = []  # shared by the pool threads; list.append is atomic
+    real_open = open
+
+    def counting(file, *args, **kwargs):
+        if str(file).endswith(".csv"):
+            opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(dataset_io, "open", counting, raising=False)
+    csvs = [f"rec_{i:04d}.csv" for i in range(3)]
+    for run in ("cold", "warm"):
+        opened.clear()
+        load_csv(saved_corpus)
+        assert sorted(opened) == csvs, run
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_endings_load_to_equal_samples(saved_corpus, tmp_path_factory, loadtxt_calls,
+                                            newline):
+    lf = load_csv(saved_corpus)
+    other = tmp_path_factory.mktemp("newline") / "corpus"
+    shutil.copytree(saved_corpus, other, ignore=shutil.ignore_patterns(CACHE_DIR))
+    for csv in other.glob("*.csv"):
+        csv.write_bytes(csv.read_bytes().replace(b"\n", newline.encode()))
+    for run in ("cold", "warm"):
+        assert_same_records(load_csv(other), lf)
+        assert len(loadtxt_calls) == 6, run  # the LF copy's 3 parses, then the cold load's
+    assert cache_entries(other) == [f"rec_{i:04d}.csv.rows" for i in range(3)]
+
+
 def test_edit_with_size_and_mtime_restored_is_reparsed(saved_corpus, loadtxt_calls):
     csv = saved_corpus / "rec_0000.csv"
     before = load_csv(saved_corpus).records[0]
@@ -360,9 +391,12 @@ def test_invalid_file_raises_and_is_not_cached(tmp_path, text, error):
     None,
     {"recordings": [{**MANIFEST_ENTRY, "sample_rate_hz": float("nan")}]},
     {"recordings": [{**MANIFEST_ENTRY, "sample_rate_hz": float("inf")}]},
+    {"recordings": [{**MANIFEST_ENTRY, "sample_rate_hz": 0}]},
+    {"recordings": [{**MANIFEST_ENTRY, "sample_rate_hz": -50.0}]},
     {"recordings": [], "warnings": 5},
     {"recordings": [], "schema_version": "one"},
-], ids=["missing", "rate-nan", "rate-inf", "warnings-not-a-list", "version-not-an-int"])
+], ids=["missing", "rate-nan", "rate-inf", "rate-zero", "rate-negative",
+        "warnings-not-a-list", "version-not-an-int"])
 def test_malformed_manifest_is_a_schema_error_naming_it(tmp_path, manifest):
     write_one_recording(tmp_path, ",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS))
     if manifest is None:
@@ -390,7 +424,7 @@ def test_cache_hit_still_checks_timestamps(tmp_path, loadtxt_calls):
 def test_stale_npz_entry_beside_a_fresh_corpus_is_not_read(saved_corpus, loadtxt_calls,
                                                            monkeypatch):
     # entries in the earlier .npz layout, keyed by the right digests but
-    # holding other samples: the load parses, and removes them unread
+    # holding other samples: the load parses, and leaves them unread
     (saved_corpus / CACHE_DIR).mkdir()
     for i in range(3):
         csv = saved_corpus / f"rec_{i:04d}.csv"
@@ -398,6 +432,7 @@ def test_stale_npz_entry_beside_a_fresh_corpus_is_not_read(saved_corpus, loadtxt
                  sha256=np.frombuffer(hashlib.sha256(csv.read_bytes()).digest(),
                                       dtype=np.uint8),
                  data=np.zeros((5, len(CSV_COLUMNS))))
+    both = sorted(f"rec_{i:04d}.csv.{ext}" for i in range(3) for ext in ("npz", "rows"))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a .npz entry was opened")
@@ -405,23 +440,14 @@ def test_stale_npz_entry_beside_a_fresh_corpus_is_not_read(saved_corpus, loadtxt
     monkeypatch.setattr(np, "load", refuse)
     loaded = load_csv(saved_corpus)
     assert len(loadtxt_calls) == 3
-    assert cache_entries(saved_corpus) == [f"rec_{i:04d}.csv.rows" for i in range(3)]
-    for entry in (saved_corpus / CACHE_DIR).iterdir():
+    assert cache_entries(saved_corpus) == both
+    for entry in (saved_corpus / CACHE_DIR).glob("*.rows"):
         entry.unlink()
     assert_same_records(loaded, load_csv(saved_corpus))
     assert len(loadtxt_calls) == 6
-
-
-def test_npz_entry_beside_a_current_entry_is_removed_on_a_hit(saved_corpus, loadtxt_calls):
-    # a corpus cached by an earlier loader, then loaded by this one: its
-    # .rows entries are current, and a .npz entry still lies beside each
-    load_csv(saved_corpus)
-    for i in range(3):
-        (saved_corpus / CACHE_DIR / f"rec_{i:04d}.csv.npz").write_bytes(b"stale")
-    calls = len(loadtxt_calls)
-    load_csv(saved_corpus)
-    assert len(loadtxt_calls) == calls
-    assert cache_entries(saved_corpus) == [f"rec_{i:04d}.csv.rows" for i in range(3)]
+    assert_same_records(loaded, load_csv(saved_corpus))
+    assert len(loadtxt_calls) == 6
+    assert cache_entries(saved_corpus) == both
 
 
 def test_concurrent_cold_loads_of_one_corpus_agree(saved_corpus, monkeypatch):
