@@ -117,11 +117,18 @@ def _load_corpus(path: str) -> dataset_io.Corpus:
 
 def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
     corpus = _load_corpus(args.input)
+    labels: dict[str, str] = {}  # output name -> record, checked before any write
+    for rec in corpus.records:
+        label = f"{rec.subject_id}/{rec.position}/{rec.recording_id}"
+        name = f"{rec.subject_id}_{rec.position}_{rec.recording_id}.json".replace("/", "-")
+        if name in labels:
+            raise SchemaMismatch(f"{args.input}: records {labels[name]} and {label} "
+                                 f"would both write {name}")
+        labels[name] = label
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    for rec in corpus.records:
-        label = f"{rec.subject_id}/{rec.position}/{rec.recording_id}"
+    for rec, (name, label) in zip(corpus.records, labels.items()):
         try:
             sig = preprocess_record(rec, band=cfg.band)
             detect_cycles(sig)  # surface undetectable-gait diagnostics early
@@ -130,8 +137,7 @@ def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
             print(f"signal error [{label}]: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             continue
-        name = f"{rec.subject_id}_{rec.position}_{rec.recording_id}.json"
-        with open(out_dir / name.replace("/", "-"), "w", encoding="utf-8") as fh:
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
             json.dump(_signal_to_json(sig), fh)
         print(f"ok [{label}] -> {name}")
     if failures:

@@ -57,7 +57,6 @@ Source = tuple[bytes, Path]
 @dataclass
 class Corpus:
     records: list[ImuRecord]
-    schema_version: int = SCHEMA_VERSION
     warnings: list[str] = dc_field(default_factory=list)
     #: one per record for a corpus read by ``load_csv``; empty for one built
     #: in memory, which has no cache entries
@@ -84,8 +83,11 @@ def _map_in_order(fn: Callable, items: Sequence) -> list:
     on (its affinity), at most one per item.  The first failure in list
     order propagates, as the loop's would; items after it may have run.
 
-    Every per-record loop of a corpus runs through here.  Its work is numpy,
-    scipy, hashing and file reads, which release the GIL.
+    Three loops run through here: ``load_csv`` reads a corpus's records,
+    ``eval_harness._preprocess_corpus`` computes their cycles and
+    ``eval_harness.coherence_analysis`` extracts their vertical signals.
+    Their work is numpy, scipy, hashing and file reads, which release the
+    GIL.  ``cli.cmd_preprocess`` writes its records in a plain loop.
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -108,9 +110,11 @@ def _read_recording_csv(base: Path, name: str) -> tuple[bytes, np.ndarray]:
     rewrites the entry under that digest, so an entry never pairs a digest
     with rows of other bytes, even if the file changes during the load.  The
     digest returned is always that of the rows returned, and it keys the
-    record's ``.cycles`` entry too (``cached_sequence``).  No path holds the
-    whole file in memory.  Header and timestamp checks run on both paths,
-    and a file that fails one is never cached.
+    record's ``.cycles`` entry too (``cached_sequence``).  No success path
+    holds the whole file in memory; a failed read or parse re-reads it from
+    the same handle to name its first bad line.  Header, finiteness and
+    timestamp checks run on both paths, and a file that fails one is never
+    cached.
     """
     path = base / name
     entry = path.parent / CACHE_DIR / f"{path.name}.rows"
@@ -121,24 +125,21 @@ def _read_recording_csv(base: Path, name: str) -> tuple[bytes, np.ndarray]:
             hashed = _HashingReader(raw)
             fh = io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8")
             try:
-                header = fh.readline()
-            except UnicodeDecodeError as exc:  # the first chunk read is not UTF-8
-                raise SchemaMismatch(
-                    f"{name}: {_decode_error(path.read_bytes(), exc)}") from exc
-            _check_header(path, header)
-            rows = _read_entry(entry, digest, (len(CSV_COLUMNS), None))
-            parsed = rows is None
-            if parsed:
-                try:
+                _check_header(path, fh.readline())
+                rows = _read_entry(entry, digest, (len(CSV_COLUMNS), None))
+                parsed = rows is None
+                if parsed:
                     data = np.loadtxt(fh, delimiter=",", ndmin=2)
-                except ValueError as exc:  # not UTF-8, not a number, or ragged rows
-                    raise SchemaMismatch(
-                        f"{name}: {_parse_error(path.read_bytes(), exc)}") from exc
-                if data.size and data.shape[1] != len(CSV_COLUMNS):
-                    raise SchemaMismatch(f"{path.name}: row width {data.shape[1]}")
-                digest = hashed.sha256.digest()
-                rows = np.ascontiguousarray(data.reshape(-1, len(CSV_COLUMNS)).T)
-    except (OSError, ValueError) as exc:  # missing or unreadable
+                    if data.size and data.shape[1] != len(CSV_COLUMNS):
+                        raise SchemaMismatch(f"{path.name}: row width {data.shape[1]}")
+                    digest = hashed.sha256.digest()
+                    rows = np.ascontiguousarray(data.reshape(-1, len(CSV_COLUMNS)).T)
+                if not np.isfinite(rows).all():
+                    raise ValueError("a sample is not finite")
+            except ValueError as exc:  # not UTF-8, not a number, ragged or not finite
+                raw.seek(0)
+                raise SchemaMismatch(f"{name}: {_bad_line(raw.readall()) or exc}") from exc
+    except OSError as exc:  # missing or unreadable
         raise SchemaMismatch(f"{name}: {exc}") from exc
     if rows.shape[1] >= 2 and (np.diff(rows[0] / 1000.0) <= 0).any():
         raise NonMonotoneTimestamps(f"{name}: timestamps not increasing")
@@ -174,15 +175,19 @@ def _check_header(path: Path, header: str) -> None:
             f"{path.name}: header {cols} != {CSV_COLUMNS}")
 
 
-def _parse_error(raw: bytes, exc: ValueError) -> str:
-    """Name the first file line, counting the header as line 1, that is not a
-    row of numbers as wide as the first; numpy's message counts data rows
-    from 0."""
+def _bad_line(raw: bytes) -> str | None:
+    """Name the first file line, counting the header as line 1, that is not
+    UTF-8 or, after the header, not a row of finite numbers as wide as the
+    first; None if there is none.  The codec's and numpy's own messages
+    count from the start of a chunk or of the data rows."""
     width = None
-    for lineno, line in enumerate(raw.splitlines()[1:], start=2):
-        text = line.decode("utf-8", errors="replace")
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"line {lineno}: byte 0x{line[exc.start]:02x} is not UTF-8"
         data = text.split("#", 1)[0]
-        if not data.strip():
+        if lineno == 1 or not data.strip():
             continue
         try:
             row = [float(f) for f in data.split(",")]
@@ -190,21 +195,10 @@ def _parse_error(raw: bytes, exc: ValueError) -> str:
             row = None
         if row is not None and width is None:
             width = len(row)
-        if row is None or len(row) != width:
+        if row is None or len(row) != width or not all(map(math.isfinite, row)):
             return (f"line {lineno}: {text[:80]!r} is not a row of "
-                    f"{width or 'comma-separated'} numbers")
-    return str(exc)
-
-
-def _decode_error(raw: bytes, exc: UnicodeDecodeError) -> str:
-    """Name the file line, counting from 1, of the first byte that is not
-    UTF-8; the codec's own message counts bytes from the start of a chunk."""
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as whole:
-        line = raw.count(b"\n", 0, whole.start) + 1
-        return f"line {line}: byte 0x{raw[whole.start]:02x} is not UTF-8"
-    return str(exc)
+                    f"{width or 'comma-separated'} finite numbers")
+    return None
 
 
 def _read_entry(entry: Path, key: bytes,
@@ -306,6 +300,16 @@ def load_csv(path: str | Path) -> Corpus:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("recordings"), list):
         raise SchemaMismatch(f"{manifest_path} lacks a 'recordings' list")
 
+    warnings = manifest.get("warnings", [])
+    if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+        raise SchemaMismatch(f"{manifest_path}: warnings {warnings!r} is not a list "
+                             "of strings")
+    version = manifest.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaMismatch(f"{manifest_path}: schema_version {version!r} is not "
+                             f"{SCHEMA_VERSION}")
+    if manifest.get("dataset_family") == "osaka":
+        warnings = [*warnings, *_OSAKA_WARNINGS]
     base = manifest_path.parent
 
     def read(entry) -> tuple[ImuRecord, Source]:
@@ -337,16 +341,7 @@ def load_csv(path: str | Path) -> Corpus:
         ), (digest, csv.parent / CACHE_DIR / f"{csv.name}.cycles")
 
     loaded = _map_in_order(read, manifest["recordings"])
-    records = [rec for rec, _ in loaded]
-
-    try:
-        warnings = list(manifest.get("warnings", []))
-        schema_version = int(manifest.get("schema_version", SCHEMA_VERSION))
-    except (TypeError, ValueError) as exc:
-        raise SchemaMismatch(f"{manifest_path}: {exc}") from exc
-    if manifest.get("dataset_family") == "osaka":
-        warnings.extend(_OSAKA_WARNINGS)
-    return Corpus(records=records, schema_version=schema_version, warnings=warnings,
+    return Corpus(records=[rec for rec, _ in loaded], warnings=warnings,
                   sources=[source for _, source in loaded])
 
 
@@ -373,7 +368,7 @@ def save_csv(corpus: Corpus, out_dir: str | Path) -> Path:
             "sample_rate_hz": rec.sample_rate,
         })
     manifest = {
-        "schema_version": corpus.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "recordings": entries,
         "warnings": corpus.warnings,
     }
@@ -418,6 +413,10 @@ class SyntheticGaitSpec:
         for _, ps in self.per_position:
             if not math.isfinite(ps.noise_snr_db) and ps.noise_snr_db != math.inf:
                 raise ConfigError("noise_snr_db must be finite or +inf")
+        for name, value in [("lead_s", self.lead_s),
+                            *(("phase_jitter", ps.phase_jitter) for _, ps in self.per_position)]:
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _smooth_noise(rng: np.random.Generator, n: int, ctrl_spacing: int) -> np.ndarray:

@@ -63,7 +63,6 @@ class FuzzyKey:
     """Error-corrected key recovered from a fingerprint."""
 
     key_bits: np.ndarray
-    params: CodeParams
     corrected_errors: int
 
     def to_bytes(self) -> bytes:
@@ -165,44 +164,34 @@ def _minimal_polynomial(field: _Field, coset: list[int]) -> int:
     return out
 
 
-def _generator_polynomial(m: int, t: int) -> int:
-    """LCM of the minimal polynomials of alpha^1 .. alpha^2t."""
-    field = _field(m)
-    n = field.n
-    seen: set[int] = set()
-    g = 1
-    for i in range(1, 2 * t + 1):
-        if i in seen:
-            continue
-        coset = _cyclotomic_coset(i, n)
-        seen.update(coset)
-        g = _gf2_poly_mul(g, _minimal_polynomial(field, coset))
-    return g
-
-
 @lru_cache(maxsize=None)
 def code_table(n: int) -> tuple[CodeParams, ...]:
-    """All achievable (n, k, t) combinations at length n = 2^m - 1.
+    """All achievable (n, k, t) combinations at length n = 2^m - 1, in t order.
 
-    Enumerates designed correction capacities bottom-up; consecutive designed
-    values that produce the same generator collapse into the larger t.
+    One pass over the designed correction capacities: the generator for t is
+    the LCM of the minimal polynomials of alpha^1 .. alpha^2t, so each step
+    multiplies in the coset of alpha^(2t-1) unless an earlier one held it;
+    alpha^2t = (alpha^t)^2 shares alpha^t's coset, already in.  Consecutive
+    designed values that produce the same generator collapse into the
+    larger t.
     """
     m = n.bit_length()
     if (1 << m) - 1 != n or m not in _PRIMITIVE_POLY:
         raise NoSuitableCode(f"n={n} is not 2^m - 1 for a supported m")
+    field = _field(m)
+    seen: set[int] = set()
+    g = 1
     by_generator: dict[int, int] = {}
     for t in range(1, (n - 1) // 2 + 1):
-        g = _generator_polynomial(m, t)
-        k = n - (g.bit_length() - 1)
-        if k < 1:
+        if 2 * t - 1 not in seen:
+            coset = _cyclotomic_coset(2 * t - 1, n)
+            seen.update(coset)
+            g = _gf2_poly_mul(g, _minimal_polynomial(field, coset))
+        if g.bit_length() - 1 >= n:  # k < 1
             break
         by_generator[g] = t
-    table = []
-    for g, t in by_generator.items():
-        k = n - (g.bit_length() - 1)
-        table.append(CodeParams(n=n, k=k, t=t, m=m, generator=g))
-    table.sort(key=lambda p: p.t)
-    return tuple(table)
+    return tuple(CodeParams(n=n, k=n - (g.bit_length() - 1), t=t, m=m, generator=g)
+                 for g, t in by_generator.items())
 
 
 @lru_cache(maxsize=64)
@@ -368,8 +357,7 @@ def decode(bits: np.ndarray, params: CodeParams) -> FuzzyKey:
     decoder = _decoder(params)
     packed = decoder.syndromes(bits)
     if not packed:
-        return FuzzyKey(key_bits=bits[: params.k].copy(), params=params,
-                        corrected_errors=0)
+        return FuzzyKey(key_bits=bits[: params.k].copy(), corrected_errors=0)
 
     locator = decoder.locator(packed)
     if locator is None:
@@ -381,5 +369,4 @@ def decode(bits: np.ndarray, params: CodeParams) -> FuzzyKey:
     corrected = bits ^ (np.frombuffer(values, dtype=np.uint8) == 0)
     if decoder.syndromes(corrected):
         raise DecodeFailure("corrected word fails re-verification")
-    return FuzzyKey(key_bits=corrected[: params.k].copy(), params=params,
-                    corrected_errors=roots)
+    return FuzzyKey(key_bits=corrected[: params.k].copy(), corrected_errors=roots)

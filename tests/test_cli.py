@@ -381,6 +381,12 @@ def _not_utf8(at):
     return edit
 
 
+def _set_field(row, index, value):
+    fields = row.split(",")
+    fields[index] = value
+    return ",".join(fields)
+
+
 def _first_entry(**fields):
     return lambda m: {**m, "recordings": [{**m["recordings"][0], **fields}]}
 
@@ -394,6 +400,10 @@ CORPUS_FAULTS = {
     "missing-csv": (lambda corpus: (corpus / "rec_0001.csv").unlink(), "rec_0001.csv"),
     "not-utf8-header": (_not_utf8(0.0), "rec_0000.csv"),
     "not-utf8-body": (_not_utf8(0.5), "rec_0000.csv"),
+    "nan-sample": (_edit_line("rec_0000.csv", 5, lambda row: _set_field(row, 1, "nan")),
+                   "rec_0000.csv"),
+    "inf-timestamp": (_edit_line("rec_0000.csv", -1, lambda row: _set_field(row, 0, "inf")),
+                      "rec_0000.csv"),
     "rate-not-a-number": (_edit_manifest(_first_entry(sample_rate_hz="fast")),
                           "manifest.json"),
     "rate-zero": (_edit_manifest(_first_entry(sample_rate_hz=0)), "manifest.json"),
@@ -494,18 +504,64 @@ def test_csv_parse_error_names_the_file_line(corpus_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_csv_not_utf8_names_the_file_line(corpus_dir, tmp_path, capsys):
+# line 2000 lies far past the first chunk the UTF-8 decoder reads
+@pytest.mark.parametrize("line", [4, 2000])
+def test_csv_not_utf8_names_the_file_line(corpus_dir, tmp_path, capsys, line):
     corpus = tmp_path / "corpus"
     shutil.copytree(corpus_dir, corpus, ignore=shutil.ignore_patterns(CACHE_DIR))
     lines = (corpus / "rec_0000.csv").read_bytes().splitlines(keepends=True)
-    lines[3] = lines[3][:5] + b"\xff" + lines[3][5:]  # file line 4
+    lines[line - 1] = lines[line - 1][:5] + b"\xff" + lines[line - 1][5:]
     (corpus / "rec_0000.csv").write_bytes(b"".join(lines))
     rc = cli.main(["eval", str(corpus), "--analysis", "discriminability",
                    "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2, err
-    assert err.startswith("schema error: SchemaMismatch: rec_0000.csv: line 4: "), err
-    assert "Traceback" not in err
+    assert err == ("schema error: SchemaMismatch: rec_0000.csv: "
+                   f"line {line}: byte 0xff is not UTF-8\n"), err
+
+
+def test_csv_non_finite_value_names_the_file_line(corpus_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus, ignore=shutil.ignore_patterns(CACHE_DIR))
+    _edit_line("rec_0000.csv", 6, lambda row: _set_field(row, 3, "-inf"))(corpus)
+    rc = cli.main(["eval", str(corpus), "--analysis", "discriminability",
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("schema error: SchemaMismatch: rec_0000.csv: line 7: "), err
+    assert "finite numbers" in err
+    assert not (corpus / CACHE_DIR / "rec_0000.csv.rows").exists()
+
+
+def test_preprocess_output_names_that_collide_write_nothing(tmp_path, capsys):
+    rows = "\n".join(f"{i * 20},0,0,9.81,0,0,0" for i in range(600))
+    keys = [("a_b", "c", "r0"), ("a", "b_c", "r0")]
+    for i in range(len(keys)):
+        (tmp_path / f"{i}.csv").write_text(",".join(CSV_COLUMNS) + "\n" + rows)
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "schema_version": 1,
+        "recordings": [{"file": f"{i}.csv", "subject_id": subject, "position": position,
+                        "recording_id": recording, "sample_rate_hz": 50.0}
+                       for i, (subject, position, recording) in enumerate(keys)]}))
+    rc = cli.main(["preprocess", str(tmp_path), str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("schema error: SchemaMismatch: "), err
+    assert "a_b/c/r0" in err and "a/b_c/r0" in err and "a_b_c_r0.json" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_preprocess_prints_the_name_it_writes(tmp_path, capsys):
+    assert cli.main(["synth", str(tmp_path / "c"), "--subjects", "1",
+                     "--cycles", "20", "--positions", "chest"]) == 0
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    manifest["recordings"][0]["recording_id"] = "day1/walk"
+    (tmp_path / "c" / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["preprocess", str(tmp_path / "c"), str(tmp_path / "pre")]) == 0
+    out = capsys.readouterr().out
+    assert out == "ok [s00/chest/day1/walk] -> s00_chest_day1-walk.json\n", out
+    assert (tmp_path / "pre" / "s00_chest_day1-walk.json").exists()
 
 
 def test_preprocess_below_the_gravity_cutoff_is_a_signal_error(tmp_path, capsys):

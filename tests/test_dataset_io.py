@@ -26,6 +26,7 @@ from gaitpair.dataset_io import (
     synthetic_vertical_signal,
 )
 from gaitpair.errors import (
+    ConfigError,
     EmptyStream,
     MissingColumns,
     NonMonotoneTimestamps,
@@ -39,6 +40,18 @@ from gaitpair.signals import preprocess_record
 
 
 # -- synthetic generation -----------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    {"lead_s": -5.0},
+    {"lead_s": float("nan")},
+    {"lead_s": float("inf")},
+    {"per_position": (("chest", PositionSpec(phase_jitter=-1.0)),)},
+    {"per_position": (("chest", PositionSpec(phase_jitter=float("nan"))),)},
+], ids=["lead-negative", "lead-nan", "lead-inf", "jitter-negative", "jitter-nan"])
+def test_synthetic_spec_rejects_a_negative_or_non_finite_offset(spec):
+    with pytest.raises(ConfigError, match="lead_s|phase_jitter"):
+        SyntheticGaitSpec(n_cycles=1, **spec)
+
 
 def test_same_seed_gives_identical_corpora():
     spec = SyntheticGaitSpec(n_cycles=20, rng_seed=5)
@@ -378,6 +391,8 @@ GOOD_ROWS = ["0,0,0,9.81,0,0,0", "20,0,0,9.81,0,0,0", "40,0,0,9.81,0,0,0"]
      SchemaMismatch),
     (",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS[:2] + [GOOD_ROWS[2] + ",0"]),
      SchemaMismatch),
+    (",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS[:2] + ["40,nan,0,9.81,0,0,0"]),
+     SchemaMismatch),
 ])
 def test_invalid_file_raises_and_is_not_cached(tmp_path, text, error):
     write_one_recording(tmp_path, text)
@@ -395,9 +410,13 @@ def test_invalid_file_raises_and_is_not_cached(tmp_path, text, error):
     {"recordings": [{**MANIFEST_ENTRY, "sample_rate_hz": -50.0}]},
     {"recordings": [], "warnings": 5},
     {"recordings": [], "schema_version": "one"},
+    {"recordings": [MANIFEST_ENTRY], "warnings": "check"},
+    {"recordings": [MANIFEST_ENTRY], "warnings": ["check", 5]},
+    {"recordings": [MANIFEST_ENTRY], "schema_version": 99},
 ], ids=["missing", "rate-nan", "rate-inf", "rate-zero", "rate-negative",
-        "warnings-not-a-list", "version-not-an-int"])
-def test_malformed_manifest_is_a_schema_error_naming_it(tmp_path, manifest):
+        "warnings-not-a-list", "version-not-an-int", "warnings-a-string",
+        "warnings-not-strings", "version-99"])
+def test_malformed_manifest_is_a_schema_error_naming_it(tmp_path, manifest, loadtxt_calls):
     write_one_recording(tmp_path, ",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS))
     if manifest is None:
         (tmp_path / "manifest.json").unlink()
@@ -405,6 +424,7 @@ def test_malformed_manifest_is_a_schema_error_naming_it(tmp_path, manifest):
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(SchemaMismatch, match="manifest.json"):
         load_csv(tmp_path)
+    assert loadtxt_calls == []  # every fault is found before the CSV is read
 
 
 def test_cache_hit_still_checks_timestamps(tmp_path, loadtxt_calls):
@@ -419,6 +439,20 @@ def test_cache_hit_still_checks_timestamps(tmp_path, loadtxt_calls):
     with pytest.raises(NonMonotoneTimestamps):
         load_csv(tmp_path)
     assert len(loadtxt_calls) == 1  # the entry was a hit: the reversed rows were never parsed
+
+
+def test_cache_hit_still_checks_finiteness(tmp_path, loadtxt_calls):
+    text = ",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS)
+    write_one_recording(tmp_path, text)
+    # an entry for these bytes that holds a NaN, as if written by hand
+    rows = np.array([[float(v) for v in r.split(",")] for r in GOOD_ROWS]).T
+    rows[1, 1] = np.nan
+    (tmp_path / CACHE_DIR).mkdir()
+    write_entry(tmp_path / CACHE_DIR / "rec.csv.rows",
+                hashlib.sha256(text.encode()).digest(), rows)
+    with pytest.raises(SchemaMismatch, match="rec.csv: a sample is not finite"):
+        load_csv(tmp_path)
+    assert loadtxt_calls == []  # the entry was a hit
 
 
 def test_stale_npz_entry_beside_a_fresh_corpus_is_not_read(saved_corpus, loadtxt_calls,

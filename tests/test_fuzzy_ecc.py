@@ -42,11 +42,22 @@ def test_choose_params_deployment():
     assert (P127.n, P127.k, P127.t) == (127, 22, 23)
 
 
-def test_code_table_matches_standard_reference():
-    expected = [(1, 120), (2, 113), (3, 106), (4, 99), (5, 92), (6, 85),
-                (7, 78), (9, 71), (10, 64), (11, 57), (13, 50), (14, 43),
-                (15, 36), (21, 29), (23, 22), (27, 15), (31, 8), (63, 1)]
-    assert [(p.t, p.k) for p in code_table(127)] == expected
+# (t, k) of the primitive BCH codes (Lin & Costello, *Error Control Coding*,
+# App. C)
+STANDARD_CODES = {
+    15: [(1, 11), (2, 7), (3, 5), (7, 1)],
+    31: [(1, 26), (2, 21), (3, 16), (5, 11), (7, 6), (15, 1)],
+    63: [(1, 57), (2, 51), (3, 45), (4, 39), (5, 36), (6, 30), (7, 24),
+         (10, 18), (11, 16), (13, 10), (15, 7), (31, 1)],
+    127: [(1, 120), (2, 113), (3, 106), (4, 99), (5, 92), (6, 85),
+          (7, 78), (9, 71), (10, 64), (11, 57), (13, 50), (14, 43),
+          (15, 36), (21, 29), (23, 22), (27, 15), (31, 8), (63, 1)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(STANDARD_CODES))
+def test_code_table_matches_standard_reference(n):
+    assert [(p.t, p.k) for p in code_table(n)] == STANDARD_CODES[n]
 
 
 def test_generator_divides_x_n_plus_one():
@@ -336,11 +347,9 @@ def test_decoded_key_reencodes_within_t(message, flips):
 # -- serialization ---------------------------------------------------------------------
 
 def test_key_bytes_msb_first_zero_padded():
-    key = FuzzyKey(key_bits=np.array([1, 0, 1], dtype=np.uint8), params=P15,
-                   corrected_errors=0)
+    key = FuzzyKey(key_bits=np.array([1, 0, 1], dtype=np.uint8), corrected_errors=0)
     assert key.to_bytes() == b"\xa0"
-    key22 = FuzzyKey(key_bits=np.ones(22, dtype=np.uint8), params=P127,
-                     corrected_errors=0)
+    key22 = FuzzyKey(key_bits=np.ones(22, dtype=np.uint8), corrected_errors=0)
     raw = key22.to_bytes()
     assert len(raw) == 3
     assert raw == b"\xff\xff\xfc"
