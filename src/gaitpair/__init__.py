@@ -3,8 +3,8 @@
 Body-worn devices derive always-fresh shared secrets from the wearer's
 instantaneous gait: IMU streams are gravity-aligned and band-limited,
 segmented into normalized gait cycles, quantized into reliability-ranked
-binary fingerprints, and error-corrected into matching keys, which a
-nonce exchange and explicit key confirmation turn into a session secret.
+binary fingerprints and reconciled into one key by a code-offset helper; a
+nonce exchange and explicit key confirmation turn it into a session secret.
 """
 
 from .config import Config

@@ -172,23 +172,18 @@ def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
     elapsed = time.monotonic() - t0
 
     # out-of-band diagnostic: similarity under the initiator's order, the one
-    # both ends apply; None for a result that holds no applied order
-    applied = res_a.applied_order
-    diag_similarity = None
-    if applied is not None:
-        fp_a, fp_b = (compute_fingerprint(seq, cfg.bits_per_cycle)[0]
-                      for seq in (seq_a, seq_b))
-        diag_similarity = similarity(reduce(fp_a, applied, cfg.cutoff),
-                                     reduce(fp_b, applied, cfg.cutoff))
+    # both ends apply
+    (fp_a, order), (fp_b, _) = (compute_fingerprint(seq, cfg.bits_per_cycle)
+                                for seq in (seq_a, seq_b))
+    diag_similarity = similarity(reduce(fp_a, order, cfg.cutoff),
+                                 reduce(fp_b, order, cfg.cutoff))
 
     result = {
         "established": bool(res_a.established and res_b.established),
         "similarity": diag_similarity,
         "code": {"n": params.n, "k": params.k, "t": params.t},
-        "decode": {
-            "initiator_corrected_errors": res_a.corrected_errors,
-            "responder_corrected_errors": res_b.corrected_errors,
-        },
+        "decode": {"responder_corrected_errors":
+                   None if res_b.key is None else res_b.key.corrected_errors},
         "failure": {"initiator": res_a.failure, "responder": res_b.failure},
         "secrets_equal": bool(
             res_a.established and res_b.established

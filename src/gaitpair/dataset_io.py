@@ -125,13 +125,13 @@ def _read_recording_csv(base: Path, name: str) -> tuple[bytes, np.ndarray]:
             hashed = _HashingReader(raw)
             fh = io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8")
             try:
-                _check_header(path, fh.readline())
+                _check_header(name, fh.readline())
                 rows = _read_entry(entry, digest, (len(CSV_COLUMNS), None))
                 parsed = rows is None
                 if parsed:
                     data = np.loadtxt(fh, delimiter=",", ndmin=2)
                     if data.size and data.shape[1] != len(CSV_COLUMNS):
-                        raise SchemaMismatch(f"{path.name}: row width {data.shape[1]}")
+                        raise SchemaMismatch(f"{name}: row width {data.shape[1]}")
                     digest = hashed.sha256.digest()
                     rows = np.ascontiguousarray(data.reshape(-1, len(CSV_COLUMNS)).T)
                 if not np.isfinite(rows).all():
@@ -165,14 +165,13 @@ class _HashingReader(io.RawIOBase):
         return n
 
 
-def _check_header(path: Path, header: str) -> None:
+def _check_header(name: str, header: str) -> None:
     cols = tuple(c.strip() for c in header.strip().split(","))
     missing = [c for c in CSV_COLUMNS if c not in cols]
     if missing:
-        raise MissingColumns(f"{path.name}: missing columns {missing}")
+        raise MissingColumns(f"{name}: missing columns {missing}")
     if cols != CSV_COLUMNS:
-        raise SchemaMismatch(
-            f"{path.name}: header {cols} != {CSV_COLUMNS}")
+        raise SchemaMismatch(f"{name}: header {cols} != {CSV_COLUMNS}")
 
 
 def _bad_line(raw: bytes) -> str | None:

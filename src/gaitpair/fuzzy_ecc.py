@@ -1,11 +1,12 @@
 """Fuzzy key extraction: map a bit vector to the nearest codeword's message.
 
-Binary BCH codes over GF(2) provide the quantization of the fingerprint space:
-any two vectors within Hamming distance t of the same codeword decode to the
-same k-bit key, so near-identical fingerprints yield identical keys without
-any helper data crossing the channel.  Decoding is strict bounded-distance;
-an input farther than t from every codeword raises DecodeFailure rather than
-returning an unvetted key.  Its steps, with tables built once per code:
+Binary BCH codes over GF(2) carry the session's code-offset reconciliation:
+a responder's reduced fingerprint, offset by the initiator's helper (the
+systematic parity of the initiator's key bits XOR its other bits), decodes to
+the initiator's key exactly when the two lie within Hamming distance t.
+Decoding is strict bounded-distance; an input farther than t from every
+codeword raises DecodeFailure rather than returning an unvetted key.  Its
+steps, with tables built once per code:
 
 - the t odd syndromes S_1, S_3, .., S_2t-1, as the XOR of one per-byte table
   row per byte of the packed word; the even ones are squares, S_2i = S_i^2;

@@ -1,13 +1,15 @@
 """Two-party pairing handshake over independently measured gait fingerprints.
 
-Sequence: the initiator opens with its reliability ordering and a nonce; both
-ends reduce their own fingerprint by that one ordering and decode the reduced
-bits to a key; the responder answers with its nonce and a key confirmation
-MAC, and the initiator confirms back.  The secret hashes the key with the
-transcript.  There is no PAKE yet: a passive listener can still search the
-22-bit keys of the default code offline against a captured confirmation MAC.
-Fingerprint bits and reliability magnitudes never cross the wire: only an
-index permutation, nonces, and MACs do.
+Reconciliation is systematic code-offset (Juels & Wattenberg, CCS 1999;
+Dodis, Reyzin & Smith, EUROCRYPT 2004): the initiator reduces its fingerprint
+by its own order to n bits w, keeps w[:k] as its key, and opens with the N
+order indices, the helper h = encode(w[:k])[k:] xor w[k:] and a nonce.  The
+responder reduces by those indices, XORs h into bits k..n-1 and decodes to
+w[:k] exactly when its word is within t bits of w; it answers with its nonce
+and a confirmation MAC, and the initiator confirms back.  The secret hashes
+the key with the transcript.  There is no PAKE yet, so a passive listener can
+still search the 22-bit keys offline against a captured MAC.  Fingerprint bit
+values never cross the wire, but h, derived from w, reveals up to n - k bits.
 
 One end of a session is a ``Session``: a state machine that does no I/O.
 ``start()`` and ``receive(frame)`` return the frames to send, and ``result``
@@ -15,7 +17,7 @@ is set once the session has ended.  ``run_pair_in_memory`` drives both ends.
 
 Wire format (documented bit-exactly in docs/wire-format.md):
   frame   = [1B version=0x01][1B type][2B big-endian payload length][payload]
-  reliability order payload = [2B M][M x 1B indices]
+  reliability order payload = [2B N][N x 1B indices][h, MSB-first, zero-padded]
   nonce payload = [16B random]
 """
 
@@ -36,8 +38,8 @@ from .errors import (
     DecodeFailure,
     MalformedMessage,
 )
-from .fingerprint import compute_fingerprint, reduce
-from .fuzzy_ecc import CodeParams, FuzzyKey, choose_params, decode
+from .fingerprint import compute_fingerprint
+from .fuzzy_ecc import CodeParams, FuzzyKey, choose_params, decode, encode
 from .gait import GaitSequence
 
 PROTOCOL_VERSION = 0x01
@@ -52,7 +54,7 @@ NONCE_SIZE = 16
 # the reasons a Session itself sends in an Abort; any other reason a peer
 # sends is reported by its length alone, so peer text never reaches the result
 ABORT_REASONS = frozenset({"decode failure", "malformed message",
-                           "fingerprint length mismatch", "key confirmation failed"})
+                           "key confirmation failed"})
 
 
 # -- framing ------------------------------------------------------------------------
@@ -75,23 +77,28 @@ def decode_frame(frame: bytes) -> tuple[int, bytes]:
     return msg_type, frame[4:]
 
 
-def encode_reliability_payload(order: np.ndarray) -> bytes:
-    m = order.shape[0]
-    if m > 256:
-        raise MalformedMessage(f"M={m} exceeds 8-bit index encoding")
-    return struct.pack(">H", m) + order.astype(np.uint8).tobytes()
+def encode_reliability_payload(indices: np.ndarray, helper: bytes) -> bytes:
+    # bytes() refuses an index above 255 rather than wrapping it
+    return struct.pack(">H", len(indices)) + bytes(indices.tolist()) + helper
 
 
-def decode_reliability_payload(payload: bytes) -> np.ndarray:
-    if len(payload) < 2:
-        raise MalformedMessage("reliability payload too short")
-    (m,) = struct.unpack(">H", payload[:2])
-    if len(payload) != 2 + m:
-        raise MalformedMessage(f"reliability payload length {len(payload)} != {2 + m}")
-    order = np.frombuffer(payload[2:], dtype=np.uint8).astype(int)
-    if not np.array_equal(np.sort(order), np.arange(m)):
-        raise MalformedMessage("reliability indices are not a permutation")
-    return order
+def decode_reliability_payload(payload: bytes, m: int, N: int, helper_size: int
+                               ) -> tuple[np.ndarray, bytes]:
+    """The N distinct indices below M and the ``helper_size``-byte helper of
+    an opening payload; anything else is a ``MalformedMessage``."""
+    count = int.from_bytes(payload[:2], "big")  # a shorter payload fails a check
+    if count != N:
+        raise MalformedMessage(f"{count} reliability indices, not N={N}")
+    if len(payload) != 2 + N + helper_size:
+        raise MalformedMessage(
+            f"reliability payload length {len(payload)} != {2 + N + helper_size}")
+    indices = np.frombuffer(payload, dtype=np.uint8, count=N, offset=2).astype(np.intp)
+    counts = np.bincount(indices, minlength=m)
+    if counts.size > m:
+        raise MalformedMessage(f"reliability index {counts.size - 1} >= M={m}")
+    if counts.max(initial=0) > 1:
+        raise MalformedMessage("repeated reliability index")
+    return indices, payload[2 + N:]
 
 
 # -- key confirmation ------------------------------------------------------------------
@@ -117,7 +124,6 @@ class SessionResult:
     failure: str | None = None
     key: FuzzyKey | None = None
     applied_order: np.ndarray | None = field(default=None, repr=False)
-    corrected_errors: int | None = None
 
 
 def session_code_params(cfg: Config) -> CodeParams:
@@ -131,15 +137,15 @@ class Session:
     ``start()``, called once, and then ``receive(frame)`` for each peer frame
     return the frames to send, in order.  ``result`` is set once the session
     has ended; frames received after that are ignored.  The initiator's
-    ``start()`` sends its reliability order, reduces its own fingerprint by it
-    and decodes, then sends its nonce, or the decode-failure Abort.  The
-    responder sends no order: it reduces by the one it receives and decodes,
-    and answers the initiator's nonce with its own nonce and its confirmation;
-    the initiator confirms back once that has verified.  Decode failures and
-    dissimilar fingerprints are expected outcomes that simply end the attempt
-    (fresh gait data is required for the next one).  A wrong or malformed
-    frame ends the session; the frame types expected in turn are reliability
-    order (responder only), nonce and confirmation.
+    ``start()`` keeps its own reduced bits as the key and sends its order
+    indices with the code-offset helper, then its nonce.  The responder sends
+    no order: it applies the one it receives and the helper and decodes, and
+    answers the initiator's nonce with its own nonce and its confirmation;
+    the initiator confirms back once that has verified.  A decode failure
+    (dissimilar fingerprints) is an expected outcome that simply ends the
+    attempt; fresh gait data is required for the next one.  A wrong or
+    malformed frame ends the session; the frame types expected in turn are
+    reliability order (responder only), nonce and confirmation.
     """
 
     def __init__(self, local_gait: GaitSequence, cfg: Config, *, initiator: bool,
@@ -158,15 +164,22 @@ class Session:
         self._transcript = hashlib.sha256()  # fed each entry as it is added
         # an initiator expects nothing but an Abort until it has started
         self._expect(None if initiator else MSG_RELIABILITY_ORDER, self._on_order)
-        self._applied: np.ndarray | None = None
+        self._applied: np.ndarray | None = None  # the initiator's N order indices
         self.result: SessionResult | None = None
 
     def start(self) -> list[bytes]:
         if not self._initiator:
             return []
+        indices = self._local_order[: self._cfg.cutoff]
+        word = self._fp.bits[indices[: self._params.n]]
+        k = self._params.k
+        self._key = FuzzyKey(key_bits=word[:k], corrected_errors=0)
+        helper = np.packbits(encode(word[:k], self._params)[k:] ^ word[k:]).tobytes()
         frame = encode_frame(MSG_RELIABILITY_ORDER,
-                             encode_reliability_payload(self._local_order))
-        return [frame] + self._apply(frame, self._local_order)
+                             encode_reliability_payload(indices, helper))
+        self._opened(frame, indices)
+        self._nonce = self._new_nonce()
+        return [frame, encode_frame(MSG_NONCE, self._nonce)]
 
     def receive(self, frame: bytes) -> list[bytes]:
         if self.result is not None:
@@ -189,12 +202,8 @@ class Session:
 
     def _end(self, failure: str, abort: str | None = None) -> list[bytes]:
         self.result = SessionResult(established=False, failure=failure,
-                                    applied_order=self._applied_order())
+                                    applied_order=self._applied)
         return [] if abort is None else [encode_frame(MSG_ABORT, abort.encode())]
-
-    def _applied_order(self) -> np.ndarray | None:
-        """The initiator's order once this end has applied it, else None."""
-        return None if self._applied is None else self._applied.copy()
 
     def _expect(self, msg_type: int | None, handler) -> None:
         self._expected, self._handler = msg_type, handler
@@ -213,31 +222,28 @@ class Session:
     def _confirm(self) -> bytes:
         return encode_frame(MSG_CONFIRM, confirm_key(self._secret, self._digest, self._role))
 
+    def _opened(self, frame: bytes, indices: np.ndarray) -> None:
+        """Enter the order frame in the transcript and await the nonce."""
+        self._add("order", frame)
+        self._applied = indices
+        self._expect(MSG_NONCE, self._on_nonce)
+
     # -- states, one per expected frame --
 
     def _on_order(self, frame: bytes, payload: bytes) -> list[bytes]:
-        order = decode_reliability_payload(payload)
-        m = self._fp.bits.size
-        if order.shape[0] != m:
-            return self._end(f"peer M={order.shape[0]} != local M={m}",
-                             abort="fingerprint length mismatch")
-        return self._apply(frame, order)
-
-    def _apply(self, frame: bytes, order: np.ndarray) -> list[bytes]:
-        """Reduce the local fingerprint by the initiator's order and decode."""
-        self._add("order", frame)
-        self._applied = order
-        reduced = reduce(self._fp, order, self._cfg.cutoff)
+        """Reduce by the initiator's indices, add its helper and decode."""
+        n, k = self._params.n, self._params.k
+        indices, helper = decode_reliability_payload(
+            payload, self._fp.bits.size, self._cfg.cutoff, (n - k + 7) // 8)
+        self._opened(frame, indices)
+        word = self._fp.bits[indices[:n]]
+        word[k:] ^= np.unpackbits(np.frombuffer(helper, dtype=np.uint8), count=n - k)
         try:
-            self._key = decode(reduced.bits[: self._params.n], self._params)
+            self._key = decode(word, self._params)
         except DecodeFailure:
-            return self._end("decode failure: fingerprint too far from the codespace",
+            return self._end("decode failure: fingerprint too far from the initiator's",
                              abort="decode failure")
-        self._expect(MSG_NONCE, self._on_nonce)
-        if not self._initiator:
-            return []
-        self._nonce = self._new_nonce()
-        return [encode_frame(MSG_NONCE, self._nonce)]
+        return []
 
     def _on_nonce(self, frame: bytes, payload: bytes) -> list[bytes]:
         """Derive the secret from the key and both nonces; the responder then
@@ -265,8 +271,7 @@ class Session:
             established=True,
             secret=self._secret,
             key=self._key,
-            applied_order=self._applied_order(),
-            corrected_errors=self._key.corrected_errors,
+            applied_order=self._applied,
         )
         return [self._confirm()] if self._initiator else []
 

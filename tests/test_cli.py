@@ -10,6 +10,7 @@ from gaitpair.dataset_io import (CACHE_DIR, CSV_COLUMNS, SyntheticGaitSpec,
                                  generate_synthetic, save_csv, sliding_windows)
 from gaitpair.fingerprint import (average_cycle, quantize, reduce, reliability_order,
                                   similarity)
+from gaitpair.fuzzy_ecc import FuzzyKey
 from gaitpair.protocol import SessionResult
 
 from helpers import mixed_rate_corpus
@@ -194,15 +195,13 @@ def test_pair_same_recording_is_deterministic(preprocessed_dir, capsys):
     rec = sorted(str(p) for p in preprocessed_dir.glob("*.json"))[0]
     rc = cli.main(["pair", rec, rec, "--insecure-session-seed", "11"])
     out = json.loads(capsys.readouterr().out)
-    # identical input gives identical fingerprints; whether the session
-    # establishes depends on the fingerprint being decodable at all
+    # identical input gives identical fingerprints, so the responder's word
+    # is the initiator's and decodes with nothing to correct
     assert out["similarity"] == pytest.approx(1.0)
     assert out["code"] == {"n": 127, "k": 22, "t": 23}
-    if out["established"]:
-        assert rc == 0 and out["secrets_equal"]
-    else:
-        assert rc == 4
-        assert "decode" in (out["failure"]["initiator"] or "")
+    assert rc == 0 and out["established"] and out["secrets_equal"]
+    assert out["decode"] == {"responder_corrected_errors": 0}
+    assert out["failure"] == {"initiator": None, "responder": None}
 
 
 def test_pair_different_subjects_fails(preprocessed_dir, capsys):
@@ -214,6 +213,8 @@ def test_pair_different_subjects_fails(preprocessed_dir, capsys):
     assert rc == 4
     assert out["established"] is False
     assert out["similarity"] < 0.8
+    assert out["failure"]["initiator"] == "peer abort: decode failure"
+    assert out["decode"] == {"responder_corrected_errors": None}
 
 
 def test_pair_insufficient_cycles(preprocessed_dir, tmp_path, capsys):
@@ -227,15 +228,15 @@ def test_pair_insufficient_cycles(preprocessed_dir, tmp_path, capsys):
 
 
 def test_pair_success_path_formatting(preprocessed_dir, capsys, monkeypatch):
-    ok = SessionResult(established=True, secret=b"s" * 32, key=None,
-                       corrected_errors=3)
+    key = FuzzyKey(key_bits=np.zeros(22, dtype=np.uint8), corrected_errors=3)
+    ok = SessionResult(established=True, secret=b"s" * 32, key=key)
     monkeypatch.setattr(cli, "run_pair_in_memory", lambda *a, **k: (ok, ok))
     rec = sorted(str(p) for p in preprocessed_dir.glob("*.json"))[0]
     rc = cli.main(["pair", rec, rec])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["established"] and out["secrets_equal"]
-    assert out["decode"]["initiator_corrected_errors"] == 3
+    assert out["decode"] == {"responder_corrected_errors": 3}
 
 
 def test_eval_security_defaults(tmp_path, capsys):

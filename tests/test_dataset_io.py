@@ -150,6 +150,23 @@ def test_missing_columns_named(tmp_path):
         load_csv(tmp_path)
 
 
+
+@pytest.mark.parametrize("header, row", [
+    (",".join(CSV_COLUMNS[:6]), "0,0,0,9.81,0,0,0"),
+    (",".join(CSV_COLUMNS), "0,0,0,9.81,0,0"),
+], ids=["six-column-header", "six-column-rows"])
+def test_a_csv_fault_names_the_manifest_file(tmp_path, header, row):
+    # a/rec.csv and b/rec.csv share a base name; the fault names the one at fault
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "rec.csv").write_text(f"{header}\n{row}\n{row}\n")
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "schema_version": 1,
+        "recordings": [{"file": "a/rec.csv", "subject_id": "s", "position": "waist",
+                        "recording_id": "0", "sample_rate_hz": 50.0}]}))
+    with pytest.raises(SchemaMismatch, match="^a/rec.csv: "):
+        load_csv(tmp_path)
+
 def test_non_monotone_timestamps(tmp_path):
     rows = ["0,0,0,9.81,0,0,0", "20,0,0,9.81,0,0,0", "10,0,0,9.81,0,0,0"]
     (tmp_path / "rec.csv").write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows))

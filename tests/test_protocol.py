@@ -10,8 +10,11 @@ import pytest
 
 from gaitpair import protocol
 from gaitpair.config import Config
+from gaitpair.dataset_io import SyntheticGaitSpec, generate_synthetic, sliding_windows
 from gaitpair.errors import ConfigError, ConfirmMismatch, MalformedMessage
 from gaitpair.fingerprint import compute_fingerprint
+from gaitpair.fuzzy_ecc import encode
+from gaitpair.gait import detect_cycles
 from gaitpair.protocol import (
     ABORT_REASONS,
     MSG_ABORT,
@@ -28,6 +31,7 @@ from gaitpair.protocol import (
     session_code_params,
     verify_confirm,
 )
+from gaitpair.signals import preprocess_record
 
 from helpers import craft_codeword_pair, delta_to_sequence, random_delta_sequence
 
@@ -52,32 +56,41 @@ def test_frame_rejects_truncation():
 
 
 def test_reliability_payload_layout():
-    order = np.array([2, 0, 3, 1])
-    payload = encode_reliability_payload(order)
-    assert payload == b"\x00\x04" + b"\x02\x00\x03\x01"
-    assert np.array_equal(decode_reliability_payload(payload), [2, 0, 3, 1])
+    # N = 3 indices of an M = 4 bit fingerprint, then a 1-byte helper
+    payload = encode_reliability_payload(np.array([2, 0, 3]), b"\xa5")
+    assert payload == b"\x00\x03" + b"\x02\x00\x03" + b"\xa5"
+    indices, helper = decode_reliability_payload(payload, 4, 3, 1)
+    assert np.array_equal(indices, [2, 0, 3]) and helper == b"\xa5"
     for bad in (payload[:-1], payload + b"\x00", payload[:1]):
         with pytest.raises(MalformedMessage):
-            decode_reliability_payload(bad)
+            decode_reliability_payload(bad, 4, 3, 1)
 
 
 def test_reliability_payload_bytes_are_pinned():
-    # one index byte per entry, in order: M = 128, 192, 256 and an order that
-    # opens with index 255; the digest pins the bytes of the per-entry encoder
+    # one index byte per entry, in order, then the helper: the first 128 of
+    # orders of M = 128, 192, 256 and an order that opens with index 255;
+    # the digest pins the bytes of the per-entry encoder
     digest = hashlib.sha256()
-    orders = [np.random.default_rng(m).permutation(m) for m in (128, 192, 256)]
-    for order in orders + [np.r_[255, np.arange(255)]]:
-        payload = encode_reliability_payload(order)
-        assert payload == struct.pack(">H", order.size) + bytes(int(v) for v in order)
+    helper = bytes(range(14))
+    orders = [np.random.default_rng(m).permutation(m)[:128] for m in (128, 192, 256)]
+    for order in orders + [np.r_[255, np.arange(127)]]:
+        payload = encode_reliability_payload(order, helper)
+        assert payload == (struct.pack(">H", 128) + bytes(int(v) for v in order)
+                           + helper)
         digest.update(payload)
     assert digest.hexdigest() == (
-        "6e98fc7bf8af02da7ac9cee582bb61ecd78c83ffefb1163fdf6c3caf6f34fb35")
+        "44589767909c8009fb921f4f18dd228a8780250fbac1a5fdc4b92ecde925b1e3")
 
 
 def test_reliability_payload_rejects_non_permutation():
-    payload = b"\x00\x03" + b"\x00\x00\x01"
-    with pytest.raises(MalformedMessage):
-        decode_reliability_payload(payload)
+    # N = 3 distinct indices below M = 4 and a 1-byte helper, or malformed
+    for payload, message in [
+            (b"\x00\x02\x00\x01\xff", "2 reliability indices, not N=3"),
+            (b"\x00\x03\x00\x00\x01\xff", "repeated reliability index"),
+            (b"\x00\x03\x00\x04\x01\xff", "reliability index 4 >= M=4"),
+            (b"\x00\x03\x00\x02\x01", "reliability payload length 5 != 6")]:
+        with pytest.raises(MalformedMessage, match=f"^{re.escape(message)}$"):
+            decode_reliability_payload(payload, 4, 3, 1)
 
 
 def test_wire_format_doc_matches_the_code():
@@ -102,7 +115,7 @@ def test_identical_decodable_inputs_establish(cfg, code_params):
     assert res_a.secret == res_b.secret
     assert len(res_a.secret) == 32
     assert np.array_equal(res_a.key.key_bits, msg)
-    assert res_a.corrected_errors == 0
+    assert res_b.key.corrected_errors == 0
 
 
 def test_flipped_reliable_bits_still_establish(cfg, code_params):
@@ -110,7 +123,8 @@ def test_flipped_reliable_bits_still_establish(cfg, code_params):
     res_a, res_b = run_pair_in_memory(seq_a, seq_b, cfg, seed=2)
     assert res_a.established and res_b.established
     assert res_a.secret == res_b.secret
-    assert {res_a.corrected_errors, res_b.corrected_errors} == {0, code_params.t}
+    # the initiator does not decode; the responder corrects its t flips
+    assert (res_a.key.corrected_errors, res_b.key.corrected_errors) == (0, code_params.t)
     assert np.array_equal(res_b.key.key_bits, msg)
 
 
@@ -123,8 +137,9 @@ def test_independent_inputs_fail(cfg):
 
 
 def test_different_keys_fail_at_confirmation_not_silently(cfg, code_params):
-    # both sides decode cleanly but to different keys: key confirmation must
-    # fail, never hand out unequal secrets
+    # the responder decodes cleanly, but to its own codeword's message, not
+    # the initiator's key: key confirmation must fail, never hand out
+    # unequal secrets
     seq_a, _, msg_a = craft_codeword_pair(40, 0, cfg, code_params)
     seq_b, _, msg_b = craft_codeword_pair(41, 0, cfg, code_params)
     assert not np.array_equal(msg_a, msg_b)
@@ -138,8 +153,10 @@ def test_different_keys_fail_at_confirmation_not_silently(cfg, code_params):
 def test_order_agreement_instrumentation(cfg, code_params):
     seq_a, seq_b, _ = craft_codeword_pair(12, 5, cfg, code_params)
     res_a, res_b = run_pair_in_memory(seq_a, seq_b, cfg, seed=4)
+    assert res_a.applied_order.shape == (cfg.cutoff,)
     assert np.array_equal(res_a.applied_order, res_b.applied_order)
-    # both ends apply the initiator's own order, whichever record opens
+    # both ends apply the first N entries of the initiator's own order,
+    # whichever record opens
     pair = [random_delta_sequence(i, cfg) for i in (1, 2)]
     for seq_a, seq_b in (pair, pair[::-1]):
         own_a, own_b = (compute_fingerprint(seq, cfg.bits_per_cycle)[1]
@@ -147,7 +164,7 @@ def test_order_agreement_instrumentation(cfg, code_params):
         assert not np.array_equal(own_a, own_b)
         for seed in range(4):
             for res in run_pair_in_memory(seq_a, seq_b, cfg, seed=seed):
-                assert np.array_equal(res.applied_order, own_a)
+                assert np.array_equal(res.applied_order, own_a[:cfg.cutoff])
 
 
 def test_role_symmetry(cfg, code_params):
@@ -160,6 +177,47 @@ def test_role_symmetry(cfg, code_params):
     ind_rev = run_pair_in_memory(random_delta_sequence(4, cfg),
                                  random_delta_sequence(3, cfg), cfg, seed=6)
     assert ind_fwd[0].established == ind_rev[0].established == False  # noqa: E712
+
+
+def _gait_windows(seed: int, cfg) -> dict:
+    """Every record's windows in the 4-subject, 300-cycle corpus of ``seed``,
+    keyed by (subject, position)."""
+    spec = SyntheticGaitSpec(n_cycles=300, n_subjects=4, rng_seed=seed)
+    windows = {}
+    for rec in generate_synthetic(spec).records:
+        sig = preprocess_record(rec, band=cfg.band)
+        windows[rec.subject_id, rec.position] = sliding_windows(
+            sig, cfg.cycles_per_fingerprint, overlap=0.5, rho=cfg.rho,
+            detection=detect_cycles(sig))
+    return windows
+
+
+# seed 1001 is left out: cycle detection locks onto a harmonic on its s03
+# body, whose windows then repeat one fixed pattern and inflate its rate
+@pytest.mark.parametrize("seed, same_body", [(7, 166), (11, 221)])
+def test_gait_sessions_establish_exactly_within_t(cfg, code_params, seed, same_body):
+    # one seeded session on every directed pair of same-index windows of one
+    # body at two positions, and of two bodies at one position
+    windows = _gait_windows(seed, cfg)
+    established = {True: 0, False: 0}
+    sessions = {True: 0, False: 0}
+    for key_a, key_b in itertools.permutations(windows, 2):
+        same = key_a[0] == key_b[0]
+        if not same and key_a[1] != key_b[1]:
+            continue
+        for w, (win_a, win_b) in enumerate(zip(windows[key_a], windows[key_b])):
+            res_a, res_b = run_pair_in_memory(win_a.sequence, win_b.sequence, cfg,
+                                              seed=w)
+            (fp_a, order), (fp_b, _) = (
+                compute_fingerprint(win.sequence, cfg.bits_per_cycle)
+                for win in (win_a, win_b))
+            top = order[:code_params.n]
+            distance = int(np.count_nonzero(fp_a.bits[top] != fp_b.bits[top]))
+            assert res_a.established == res_b.established == (distance <= code_params.t)
+            established[same] += res_a.established
+            sessions[same] += 1
+    assert (established[True], sessions[True]) == (same_body, 264)
+    assert (established[False], sessions[False]) == (0, 396)
 
 
 def shuttle(a: Session, b: Session) -> tuple[list[bytes], list[bytes]]:
@@ -178,15 +236,15 @@ def shuttle(a: Session, b: Session) -> tuple[list[bytes], list[bytes]]:
 # name -> (build(cfg, params) -> (initiator's sequence, responder's sequence),
 #          frames and bytes both ends send)
 SESSION_KINDS = {
-    "established": (lambda c, p: craft_codeword_pair(11, p.t, c, p)[:2], 5, 310),
+    "established": (lambda c, p: craft_codeword_pair(11, p.t, c, p)[:2], 5, 260),
     "responder fails decode":
-        (lambda c, p: craft_codeword_pair(12, p.t + 1, c, p)[:2], 3, 236),
-    "initiator fails decode":
-        (lambda c, p: craft_codeword_pair(12, p.t + 1, c, p)[1::-1], 2, 216),
-    "both fail decode":
-        (lambda c, p: (random_delta_sequence(1, c), random_delta_sequence(2, c)), 3, 234),
+        (lambda c, p: craft_codeword_pair(12, p.t + 1, c, p)[:2], 3, 186),
+    "initiator holds the flips":
+        (lambda c, p: craft_codeword_pair(12, p.t + 1, c, p)[1::-1], 3, 186),
+    "independent":
+        (lambda c, p: (random_delta_sequence(1, c), random_delta_sequence(2, c)), 3, 186),
     "mismatched keys": (lambda c, p: (craft_codeword_pair(40, 0, c, p)[0],
-                                      craft_codeword_pair(41, 0, c, p)[0]), 5, 301),
+                                      craft_codeword_pair(41, 0, c, p)[0]), 5, 251),
 }
 
 
@@ -285,8 +343,39 @@ def test_brute_force_of_a_captured_transcript_succeeds_today():
 
 
 def _order_frame(seq, cfg) -> bytes:
-    order = compute_fingerprint(seq, cfg.bits_per_cycle)[1]
-    return encode_frame(MSG_RELIABILITY_ORDER, encode_reliability_payload(order))
+    """The opening frame of an initiator on ``seq``."""
+    return Session(seq, cfg, initiator=True).start()[0]
+
+
+def test_opening_frame_carries_the_initiators_indices_and_helper(cfg, code_params):
+    seq = random_delta_sequence(5, cfg)
+    fp, order = compute_fingerprint(seq, cfg.bits_per_cycle)
+    word = fp.bits[order[:code_params.n]]
+    k = code_params.k
+    msg_type, payload = decode_frame(_order_frame(seq, cfg))
+    assert msg_type == MSG_RELIABILITY_ORDER and len(payload) == 2 + 128 + 14
+    indices, helper = decode_reliability_payload(payload, fp.bits.size, cfg.cutoff, 14)
+    assert np.array_equal(indices, order[:cfg.cutoff])
+    syndrome = np.unpackbits(np.frombuffer(helper, dtype=np.uint8))
+    assert np.array_equal(syndrome[:105], encode(word[:k], code_params)[k:] ^ word[k:])
+    assert not syndrome[105:].any()
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda p: b"\x00\x7f" + p[2:129] + p[130:], "127 reliability indices, not N=128"),
+    (lambda p: p[:3] + p[2:3] + p[4:], "repeated reliability index"),
+    (lambda p: p[:2] + b"\xc0" + p[3:], "reliability index 192 >= M=192"),
+    (lambda p: p[:-1], "reliability payload length 143 != 144"),
+])
+def test_an_opening_that_is_not_n_indices_and_a_helper_is_malformed(
+        cfg, code_params, edit, reason):
+    seq_b, _, _ = craft_codeword_pair(17, 0, cfg, code_params)
+    payload = decode_frame(_order_frame(seq_b, cfg))[1]
+    b = Session(seq_b, cfg, initiator=False)
+    out = b.receive(encode_frame(MSG_RELIABILITY_ORDER, edit(payload)))
+    assert b.result.failure == f"malformed message: {reason}"
+    assert b.result.applied_order is None
+    assert out == [encode_frame(MSG_ABORT, b"malformed message")]
 
 
 def test_malformed_message_fails_session(cfg, code_params):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from gaitpair.config import Config
 from gaitpair.errors import MalformedMessage
-from gaitpair.fingerprint import compute_fingerprint
 from gaitpair.protocol import (
     MSG_ABORT,
     MSG_CONFIRM,
@@ -36,20 +35,23 @@ from gaitpair.protocol import (
 from helpers import craft_codeword_pair
 
 CFG = Config()
-# a gait sequence whose own reduced fingerprint decodes, so a session on it
-# reaches the nonce exchange whenever its own ordering applies
-SEQ = craft_codeword_pair(21, 0, CFG, session_code_params(CFG))[0]
+PARAMS = session_code_params(CFG)
+HELPER_SIZE = (PARAMS.n - PARAMS.k + 7) // 8
+# a gait sequence that a responder on it decodes when its own opening frame
+# arrives, so the session reaches the nonce exchange
+SEQ = craft_codeword_pair(21, 0, CFG, PARAMS)[0]
+OWN_OPENING = Session(SEQ, CFG, initiator=True).start()[0]
 
 
-def order_payload(order) -> bytes:
-    return encode_reliability_payload(np.asarray(order))
+def order_payload(order, helper: bytes) -> bytes:
+    return encode_reliability_payload(np.asarray(order[:CFG.cutoff]), helper)
 
 
-OWN_ORDER = compute_fingerprint(SEQ, CFG.bits_per_cycle)[1]
 payloads = st.one_of(
     st.binary(max_size=64),
-    st.builds(order_payload,
-              st.one_of(st.just(OWN_ORDER), st.permutations(range(CFG.fingerprint_bits)))),
+    st.just(decode_frame(OWN_OPENING)[1]),
+    st.builds(order_payload, st.permutations(range(CFG.fingerprint_bits)),
+              st.binary(min_size=HELPER_SIZE, max_size=HELPER_SIZE)),
     st.binary(min_size=16, max_size=16),
     st.binary(min_size=32, max_size=32),
 )
@@ -69,21 +71,27 @@ def test_decode_frame_returns_or_raises_malformed(data):
     assert encode_frame(msg_type, payload) == data
 
 
-@given(st.binary(max_size=300))
+# N = 3 indices of an M = 5 bit fingerprint and a 1-byte helper, with
+# index bytes near the bounds, so that some inputs are opening payloads
+@given(st.one_of(st.binary(max_size=300),
+                 st.builds(lambda count, indices, helper: count + bytes(indices) + helper,
+                           st.sampled_from([b"\x00\x03", b"\x00\x02"]),
+                           st.lists(st.integers(0, 5), min_size=3, max_size=3),
+                           st.binary(min_size=1, max_size=1))))
 def test_decode_reliability_payload_returns_or_raises_malformed(data):
     try:
-        order = decode_reliability_payload(data)
+        indices, helper = decode_reliability_payload(data, 5, 3, 1)
     except MalformedMessage:
         return
-    assert np.array_equal(np.sort(order), np.arange(order.shape[0]))
-    assert encode_reliability_payload(order) == data
+    assert indices.shape == (3,) and len(set(indices.tolist())) == 3
+    assert indices.max() < 5 and len(helper) == 1
+    assert encode_reliability_payload(indices, helper) == data
 
 
 def plausible_opening(initiator: bool) -> list[bytes]:
     """Frames that take the session to its confirmation: the session's own
-    ordering (to a responder), so its key decodes, and a 16-byte nonce."""
-    opening = [] if initiator else [
-        encode_frame(MSG_RELIABILITY_ORDER, order_payload(OWN_ORDER))]
+    opening frame (to a responder), so its key decodes, and a 16-byte nonce."""
+    opening = [] if initiator else [OWN_OPENING]
     return opening + [encode_frame(MSG_NONCE, bytes(16))]
 
 
@@ -101,7 +109,6 @@ def test_session_on_arbitrary_frames_never_raises_or_establishes(
 
 
 # crafted pairs that establish (0 and t flips) and one that fails (t + 1 flips)
-PARAMS = session_code_params(CFG)
 PAIRS = [craft_codeword_pair(30 + i, flips, CFG, PARAMS)[:2]
          for i, flips in enumerate((0, PARAMS.t, PARAMS.t + 1))]
 
