@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -39,7 +40,7 @@ EXIT_CODES = (
 )
 
 ANALYSES = ("coherence", "reliability", "discriminability", "positions",
-            "randomness", "security")
+            "guesswork", "security")
 
 
 #: Config field -> (flag type, help); every default lives in ``Config``.
@@ -121,6 +122,14 @@ def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
     for rec in corpus.records:
         label = f"{rec.subject_id}/{rec.position}/{rec.recording_id}"
         name = f"{rec.subject_id}_{rec.position}_{rec.recording_id}.json".replace("/", "-")
+        try:
+            refused = "\0" in name or len(os.fsencode(name)) > 255
+        except UnicodeEncodeError:  # a lone surrogate
+            refused = True
+        if refused:
+            raise SchemaMismatch(f"{args.input}: record {label!r} would write {name!r}, "
+                                 "a file name the OS refuses (a NUL byte, a lone "
+                                 "surrogate or over 255 bytes)")
         if name in labels:
             raise SchemaMismatch(f"{args.input}: records {labels[name]} and {label} "
                                  f"would both write {name}")
@@ -267,11 +276,15 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
         rep = eval_harness.position_table(corpus, cfg=cfg)
         _write_json(out_dir / "positions.json", rep)
         summary = {"positions": ";".join(rep.positions)}
-    elif args.analysis == "randomness":
-        keys = eval_harness.fingerprint_keys(corpus, cfg)
-        rep = eval_harness.randomness_suite(keys)
-        _write_json(out_dir / "randomness.json", rep)
-        summary = {"passed": rep.passed, **rep.p_values}
+    elif args.analysis == "guesswork":
+        tries = eval_harness.security_arithmetic(args.session_seconds, cfg.threshold,
+                                                 cfg.cutoff)["tries_per_day"]
+        rep = eval_harness.key_guesswork(corpus, cfg, tries)
+        _write_json(out_dir / "guesswork.json", rep)
+        summary = {"n_windows": rep.n_windows, "within_2": rep.within_2,
+                   "within_tries_per_day": rep.within_tries_per_day,
+                   "within_2_16": rep.within_2_16,
+                   "median_log2_rank": rep.median_log2_rank}
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"one of {', '.join(ANALYSES)}")
     p_eval.add_argument("--out", default=".", help="report output directory")
     p_eval.add_argument("--session-seconds", type=float, default=200.0,
-                        help="session length used by the security analysis")
+                        help="session length used by the security and guesswork analyses")
     _add_config_flags(p_eval, *CONFIG_FLAGS)
     p_eval.set_defaults(func=cmd_eval)
 

@@ -123,7 +123,8 @@ class SignalTooShort(InsufficientData):
 # -- evaluation ----------------------------------------------------------------
 
 class InsufficientPairs(InsufficientData):
-    """Too few record pairs for the requested analysis."""
+    """Too few record pairs, or subjects, for the requested analysis;
+    guesswork trains on the subjects other than the one it attacks."""
 
 
 class InsufficientBits(InsufficientData):
@@ -136,7 +137,3 @@ class MixedSampleRates(InsufficientData):
 
 class MissingPosition(InsufficientData):
     """A sensor position required by the analysis is absent."""
-
-
-class TooFewKeys(InsufficientData):
-    """Randomness testing needs a larger key corpus."""

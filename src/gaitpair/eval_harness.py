@@ -1,8 +1,9 @@
 """Desk-scale evaluation: discriminability, reliability benefit, coherence,
-randomness, and the rate-limit arithmetic of the pairing scheme.
+key guesswork, and the rate-limit arithmetic of the pairing scheme.
 
 All similarity statistics are recomputable from the raw pair lists emitted
-alongside the summaries; nothing is aggregated away.
+alongside the summaries, and guesswork reports every window's rank; nothing
+is aggregated away.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal as sps
-from scipy.special import erfc, gammaincc
 
 from .config import Config
 from .dataset_io import Corpus, _map_in_order, cached_sequence
@@ -23,14 +23,12 @@ from .errors import (
     InsufficientPairs,
     MissingPosition,
     MixedSampleRates,
-    TooFewKeys,
 )
 from .fingerprint import check_order, window_fingerprints
-from .fuzzy_ecc import choose_params
+from .fuzzy_ecc import choose_params, encode
 from .gait import GaitSequence, detect_cycles, split_and_normalize
 from .signals import VerticalSignal, extract_vertical, preprocess_record
 
-RANDOMNESS_ALPHA = 0.001
 SECONDS_PER_DAY = 86400
 
 
@@ -127,13 +125,16 @@ class PositionTable:
 
 
 @dataclass
-class RandomnessReport:
-    n_bits: int
-    alpha: float
-    p_values: dict[str, float]
-    details: dict[str, float]
-    passed: bool
-    failures: list[str]
+class GuessworkReport:
+    note: str
+    key_bits: int
+    tries_per_day: int
+    n_windows: int
+    within_2: float
+    within_tries_per_day: float
+    within_2_16: float
+    median_log2_rank: float
+    ranks: dict[str, list[int]]  # subject/position/recording -> rank per window
 
 
 # -- pipeline helpers --------------------------------------------------------------------
@@ -390,151 +391,106 @@ def position_table(corpus: Corpus, cfg: Config | None = None,
     return PositionTable(positions=positions, matrix=matrix, n_values=counts)
 
 
-# -- randomness tests ---------------------------------------------------------------------
+# -- key guesswork ---------------------------------------------------------------------
 
-def _monobit_p(bits: np.ndarray) -> float:
-    n = bits.size
-    s = abs(float(np.sum(2.0 * bits - 1.0)))
-    return float(erfc(s / math.sqrt(n) / math.sqrt(2.0)))
+GUESSWORK_MAX_K = 22  # every key is scored: 2^k per window
 
 
-def _block_frequency_p(bits: np.ndarray, m: int = 128) -> float:
-    n_blocks = bits.size // m
-    if n_blocks < 1:
-        return float("nan")
-    trimmed = bits[: n_blocks * m].reshape(n_blocks, m)
-    pi = trimmed.mean(axis=1)
-    chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
-    return float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
+def _pair_types(positions: np.ndarray, b: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Word index pairs (i, j) whose fingerprint positions lie in one cycle or
+    adjacent cycles, i's position the lower, and each pair's type
+    d * b^2 + segment_i * b + segment_j for cycle distance d."""
+    low, high = positions[:, None], positions[None, :]
+    i, j = np.nonzero((low < high) & (high // b - low // b <= 1))
+    pi, pj = positions[i], positions[j]
+    return i, j, (pj // b - pi // b) * b * b + pi % b * b + pj % b
 
 
-def _runs_p(bits: np.ndarray) -> float:
-    n = bits.size
-    pi = float(bits.mean())
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
-        return 0.0
-    v = 1 + int(np.count_nonzero(np.diff(bits)))
-    num = abs(v - 2.0 * n * pi * (1.0 - pi))
-    den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    return float(erfc(num / den))
+def _sign_table(start: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """Row x is ``start`` times (-1)^(x . flips) over GF(2), with x's bits
+    most significant first against the rows of ``flips``."""
+    table = start[None, :].astype(np.float32)
+    for row in flips[::-1]:  # the last row is the lowest bit
+        table = np.concatenate([table, table * (1 - 2 * row.astype(np.float32))])
+    return table
 
 
-_LONGEST_RUN_TABLES = (
-    # (min_n, block_size, categories, probabilities)
-    (750000, 10000, (10, 11, 12, 13, 14, 15, 16),
-     (0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727)),
-    (6272, 128, (4, 5, 6, 7, 8, 9),
-     (0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124)),
-    (128, 8, (1, 2, 3, 4),
-     (0.2148, 0.3672, 0.2305, 0.1875)),
-)
+def key_guesswork(corpus: Corpus, cfg: Config | None = None,
+                  tries_per_day: int = 432) -> GuessworkReport:
+    """How many guesses a passive listener needs for each window's key, given
+    the window's opening frame (Massey, "Guessing and entropy", ISIT 1994).
 
+    Each window is attacked as an initiator under its own order: its word w
+    is the fingerprint bits at order[:n], its key w[:k] and its helper
+    h = encode(w[:k])[k:] xor w[k:], as ``protocol.Session`` sends them.  The
+    attacker knows how often two reduced bits in one cycle or adjacent cycles
+    are equal: one Laplace-smoothed rate per pair type (cycle distance, each
+    end's segment), learned from every other subject's windows, so no body
+    trains the model that attacks it.  It scores each key m by the
+    log-likelihood of its candidate word [m, h xor parity(m)]; a key's rank
+    counts the keys that score at least as high, ties against the attacker.
 
-def _longest_one_run(block: np.ndarray) -> int:
-    if not block.any():
-        return 0
-    padded = np.concatenate([[0], block, [0]])
-    edges = np.flatnonzero(np.diff(padded))
-    return int(np.max(edges[1::2] - edges[::2]))
-
-
-def _longest_run_p(bits: np.ndarray) -> float:
-    n = bits.size
-    for min_n, m, cats, probs in _LONGEST_RUN_TABLES:
-        if n >= min_n:
-            break
-    else:
-        return float("nan")
-    n_blocks = n // m
-    counts = np.zeros(len(cats), dtype=int)
-    blocks = bits[: n_blocks * m].reshape(n_blocks, m)
-    for block in blocks:
-        run = _longest_one_run(block)
-        run = min(max(run, cats[0]), cats[-1])
-        counts[cats.index(run)] += 1
-    expected = n_blocks * np.asarray(probs)
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    return float(gammaincc((len(cats) - 1) / 2.0, chi2 / 2.0))
-
-
-def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the 2^m overlapping m-bit patterns, the stream read cyclically."""
-    n = bits.size
-    aug = np.concatenate([bits, bits[: m - 1]]) if m > 1 else bits
-    vals = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        vals = (vals << 1) | aug[j: j + n]
-    return np.bincount(vals, minlength=1 << m).astype(float)
-
-
-def _psi_sq(bits: np.ndarray, m: int) -> float:
-    if m <= 0:
-        return 0.0
-    counts = _pattern_counts(bits, m)
-    return float((1 << m) / bits.size * np.sum(counts ** 2) - bits.size)
-
-
-def _serial_p(bits: np.ndarray, m: int = 3) -> tuple[float, float]:
-    psi_m = _psi_sq(bits, m)
-    psi_m1 = _psi_sq(bits, m - 1)
-    psi_m2 = _psi_sq(bits, m - 2)
-    d1 = psi_m - psi_m1
-    d2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p1 = float(gammaincc(2 ** (m - 2), d1 / 2.0))
-    p2 = float(gammaincc(2 ** (m - 3), d2 / 2.0))
-    return p1, p2
-
-
-def _phi(bits: np.ndarray, m: int) -> float:
-    counts = _pattern_counts(bits, m)
-    probs = counts[counts > 0] / bits.size
-    return float(np.sum(probs * np.log(probs)))
-
-
-def _approximate_entropy_p(bits: np.ndarray, m: int = 2) -> float:
-    n = bits.size
-    apen = _phi(bits, m) - _phi(bits, m + 1)
-    chi2 = 2.0 * n * (math.log(2.0) - apen)
-    return float(gammaincc(2 ** (m - 1), chi2 / 2.0))
-
-
-def fingerprint_keys(corpus: Corpus, cfg: Config | None = None) -> list[np.ndarray]:
-    """Reduced fingerprint bits of every window: the key corpus for bias
-    testing."""
-    cfg = cfg or Config()
-    processed = _preprocess_corpus(corpus, cfg)
-    fingerprints = _fingerprints(processed, cfg, cfg.cycles_per_fingerprint)
-    return [row for bits, orders in fingerprints.values()
-            for row in np.take_along_axis(bits, orders[:, :cfg.cutoff], axis=1)]
-
-
-def randomness_suite(keys: list[np.ndarray]) -> RandomnessReport:
-    """Six frequency/pattern tests over the pooled stream of ``keys``, a list
-    of bit arrays.  The suite fails if any test's p-value on the pooled stream
-    drops below ``RANDOMNESS_ALPHA``.
+    Each pair's agreement sign is (-1)^(a.m xor e), which factors over the
+    two halves of m, so all scores are one matrix product.  The all-ones word
+    is a codeword, so a key and its complement tie: only keys with m[0] = 0
+    are scored, the count is doubled, and no rank is below 2.  Each window's
+    log-ratio weights are scaled and rounded to integers whose absolute sum
+    stays below 2^24, so the float32 product is exact.  ``tries_per_day`` is
+    one day's tries at the session rate limit (``security_arithmetic``).
     """
-    if len(keys) < 100:
-        raise TooFewKeys(f"need >= 100 keys, got {len(keys)}")
-    pooled = np.concatenate(keys).astype(np.uint8)
+    cfg = cfg or Config()
+    params = choose_params(cfg.cutoff, 1.0 - cfg.threshold)
+    n, k, b = params.n, params.k, cfg.bits_per_cycle
+    if k > GUESSWORK_MAX_K:
+        raise ConfigError(f"guesswork scores all 2^k keys, up to k = {GUESSWORK_MAX_K}; "
+                          f"this code has k = {k}")
+    processed = _preprocess_corpus(corpus, cfg)
+    windows = [(key, row[order[:n]], *_pair_types(order[:n], b))
+               for key, (bits, orders)
+               in _fingerprints(processed, cfg, cfg.cycles_per_fingerprint).items()
+               for row, order in zip(bits, orders)]
+    counts: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # equal, all per type
+    for key, word, i, j, types in windows:
+        equal, total = counts.get(key[0], (0, 0))
+        counts[key[0]] = (equal + np.bincount(types, word[i] == word[j], 2 * b * b),
+                          total + np.bincount(types, minlength=2 * b * b))
+    if len(counts) < 2:
+        raise InsufficientPairs("guesswork trains on the other subjects' windows: "
+                                f"need windows of >= 2 subjects, got {len(counts)}")
+    all_equal, all_total = (sum(column) for column in zip(*counts.values()))
 
-    serial_p1, serial_p2 = _serial_p(pooled)
-    p_values = {
-        "monobit_frequency": _monobit_p(pooled),
-        "block_frequency": _block_frequency_p(pooled),
-        "runs": _runs_p(pooled),
-        "longest_run": _longest_run_p(pooled),
-        "serial": min(serial_p1, serial_p2),
-        "approximate_entropy": _approximate_entropy_p(pooled),
-    }
-    failures = [name for name, p in p_values.items()
-                if not math.isnan(p) and p < RANDOMNESS_ALPHA]
-    return RandomnessReport(
-        n_bits=int(pooled.size),
-        alpha=RANDOMNESS_ALPHA,
-        p_values=p_values,
-        details={"serial_p1": serial_p1, "serial_p2": serial_p2},
-        passed=not failures,
-        failures=failures,
+    generator = np.array([encode(row, params) for row in np.eye(k, dtype=np.uint8)])
+    half = (k + 1) // 2
+    ranks: dict[str, list[int]] = {}
+    for key, word, i, j, types in windows:
+        equal, total = counts[key[0]]
+        rate = (all_equal - equal + 1) / (all_total - total + 2)
+        weight = np.log(rate / (1 - rate))[types]
+        weight = np.rint(weight * (2.0 ** 23 / (np.abs(weight).sum() or 1.0)))
+        offset = word ^ encode(word[:k], params)  # 0 on the key, the helper after it
+        flips = generator[:, i] ^ generator[:, j]
+        scores = (_sign_table(weight * (1 - 2.0 * (offset[i] ^ offset[j])),
+                              flips[1:half])  # keys with m[0] = 0
+                  @ _sign_table(np.ones(i.size), flips[half:]).T)
+        m = word[:k] ^ word[0]
+        row, col = (int(part @ (1 << np.arange(part.size)[::-1]))
+                    for part in (m[:half], m[half:]))
+        ranks.setdefault("/".join(key), []).append(
+            2 * int(np.count_nonzero(scores >= scores[row, col])))
+
+    values = np.array([rank for record in ranks.values() for rank in record])
+    return GuessworkReport(
+        note="ranks under one attacker model; a better attacker needs fewer "
+             "guesses, so the shares are upper bounds on key strength, not guarantees",
+        key_bits=k,
+        tries_per_day=tries_per_day,
+        n_windows=values.size,
+        within_2=float(np.mean(values <= 2)),
+        within_tries_per_day=float(np.mean(values <= tries_per_day)),
+        within_2_16=float(np.mean(values <= 1 << 16)),
+        median_log2_rank=float(np.median(np.log2(values))),
+        ranks=ranks,
     )
 
 

@@ -281,13 +281,34 @@ def test_eval_single_subject_insufficient(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("analysis", ["coherence", "reliability", "discriminability",
-                                      "positions", "randomness"])
+                                      "positions", "guesswork"])
 def test_eval_on_an_empty_manifest_exits_insufficient_data(tmp_path, capsys, analysis):
     (tmp_path / "manifest.json").write_text(json.dumps({"recordings": []}))
     rc = cli.main(["eval", str(tmp_path), "--analysis", analysis,
                    "--out", str(tmp_path / "r")])
     assert rc == 5
     assert capsys.readouterr().err.startswith("insufficient data: ")
+
+
+def test_eval_guesswork_writes_every_window_rank(corpus_dir, tmp_path, capsys):
+    rc = cli.main(["eval", str(corpus_dir), "--analysis", "guesswork",
+                   "--session-seconds", "86400", "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "guesswork.json").read_text())
+    assert report["tries_per_day"] == 1 and report["key_bits"] == 22
+    ranks = [rank for record in report["ranks"].values() for rank in record]
+    assert report["n_windows"] == len(ranks) > 0 and min(ranks) >= 2
+    assert set(report["ranks"]) <= {f"{s}/{p}/r0" for s in ("s00", "s01")
+                                    for p in ("chest", "forearm", "waist")}
+    assert json.loads(capsys.readouterr().out)["n_windows"] == report["n_windows"]
+
+
+def test_eval_guesswork_refuses_a_key_too_long_to_enumerate(corpus_dir, tmp_path, capsys):
+    rc = cli.main(["eval", str(corpus_dir), "--analysis", "guesswork",
+                   "--threshold", "0.83", "--out", str(tmp_path)])
+    assert rc == 64
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "guesswork.json").exists()
 
 
 def test_eval_reliability_writes_sweep(corpus_dir, tmp_path):
@@ -565,6 +586,23 @@ def test_preprocess_prints_the_name_it_writes(tmp_path, capsys):
     assert (tmp_path / "pre" / "s00_chest_day1-walk.json").exists()
 
 
+@pytest.mark.parametrize("subject", ["a\0b", "x" * 300, "a\ud800b"],
+                         ids=["nul-byte", "300-characters", "lone-surrogate"])
+def test_preprocess_output_name_the_os_refuses_writes_nothing(tmp_path, capsys, subject):
+    assert cli.main(["synth", str(tmp_path / "c"), "--subjects", "1",
+                     "--cycles", "20", "--positions", "chest"]) == 0
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    manifest["recordings"][0]["subject_id"] = subject
+    (tmp_path / "c" / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = cli.main(["preprocess", str(tmp_path / "c"), str(tmp_path / "pre")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("schema error: SchemaMismatch: "), err
+    assert repr(f"{subject}/chest/r0") in err and "refuses" in err, err
+    assert not (tmp_path / "pre").exists()
+
+
 def test_preprocess_below_the_gravity_cutoff_is_a_signal_error(tmp_path, capsys):
     # at 0.5 Hz the Nyquist frequency, 0.25 Hz, lies below the 0.3 Hz cutoff
     assert cli.main(["synth", str(tmp_path / "c"), "--subjects", "1",
@@ -609,7 +647,7 @@ EXIT_FAMILIES = {
     64: {"ConfigError", "NoSuitableCode"},
     2: {"SchemaMismatch", "MissingColumns", "NonMonotoneTimestamps"},
     5: {"InsufficientData", "SignalTooShort", "InsufficientPairs", "InsufficientBits",
-        "MissingPosition", "MixedSampleRates", "TooFewKeys"},
+        "MissingPosition", "MixedSampleRates"},
     3: {"GaitPairError", "EmptyStream", "NonFiniteSample", "LengthMismatch",
         "InvalidBand", "UnstableFilter", "ZeroVariance", "TooFewMaxima",
         "NoPeriodicity", "CycleTooShort", "TooFewCycles", "IndivisibleSegments",

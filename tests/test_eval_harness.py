@@ -9,18 +9,19 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
+from gaitpair import eval_harness
 from gaitpair.config import Config
 from gaitpair.dataset_io import Corpus, PositionSpec, SyntheticGaitSpec, generate_synthetic
-from gaitpair.errors import (ConfigError, InsufficientPairs, MissingPosition, MixedSampleRates,
-                             TooFewKeys)
+from gaitpair.errors import ConfigError, InsufficientPairs, MissingPosition, MixedSampleRates
 from gaitpair.fingerprint import average_cycle, quantize, reduce, reliability_order, similarity
+from gaitpair.fuzzy_ecc import choose_params, encode
 from gaitpair.gait import GaitSequence, cycles_from_bounds, detect_cycles
 from gaitpair.eval_harness import (
     CoherenceReport,
     coherence_analysis,
     discriminability,
+    key_guesswork,
     position_table,
-    randomness_suite,
     reliability_sweep,
     security_arithmetic,
 )
@@ -271,20 +272,6 @@ def test_batched_pass_equals_per_window_fingerprints(uneven_corpus, cfg, window_
         assert got == want
 
 
-def test_fingerprint_keys_equal_per_window_reduction(uneven_corpus, cfg):
-    from gaitpair.eval_harness import _preprocess_corpus, fingerprint_keys
-    from gaitpair.fingerprint import compute_fingerprint
-
-    want = []
-    for seq in _preprocess_corpus(uneven_corpus, cfg).values():
-        for w in half_overlapping_windows(seq, cfg.cycles_per_fingerprint):
-            fp, order = compute_fingerprint(w, cfg.bits_per_cycle)
-            want.append(reduce(fp, order, cfg.cutoff).bits)
-    got = fingerprint_keys(uneven_corpus, cfg)
-    assert len(got) == len(want) > 0
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
 # -- the per-record pool ----------------------------------------------------------------
 
 @pytest.mark.parametrize("cpus", [None, {0}], ids=["all-cpus", "one-cpu"])
@@ -470,54 +457,112 @@ def test_position_table_missing_position(small_corpus, cfg):
                        required_positions=("chest", "forearm", "head"))
 
 
-# -- randomness suite ---------------------------------------------------------------------------
+# -- key guesswork --------------------------------------------------------------------------
 
-def _keys_from_bits(bits, key_len=128):
-    n_keys = bits.size // key_len
-    return [bits[i * key_len:(i + 1) * key_len] for i in range(n_keys)]
+def _captured_fingerprints(monkeypatch, uniform_seed=None):
+    """Patch ``_fingerprints`` to keep what it returns, each window's bits
+    replaced by uniform random ones when ``uniform_seed`` is given."""
+    captured = {}
+    real = eval_harness._fingerprints
 
+    def patched(*args):
+        out = real(*args)
+        if uniform_seed is not None:
+            rng = np.random.default_rng(uniform_seed)
+            out = {key: (rng.integers(0, 2, bits.shape, dtype=np.uint8), orders)
+                   for key, (bits, orders) in out.items()}
+        captured.update(out)
+        return out
 
-def test_good_rng_passes_suite():
-    rng = np.random.default_rng(12345)
-    bits = rng.integers(0, 2, size=200_000).astype(np.uint8)
-    rep = randomness_suite(_keys_from_bits(bits))
-    assert rep.passed, rep.p_values
-    assert set(rep.p_values) == {
-        "monobit_frequency", "block_frequency", "runs", "longest_run",
-        "serial", "approximate_entropy"}
-
-
-def test_all_zero_keys_fail_monobit():
-    rep = randomness_suite(_keys_from_bits(np.zeros(100 * 128, dtype=np.uint8)))
-    assert not rep.passed
-    assert rep.p_values["monobit_frequency"] < 1e-6
-    assert "monobit_frequency" in rep.failures
+    monkeypatch.setattr(eval_harness, "_fingerprints", patched)
+    return captured
 
 
-def test_alternating_stream_fails():
-    bits = np.tile(np.array([0, 1], dtype=np.uint8), 100 * 64)
-    rep = randomness_suite(_keys_from_bits(bits))
-    assert not rep.passed
+def _reference_ranks(fingerprints, cfg):
+    """Each record's window ranks, from rates counted pair by pair over the
+    other subjects' windows and a direct score of every one of the 2^k keys."""
+    params = choose_params(cfg.cutoff, 1.0 - cfg.threshold)
+    n, k, b = params.n, params.k, cfg.bits_per_cycle
+    windows = []
+    for record, (bits, orders) in fingerprints.items():
+        for row, order in zip(bits, orders):
+            positions = order[:n].tolist()
+            pairs = [(x, y, (hi // b - lo // b, lo % b, hi % b))
+                     for x, y in itertools.combinations(range(n), 2)
+                     for lo, hi in [sorted((positions[x], positions[y]))]
+                     if hi // b - lo // b <= 1]
+            windows.append((record, row[order[:n]], pairs))
+    counts = {}  # (subject, pair type) -> [equal, all]
+    for (subject, _, _), word, pairs in windows:
+        for x, y, kind in pairs:
+            tally = counts.setdefault((subject, kind), [0, 0])
+            tally[0] += int(word[x] == word[y])
+            tally[1] += 1
+    messages = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.uint8)
+    codewords = np.array([encode(m, params) for m in messages])
+    ranks = {record: [] for record in fingerprints}
+    for record, word, pairs in windows:
+        subject = record[0]
+
+        def rate(kind):
+            equal, total = (sum(tally[i] for (s, t), tally in counts.items()
+                                if s != subject and t == kind) for i in (0, 1))
+            return (equal + 1) / (total + 2)
+
+        rates = {kind: rate(kind) for kind in {kind for _, _, kind in pairs}}
+        weight = np.log(np.array([rates[kind] / (1 - rates[kind]) for _, _, kind in pairs]))
+        weight = np.rint(weight * (2.0 ** 23 / np.abs(weight).sum()))
+        candidates = codewords.copy()
+        candidates[:, k:] ^= encode(word[:k], params)[k:] ^ word[k:]
+        x, y = np.array([(x, y) for x, y, _ in pairs]).T
+        scores = np.where(candidates[:, x] == candidates[:, y], 1.0, -1.0) @ weight
+        truth = int(word[:k] @ (1 << np.arange(k)[::-1]))
+        ranks[record].append(int(np.count_nonzero(scores >= scores[truth])))
+    return ranks
 
 
-def test_repeated_pattern_fails():
-    pattern = np.array([1, 1, 0, 1, 0, 0, 1, 0], dtype=np.uint8)
-    bits = np.tile(pattern, 100 * 16)
-    rep = randomness_suite(_keys_from_bits(bits))
-    assert not rep.passed
+@pytest.mark.parametrize("uniform_seed", [None, 3], ids=["gait", "uniform-words"])
+def test_guesswork_ranks_equal_a_direct_score_of_every_key(small_corpus, monkeypatch,
+                                                           uniform_seed):
+    cfg = Config(threshold=0.75)
+    assert choose_params(cfg.cutoff, 1.0 - cfg.threshold).k == 8
+    captured = _captured_fingerprints(monkeypatch, uniform_seed)
+    rep = key_guesswork(small_corpus, cfg)
+    want = _reference_ranks(captured, cfg)
+    assert rep.ranks == {"/".join(key): want[key] for key in captured}
+    ranks = [rank for record in want.values() for rank in record]
+    assert min(ranks) >= 2 and (uniform_seed is None or len(set(ranks)) > 10)
 
 
-def test_too_few_keys():
-    with pytest.raises(TooFewKeys):
-        randomness_suite(_keys_from_bits(np.zeros(99 * 128, dtype=np.uint8)))
+def test_guesswork_of_uniform_words_is_near_the_key_length(small_corpus, cfg, monkeypatch):
+    # a random key among 2^22 has median rank 2^21; the model learns nothing
+    _captured_fingerprints(monkeypatch, uniform_seed=11)
+    rep = key_guesswork(small_corpus, cfg)
+    assert rep.key_bits == 22 and rep.n_windows == 36
+    assert rep.median_log2_rank >= 19, rep.median_log2_rank
+    assert rep.within_2 == 0.0
 
 
-def test_fingerprint_keys_monobit_within_3_sigma(small_corpus, cfg):
-    from gaitpair.eval_harness import fingerprint_keys
-    keys = fingerprint_keys(small_corpus, cfg)
-    pooled = np.concatenate(keys)
-    sigma = 0.5 / math.sqrt(pooled.size)
-    assert abs(float(pooled.mean()) - 0.5) < 3 * sigma + 1e-12
+def test_guesswork_report_shares(small_corpus, cfg):
+    rep = key_guesswork(small_corpus, cfg, tries_per_day=7)
+    ranks = np.concatenate(list(rep.ranks.values()))
+    assert rep.n_windows == ranks.size == 36 and rep.tries_per_day == 7
+    assert rep.within_2 == np.mean(ranks <= 2)
+    assert rep.within_tries_per_day == np.mean(ranks <= 7)
+    assert rep.within_2_16 == np.mean(ranks <= 65536)
+    assert rep.median_log2_rank == np.median(np.log2(ranks))
+    assert "upper bounds" in rep.note
+
+
+def test_guesswork_trains_on_other_subjects_only(small_corpus, cfg):
+    one_body = Corpus(records=[r for r in small_corpus.records if r.subject_id == "s00"])
+    with pytest.raises(InsufficientPairs, match="got 1"):
+        key_guesswork(one_body, cfg)
+
+
+def test_guesswork_refuses_a_code_it_cannot_enumerate():
+    with pytest.raises(ConfigError, match="k = 29"):
+        key_guesswork(Corpus(records=[]), Config(threshold=0.83))
 
 
 # -- security arithmetic ---------------------------------------------------------------------------

@@ -97,6 +97,14 @@ def test_all_zero_message_encodes_to_zero():
     assert not encode(np.zeros(5, dtype=np.uint8), P15).any()
 
 
+@pytest.mark.parametrize("params", code_table(127), ids=lambda p: f"k{p.k}")
+def test_all_ones_message_encodes_to_all_ones(params):
+    # the all-ones word is a codeword, so a key and its complement give
+    # complementary candidate words under one helper and tie under any
+    # attacker that scores bit equalities: no guesswork rank is below 2
+    assert encode(np.ones(params.k, dtype=np.uint8), params).all()
+
+
 def test_encoding_is_systematic():
     rng = np.random.default_rng(0)
     msg = rng.integers(0, 2, size=P127.k).astype(np.uint8)

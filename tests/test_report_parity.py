@@ -1,13 +1,14 @@
 """Golden outputs of every `gaitpair eval` analysis on one seeded corpus.
 
-The corpus is written by `gaitpair synth` (4 subjects x 260 cycles, enough
-windows for the randomness suite's 100 keys) and read back from CSV, so the
-whole path from the files on disk to each report is covered.  Each case pins
-the SHA-256 of every file one analysis writes, once cold (no cache entries,
-so every record goes through the front end) and once warm (every record's
-cycles read from its cache entry, the front end unreachable).  A change to
-the front end, the cache, the fingerprint layer, an analysis or a report
-writer that moves a single byte of any report shows here, file by file.
+The corpus is written by `gaitpair synth` (4 subjects x 260 cycles: 108
+windows, four of whose keys the guesswork attacker ranks beyond two guesses)
+and read back from CSV, so the whole path from the files on disk to each
+report is covered.  Each case pins the SHA-256 of every file one analysis
+writes, once cold (no cache entries, so every record goes through the front
+end) and once warm (every record's cycles read from its cache entry, the
+front end unreachable).  A change to the front end, the cache, the
+fingerprint layer, an analysis or a report writer that moves a single byte
+of any report shows here, file by file.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ GOLDEN = {
         "discriminability_intra.csv":
             "4357f60a86d021b7bee4a0ee0db25bd0ed7feb92952b56bcc5b0f1f40c324e8d",
     },
+    "guesswork": {
+        "guesswork.json":
+            "8b07ab2a42badfd00aa2178461ed85743c955c73655a0b0d060d1f83f5b8a62e",
+    },
     "positions": {
         "positions.json":
             "cd3b12e8a4540a1a3f846aaf3d37837793dc7f43ee847e6f859b5163f7a09c00",
-    },
-    "randomness": {
-        "randomness.json":
-            "3d79038ae810ddcb657a70ce72cf8401dff78e4fcc1cf786127b2f1bd4d83c0e",
     },
     "reliability": {
         "reliability.json":
