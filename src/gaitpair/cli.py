@@ -109,6 +109,26 @@ def _signal_from_json(path: Path) -> VerticalSignal:
     )
 
 
+def _print(text: str) -> None:
+    """Print ``text`` to stdout.  A closed stdout costs only the text: stdout
+    is pointed at the null device and the command goes on to its exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
+def _make_dir(path: Path) -> None:
+    """Create an output directory; one that cannot be made is a usage error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc.strerror}") from exc
+
+
 def _load_corpus(path: str) -> dataset_io.Corpus:
     corpus = dataset_io.load_csv(path)
     for text in corpus.warnings:
@@ -135,7 +155,7 @@ def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
                                  f"would both write {name}")
         labels[name] = label
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     failures = 0
     for rec, (name, label) in zip(corpus.records, labels.items()):
         try:
@@ -148,7 +168,7 @@ def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
             continue
         with open(out_dir / name, "w", encoding="utf-8") as fh:
             json.dump(_signal_to_json(sig), fh)
-        print(f"ok [{label}] -> {name}")
+        _print(f"ok [{label}] -> {name}")
     if failures:
         print(f"{failures} recording(s) failed", file=sys.stderr)
         return EXIT_SIGNAL
@@ -199,7 +219,7 @@ def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
             and res_a.secret == res_b.secret),
         "elapsed_s": elapsed,
     }
-    print(json.dumps(result, indent=2))
+    _print(json.dumps(result, indent=2))
     return EXIT_OK if result["established"] else EXIT_PAIRING
 
 
@@ -207,13 +227,13 @@ def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
 
 def _write_json(path: Path, report) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_value(report), fh, indent=2)
+        json.dump(_json_value(report), fh, indent=2, allow_nan=False)
 
 
 def _json_value(value):
-    """A report as JSON values: a dataclass's fields in order, arrays as
-    lists, nested reports, dicts and lists walked.  The ``repr=False``
-    fields, the raw pair lists that go to CSV, are left out."""
+    """A report as strict JSON values: a dataclass's fields in order, arrays
+    as lists, containers walked, and a NaN or infinite float as None.  The
+    ``repr=False`` fields, the raw pair lists that go to CSV, are left out."""
     if dataclasses.is_dataclass(value):
         return {f.name: _json_value(getattr(value, f.name))
                 for f in dataclasses.fields(value) if f.repr}
@@ -222,7 +242,9 @@ def _json_value(value):
     if isinstance(value, list):
         return [_json_value(item) for item in value]
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return _json_value(value.tolist())
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -245,12 +267,12 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     if args.analysis == "security":
         report = eval_harness.security_arithmetic(args.session_seconds,
                                                   cfg.threshold, cfg.cutoff)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(out_dir)
         _write_json(out_dir / "security.json", report)
-        print(json.dumps(report, indent=2))
+        _print(json.dumps(report, indent=2))
         return EXIT_OK
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     corpus = _load_corpus(args.corpus)
     if args.analysis == "coherence":
         rep = eval_harness.coherence_analysis(corpus, cfg)
@@ -279,13 +301,13 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     elif args.analysis == "guesswork":
         tries = eval_harness.security_arithmetic(args.session_seconds, cfg.threshold,
                                                  cfg.cutoff)["tries_per_day"]
-        rep = eval_harness.key_guesswork(corpus, cfg, tries)
+        rep = eval_harness.key_guesswork(corpus, cfg, tries_per_day=tries)
         _write_json(out_dir / "guesswork.json", rep)
         summary = {"n_windows": rep.n_windows, "within_2": rep.within_2,
                    "within_tries_per_day": rep.within_tries_per_day,
                    "within_2_16": rep.within_2_16,
                    "median_log2_rank": rep.median_log2_rank}
-    print(json.dumps(summary, indent=2))
+    _print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
@@ -305,8 +327,9 @@ def cmd_synth(args: argparse.Namespace, cfg: Config) -> int:
         sample_rate=args.sample_rate,
     )
     corpus = dataset_io.generate_synthetic(spec)
+    _make_dir(Path(args.out))
     manifest = dataset_io.save_csv(corpus, args.out)
-    print(f"wrote {len(corpus.records)} recordings, manifest {manifest}")
+    _print(f"wrote {len(corpus.records)} recordings, manifest {manifest}")
     return EXIT_OK
 
 

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from .config import Config
 from .errors import (
     ConfigError,
     MissingColumns,
@@ -40,6 +41,7 @@ CSV_COLUMNS = ("timestamp_ms", "ax", "ay", "az", "gx", "gy", "gz")
 MANIFEST_NAME = "manifest.json"
 CACHE_DIR = ".gaitpair-cache"
 SCHEMA_VERSION = 1
+SYNTHETIC_LEAD_S = 4.0  # generator pad, so filter warm-up does not eat cycles
 
 _OSAKA_WARNINGS = (
     "osaka: all sensor units sit on nearby thigh positions on one harness; "
@@ -399,7 +401,6 @@ class SyntheticGaitSpec:
     rng_seed: int = 0
     n_subjects: int = 2
     sample_rate: float = 50.0
-    lead_s: float = 4.0             # pad so filter warm-up does not eat cycles
 
     def __post_init__(self) -> None:
         for name in ("base_period", "sample_rate"):
@@ -412,10 +413,9 @@ class SyntheticGaitSpec:
         for _, ps in self.per_position:
             if not math.isfinite(ps.noise_snr_db) and ps.noise_snr_db != math.inf:
                 raise ConfigError("noise_snr_db must be finite or +inf")
-        for name, value in [("lead_s", self.lead_s),
-                            *(("phase_jitter", ps.phase_jitter) for _, ps in self.per_position)]:
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+            if not (math.isfinite(ps.phase_jitter) and ps.phase_jitter >= 0):
+                raise ConfigError(f"phase_jitter must be finite and >= 0, "
+                                  f"got {ps.phase_jitter}")
 
 
 def _smooth_noise(rng: np.random.Generator, n: int, ctrl_spacing: int) -> np.ndarray:
@@ -487,7 +487,7 @@ def generate_synthetic(spec: SyntheticGaitSpec) -> Corpus:
     distorted view of it per position.  Different subjects get independent
     latent walks, so inter-body fingerprints agree only by chance."""
     fs = spec.sample_rate
-    duration = spec.n_cycles * spec.base_period + spec.lead_s
+    duration = spec.n_cycles * spec.base_period + SYNTHETIC_LEAD_S
     n = int(round(duration * fs))
     jit_max = max((ps.phase_jitter for _, ps in spec.per_position), default=0.0)
     margin = int(math.ceil(jit_max * fs)) + 1
@@ -541,7 +541,7 @@ class Window:
 
 
 def sliding_windows(sig: VerticalSignal, window_cycles: int,
-                    overlap: float = 0.5, rho: int = 40,
+                    overlap: float = 0.5, rho: int = Config.rho,
                     detection: CycleDetection | None = None) -> list[Window]:
     """Cut a processed signal into runs of ``window_cycles`` full gait cycles,
     consecutive runs sharing ``overlap`` of their cycles.

@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the toolkit.
 
 Every error raised by the library derives from GaitPairError so callers can
-catch broadly.  The CLI gives each family one exit code: ConfigError 64,
-SchemaMismatch 2 (a malformed input file), InsufficientData 5 (well-formed
-input too small for the work) and any other GaitPairError 3.
+catch broadly.  The CLI gives each family one exit code: ConfigError 64 (a
+bad parameter or an output directory it cannot create), SchemaMismatch 2 (a
+malformed input file), InsufficientData 5 (well-formed input too small for
+the work) and any other GaitPairError 3.
 """
 
 
@@ -133,7 +134,3 @@ class InsufficientBits(InsufficientData):
 
 class MixedSampleRates(InsufficientData):
     """The analysis needs every record at one sample rate."""
-
-
-class MissingPosition(InsufficientData):
-    """A sensor position required by the analysis is absent."""

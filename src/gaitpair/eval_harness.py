@@ -17,19 +17,15 @@ from scipy import signal as sps
 
 from .config import Config
 from .dataset_io import Corpus, _map_in_order, cached_sequence
-from .errors import (
-    ConfigError,
-    InsufficientBits,
-    InsufficientPairs,
-    MissingPosition,
-    MixedSampleRates,
-)
-from .fingerprint import check_order, window_fingerprints
+from .errors import ConfigError, InsufficientBits, InsufficientPairs, MixedSampleRates
+from .fingerprint import window_fingerprints
 from .fuzzy_ecc import choose_params, encode
 from .gait import GaitSequence, detect_cycles, split_and_normalize
+from .protocol import session_code_params
 from .signals import VerticalSignal, extract_vertical, preprocess_record
 
 SECONDS_PER_DAY = 86400
+SWEEP_EXTRA_BITS = (0, 16, 32, 48, 64, 128)  # M = N + extra per sweep entry
 
 
 # -- report containers ----------------------------------------------------------------
@@ -102,9 +98,6 @@ class SweepReport:
     N: int
     entries: list[SweepEntry]
 
-    def mean_by_extra(self) -> dict[int, float]:
-        return {e.extra_bits: e.summary.mean for e in self.entries}
-
 
 @dataclass
 class CoherenceReport:
@@ -174,13 +167,12 @@ def _fingerprints(processed, cfg: Config, window_cycles: int
     """Bits and own reliability orders of every half-overlapping window, as
     (W, M) rows per record, computed once per analysis; row w is window w.
     A record without a full cycle is left out, and one shorter than one
-    window has W = 0.  Every order is checked against ``cfg.cutoff`` here,
-    once per record, as ``reduce`` checks one."""
+    window has W = 0.  Orders are ``argsort`` output, and ``Config`` bounds
+    ``cfg.cutoff`` by every M a caller asks for, so none is checked here."""
     out = {}
     for key, seq in processed.items():
         if seq is not None:
             bits, _, orders = window_fingerprints(seq, window_cycles, cfg.bits_per_cycle)
-            check_order(orders, bits.shape[1], cfg.cutoff)
             out[key] = bits, orders
     return out
 
@@ -285,22 +277,20 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
     )
 
 
-def reliability_sweep(corpus: Corpus,
-                      extra_bits: tuple[int, ...] = (0, 16, 32, 48, 64, 128),
-                      cfg: Config | None = None) -> SweepReport:
-    """Mean intra-body similarity for fingerprint sizes M = N + extra, all
-    reduced with cutoff N = ``cfg.cutoff``: how much discarding unreliable
-    bits buys."""
+def reliability_sweep(corpus: Corpus, cfg: Config | None = None) -> SweepReport:
+    """Mean intra-body similarity for fingerprint sizes M = N + extra, one
+    entry per ``SWEEP_EXTRA_BITS``, all reduced with cutoff N = ``cfg.cutoff``:
+    how much discarding unreliable bits buys."""
     cfg = cfg or Config()
     N, b = cfg.cutoff, cfg.bits_per_cycle
-    for extra in extra_bits:
+    for extra in SWEEP_EXTRA_BITS:
         if (N + extra) % b != 0:
             raise InsufficientBits(f"M={N + extra} not divisible by b={b}")
     processed = _preprocess_corpus(corpus, cfg)
     intra_keys = _intra_keys(processed)
 
     entries = []
-    for extra in sorted(extra_bits):
+    for extra in SWEEP_EXTRA_BITS:
         m_total = N + extra
         fingerprints = _fingerprints(processed, cfg, m_total // b)
         pairs = _window_pairs(fingerprints, intra_keys, N)
@@ -354,18 +344,11 @@ def discriminability(corpus: Corpus, cfg: Config | None = None) -> SimilarityRep
     )
 
 
-def position_table(corpus: Corpus, cfg: Config | None = None,
-                   required_positions: tuple[str, ...] | None = None
-                   ) -> PositionTable:
-    """Symmetric matrix of mean intra-body similarity per position pair."""
+def position_table(corpus: Corpus, cfg: Config | None = None) -> PositionTable:
+    """Symmetric matrix of mean intra-body similarity per position pair of
+    the corpus."""
     cfg = cfg or Config()
     positions = sorted(corpus.positions)
-    if required_positions:
-        missing = [p for p in required_positions if p not in positions]
-        if missing:
-            raise MissingPosition(f"corpus lacks positions {missing}")
-        positions = sorted(required_positions)
-
     processed = _preprocess_corpus(corpus, cfg)
     fingerprints = _fingerprints(processed, cfg, cfg.cycles_per_fingerprint)
     pairs = _window_pairs(fingerprints, _intra_keys(processed), cfg.cutoff)
@@ -377,8 +360,6 @@ def position_table(corpus: Corpus, cfg: Config | None = None,
     sums = np.zeros((k, k))
     counts = np.zeros((k, k), dtype=int)
     for p in pairs:
-        if p.position_a not in index or p.position_b not in index:
-            continue
         i, j = index[p.position_a], index[p.position_b]
         sums[i, j] += p.value
         sums[j, i] += p.value
@@ -416,8 +397,8 @@ def _sign_table(start: np.ndarray, flips: np.ndarray) -> np.ndarray:
     return table
 
 
-def key_guesswork(corpus: Corpus, cfg: Config | None = None,
-                  tries_per_day: int = 432) -> GuessworkReport:
+def key_guesswork(corpus: Corpus, cfg: Config | None = None, *,
+                  tries_per_day: int) -> GuessworkReport:
     """How many guesses a passive listener needs for each window's key, given
     the window's opening frame (Massey, "Guessing and entropy", ISIT 1994).
 
@@ -440,7 +421,7 @@ def key_guesswork(corpus: Corpus, cfg: Config | None = None,
     one day's tries at the session rate limit (``security_arithmetic``).
     """
     cfg = cfg or Config()
-    params = choose_params(cfg.cutoff, 1.0 - cfg.threshold)
+    params = session_code_params(cfg)
     n, k, b = params.n, params.k, cfg.bits_per_cycle
     if k > GUESSWORK_MAX_K:
         raise ConfigError(f"guesswork scores all 2^k keys, up to k = {GUESSWORK_MAX_K}; "

@@ -64,14 +64,6 @@ def _order(deltas: np.ndarray) -> np.ndarray:
     return np.argsort(-np.abs(deltas), axis=-1, kind="stable")
 
 
-def check_order(order: np.ndarray, m: int, N: int) -> None:
-    """Raise unless N <= m and every row of ``order`` permutes 0..m-1."""
-    if N > m:
-        raise CutoffTooLarge(f"cutoff {N} exceeds fingerprint length {m}")
-    if order.shape[-1] != m or not (np.sort(order, axis=-1) == np.arange(m)).all():
-        raise ValueError("order is not a permutation of the fingerprint indices")
-
-
 # -- one window --------------------------------------------------------------------
 
 def average_cycle(seq: GaitSequence) -> np.ndarray:
@@ -114,7 +106,11 @@ def reduce(fp: Fingerprint, order: np.ndarray, N: int) -> ReducedFingerprint:
     to both bit vectors is what lets two devices agree on which bits to keep
     without revealing any bit values.
     """
-    check_order(order, fp.bits.size, N)
+    m = fp.bits.size
+    if N > m:
+        raise CutoffTooLarge(f"cutoff {N} exceeds fingerprint length {m}")
+    if order.shape[0] != m or not np.array_equal(np.sort(order), np.arange(m)):
+        raise ValueError("order is not a permutation of the fingerprint indices")
     return ReducedFingerprint(bits=fp.bits[order[:N]])
 
 

@@ -180,7 +180,7 @@ def test_reliability_benefit_direction():
         corpus = generate_synthetic(
             SyntheticGaitSpec(n_cycles=150, n_subjects=4, rng_seed=11))
         report = reliability_sweep(corpus, cfg=CFG)
-        means = report.mean_by_extra()
+        means = {e.extra_bits: e.summary.mean for e in report.entries}
         margin = means[64] - means[0]
         print(f"  reliability sweep means: "
               f"{({k: round(v, 4) for k, v in sorted(means.items())})}; "
@@ -268,7 +268,8 @@ def test_key_guesswork_of_todays_fingerprint():
     with criterion("key-guesswork"):
         corpus = generate_synthetic(
             SyntheticGaitSpec(n_cycles=100, n_subjects=2, rng_seed=7))
-        report = key_guesswork(corpus, CFG)
+        tries = security_arithmetic(200.0, CFG.threshold, CFG.cutoff)["tries_per_day"]
+        report = key_guesswork(corpus, CFG, tries_per_day=tries)
         ranks = [rank for record in report.ranks.values() for rank in record]
         print(f"  key guesswork: {report.n_windows} windows, ranks {sorted(set(ranks))}, "
               f"median log2 rank {report.median_log2_rank}")
@@ -292,10 +293,9 @@ def test_mannheim_dataset_conditional():
         inter_mean = float(np.mean([p.value for p in report.inter_pairs]))
         assert 0.77 <= report.intra.mean <= 0.87, report.intra.mean
         assert 0.48 <= inter_mean <= 0.52, inter_mean
-        table = position_table(corpus, cfg=CFG,
-                               required_positions=("chest", "forearm", "head",
-                                                   "shin", "thigh", "upperarm",
-                                                   "waist"))
+        assert {"chest", "forearm", "head", "shin", "thigh", "upperarm",
+                "waist"} <= set(corpus.positions), corpus.positions
+        table = position_table(corpus, cfg=CFG)
         fw = table.matrix[table.positions.index("forearm"),
                           table.positions.index("waist")]
         assert abs(fw - 0.89) <= 0.05, fw

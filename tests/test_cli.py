@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +343,27 @@ def test_eval_positions(corpus_dir, tmp_path):
     assert np.allclose(np.diag(matrix), 1.0)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_a_position_pair_without_a_shared_body_is_null(corpus_dir, tmp_path):
+    # s00 lacks the forearm and s01 the chest, so no body holds both
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    _edit_manifest(lambda m: {**m, "recordings": [
+        r for r in m["recordings"]
+        if (r["subject_id"], r["position"]) not in {("s00", "forearm"), ("s01", "chest")}]}
+    )(corpus)
+    assert cli.main(["eval", str(corpus), "--analysis", "positions",
+                     "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "positions.json").read_text()
+    report = json.loads(text, parse_constant=_refuse_constant)
+    assert report["positions"] == ["chest", "forearm", "waist"]
+    assert report["matrix"][0][1] is None and report["matrix"][1][0] is None
+    assert report["n_values"][0][1] == 0 and report["n_values"][0][2] > 0
+
+
 def test_identical_seed_gives_byte_identical_outputs(tmp_path):
     args = ["--subjects", "1", "--cycles", "8", "--seed", "33"]
     assert cli.main(["synth", str(tmp_path / "a")] + args) == 0
@@ -647,7 +672,7 @@ EXIT_FAMILIES = {
     64: {"ConfigError", "NoSuitableCode"},
     2: {"SchemaMismatch", "MissingColumns", "NonMonotoneTimestamps"},
     5: {"InsufficientData", "SignalTooShort", "InsufficientPairs", "InsufficientBits",
-        "MissingPosition", "MixedSampleRates"},
+        "MixedSampleRates"},
     3: {"GaitPairError", "EmptyStream", "NonFiniteSample", "LengthMismatch",
         "InvalidBand", "UnstableFilter", "ZeroVariance", "TooFewMaxima",
         "NoPeriodicity", "CycleTooShort", "TooFewCycles", "IndivisibleSegments",
@@ -667,6 +692,73 @@ def test_every_error_class_exits_with_its_family_code(monkeypatch, capsys):
             monkeypatch.setattr(cli, "cmd_eval", fail)
             assert cli.main(["eval", "corpus", "--analysis", "coherence"]) == code, name
             assert f": {name}: probe" in capsys.readouterr().err
+
+
+#: id -> argv from (corpus, output path); every command that writes to a path
+OUTPUT_COMMANDS = {
+    "eval": lambda corpus, out: [
+        "eval", corpus, "--analysis", "discriminability", "--out", out],
+    "eval-security": lambda corpus, out: ["eval", "--analysis", "security", "--out", out],
+    "preprocess": lambda corpus, out: ["preprocess", corpus, out],
+    "synth": lambda corpus, out: ["synth", out, "--subjects", "1", "--cycles", "8"],
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_an_output_path_that_is_a_file_is_a_config_error(command, corpus_dir, tmp_path,
+                                                         capsys):
+    out = tmp_path / "out"
+    out.write_text("kept")
+    rc = cli.main(OUTPUT_COMMANDS[command](str(corpus_dir), str(out)))
+    err = capsys.readouterr().err
+    assert rc == 64, err
+    assert err.startswith("config error: ConfigError: cannot create output directory"), err
+    assert str(out) in err and "Traceback" not in err
+    assert out.read_text() == "kept"
+
+
+def _run_with_closed_stdout(argv):
+    """Run the CLI in a child whose stdout is a pipe with no reader, so every
+    write to it fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from gaitpair.cli import main; "
+             "sys.exit(main())", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+#: id -> (argv from (corpus, preprocessed dir, output path), exit code, files written)
+CLOSED_STDOUT = {
+    "eval": (lambda corpus, pre, out: [
+        "eval", corpus, "--analysis", "discriminability", "--out", out], 0, 3),
+    "eval-security": (lambda corpus, pre, out: [
+        "eval", "--analysis", "security", "--out", out], 0, 1),
+    "preprocess": (lambda corpus, pre, out: ["preprocess", corpus, out], 0, 6),
+    "pair-same-body": (lambda corpus, pre, out: [
+        "pair", f"{pre}/s00_chest_r0.json", f"{pre}/s00_forearm_r0.json",
+        "--insecure-session-seed", "0"], 0, 0),
+    "pair-cross-body": (lambda corpus, pre, out: [
+        "pair", f"{pre}/s00_chest_r0.json", f"{pre}/s01_chest_r0.json",
+        "--insecure-session-seed", "0"], 4, 0),
+    "synth": (lambda corpus, pre, out: [
+        "synth", out, "--subjects", "1", "--cycles", "8"], 0, 4),
+}
+
+
+@pytest.mark.parametrize("command", CLOSED_STDOUT)
+def test_a_closed_stdout_costs_only_the_printed_text(command, corpus_dir, preprocessed_dir,
+                                                      tmp_path):
+    argv, code, n_files = CLOSED_STDOUT[command]
+    out = tmp_path / "out"
+    child = _run_with_closed_stdout(argv(str(corpus_dir), str(preprocessed_dir), str(out)))
+    assert child.returncode == code, child.stderr
+    assert "Traceback" not in child.stderr and "BrokenPipe" not in child.stderr, child.stderr
+    assert len(list(out.iterdir()) if out.exists() else []) == n_files
 
 
 def test_pair_window_must_exist_on_both_records(preprocessed_dir, tmp_path, capsys):

@@ -12,7 +12,7 @@ from scipy import signal as sps
 from gaitpair import eval_harness
 from gaitpair.config import Config
 from gaitpair.dataset_io import Corpus, PositionSpec, SyntheticGaitSpec, generate_synthetic
-from gaitpair.errors import ConfigError, InsufficientPairs, MissingPosition, MixedSampleRates
+from gaitpair.errors import ConfigError, InsufficientPairs, MixedSampleRates
 from gaitpair.fingerprint import average_cycle, quantize, reduce, reliability_order, similarity
 from gaitpair.fuzzy_ecc import choose_params, encode
 from gaitpair.gait import GaitSequence, cycles_from_bounds, detect_cycles
@@ -361,7 +361,7 @@ def test_sweep_grid_and_direction(small_corpus, cfg):
     rep = reliability_sweep(small_corpus, cfg=cfg)
     assert [e.extra_bits for e in rep.entries] == [0, 16, 32, 48, 64, 128]
     assert [e.M for e in rep.entries] == [128, 144, 160, 176, 192, 256]
-    means = rep.mean_by_extra()
+    means = {e.extra_bits: e.summary.mean for e in rep.entries}
     assert means[64] > means[0]
     for entry in rep.entries:
         assert entry.summary.count == len(entry.pairs) > 0
@@ -373,8 +373,9 @@ def test_sweep_baseline_is_pure_truncation(small_corpus, cfg):
     # equals the raw fingerprint agreement
     from gaitpair.eval_harness import _preprocess_corpus
 
-    rep = reliability_sweep(small_corpus, extra_bits=(0,), cfg=cfg)
+    rep = reliability_sweep(small_corpus, cfg=cfg)
     processed = _preprocess_corpus(small_corpus, cfg)
+    assert rep.entries[0].M == 128
     pair = rep.entries[0].pairs[0]
 
     def fingerprint(subject, position):
@@ -451,13 +452,9 @@ def test_position_table_consistent_with_raw_pairs(small_corpus, cfg):
     assert table.matrix[i, j] == pytest.approx(float(np.mean(vals)), abs=1e-12)
 
 
-def test_position_table_missing_position(small_corpus, cfg):
-    with pytest.raises(MissingPosition):
-        position_table(small_corpus, cfg=cfg,
-                       required_positions=("chest", "forearm", "head"))
-
-
 # -- key guesswork --------------------------------------------------------------------------
+
+TRIES_PER_DAY = security_arithmetic(200.0, 0.8, 128)["tries_per_day"]  # the CLI's default
 
 def _captured_fingerprints(monkeypatch, uniform_seed=None):
     """Patch ``_fingerprints`` to keep what it returns, each window's bits
@@ -527,7 +524,7 @@ def test_guesswork_ranks_equal_a_direct_score_of_every_key(small_corpus, monkeyp
     cfg = Config(threshold=0.75)
     assert choose_params(cfg.cutoff, 1.0 - cfg.threshold).k == 8
     captured = _captured_fingerprints(monkeypatch, uniform_seed)
-    rep = key_guesswork(small_corpus, cfg)
+    rep = key_guesswork(small_corpus, cfg, tries_per_day=TRIES_PER_DAY)
     want = _reference_ranks(captured, cfg)
     assert rep.ranks == {"/".join(key): want[key] for key in captured}
     ranks = [rank for record in want.values() for rank in record]
@@ -537,7 +534,7 @@ def test_guesswork_ranks_equal_a_direct_score_of_every_key(small_corpus, monkeyp
 def test_guesswork_of_uniform_words_is_near_the_key_length(small_corpus, cfg, monkeypatch):
     # a random key among 2^22 has median rank 2^21; the model learns nothing
     _captured_fingerprints(monkeypatch, uniform_seed=11)
-    rep = key_guesswork(small_corpus, cfg)
+    rep = key_guesswork(small_corpus, cfg, tries_per_day=TRIES_PER_DAY)
     assert rep.key_bits == 22 and rep.n_windows == 36
     assert rep.median_log2_rank >= 19, rep.median_log2_rank
     assert rep.within_2 == 0.0
@@ -557,12 +554,13 @@ def test_guesswork_report_shares(small_corpus, cfg):
 def test_guesswork_trains_on_other_subjects_only(small_corpus, cfg):
     one_body = Corpus(records=[r for r in small_corpus.records if r.subject_id == "s00"])
     with pytest.raises(InsufficientPairs, match="got 1"):
-        key_guesswork(one_body, cfg)
+        key_guesswork(one_body, cfg, tries_per_day=TRIES_PER_DAY)
 
 
 def test_guesswork_refuses_a_code_it_cannot_enumerate():
     with pytest.raises(ConfigError, match="k = 29"):
-        key_guesswork(Corpus(records=[]), Config(threshold=0.83))
+        key_guesswork(Corpus(records=[]), Config(threshold=0.83),
+                      tries_per_day=TRIES_PER_DAY)
 
 
 # -- security arithmetic ---------------------------------------------------------------------------

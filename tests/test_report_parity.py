@@ -6,9 +6,11 @@ and read back from CSV, so the whole path from the files on disk to each
 report is covered.  Each case pins the SHA-256 of every file one analysis
 writes, once cold (no cache entries, so every record goes through the front
 end) and once warm (every record's cycles read from its cache entry, the
-front end unreachable).  A change to the front end, the cache, the
-fingerprint layer, an analysis or a report writer that moves a single byte
-of any report shows here, file by file.
+front end unreachable).  Every warm case is primed by one `discriminability`
+run, which fills each record's `.rows` and `.cycles` entries whatever the
+analysis.  A change to the front end, the cache, the fingerprint layer, an
+analysis or a report writer that moves a single byte of any report shows
+here, file by file.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _report_digests(corpus_dir, out_dir, analysis: str) -> dict[str, str]:
 def test_reports_match_golden(analysis, cache, corpus_dir, tmp_path, monkeypatch):
     shutil.rmtree(corpus_dir / CACHE_DIR, ignore_errors=True)
     if cache == "warm":
-        _report_digests(corpus_dir, tmp_path / "first", analysis)
+        _report_digests(corpus_dir, tmp_path / "first", "discriminability")
 
         def refuse(*args, **kwargs):
             raise AssertionError("a warm eval ran the front end")
