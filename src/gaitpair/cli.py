@@ -7,6 +7,7 @@ Exit codes: 0 success, 4 pairing failure, and ``EXIT_CODES`` for every error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -129,6 +130,17 @@ def _make_dir(path: Path) -> None:
                           f"{exc.strerror}") from exc
 
 
+@contextlib.contextmanager
+def _output_file(path: Path, newline: str | None = None):
+    """``path`` opened for writing text; one that cannot be opened or written
+    is a usage error naming it, as a directory is in ``_make_dir``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from exc
+
+
 def _load_corpus(path: str) -> dataset_io.Corpus:
     corpus = dataset_io.load_csv(path)
     for text in corpus.warnings:
@@ -166,7 +178,7 @@ def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
             print(f"signal error [{label}]: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             continue
-        with open(out_dir / name, "w", encoding="utf-8") as fh:
+        with _output_file(out_dir / name) as fh:
             json.dump(_signal_to_json(sig), fh)
         _print(f"ok [{label}] -> {name}")
     if failures:
@@ -226,7 +238,7 @@ def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
 # -- eval ------------------------------------------------------------------------------
 
 def _write_json(path: Path, report) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output_file(path) as fh:
         json.dump(_json_value(report), fh, indent=2, allow_nan=False)
 
 
@@ -249,7 +261,7 @@ def _json_value(value):
 
 
 def _write_pairs_csv(path: Path, pairs) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject_a", "position_a", "subject_b", "position_b",
                          "window", "similarity"])
@@ -265,8 +277,7 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
         raise ConfigError("eval (other than --analysis security) requires a corpus path")
     out_dir = Path(args.out)
     if args.analysis == "security":
-        report = eval_harness.security_arithmetic(args.session_seconds,
-                                                  cfg.threshold, cfg.cutoff)
+        report = eval_harness.security_arithmetic(args.session_seconds, cfg)
         _make_dir(out_dir)
         _write_json(out_dir / "security.json", report)
         _print(json.dumps(report, indent=2))
@@ -299,8 +310,8 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
         _write_json(out_dir / "positions.json", rep)
         summary = {"positions": ";".join(rep.positions)}
     elif args.analysis == "guesswork":
-        tries = eval_harness.security_arithmetic(args.session_seconds, cfg.threshold,
-                                                 cfg.cutoff)["tries_per_day"]
+        tries = eval_harness.security_arithmetic(args.session_seconds,
+                                                 cfg)["tries_per_day"]
         rep = eval_harness.key_guesswork(corpus, cfg, tries_per_day=tries)
         _write_json(out_dir / "guesswork.json", rep)
         summary = {"n_windows": rep.n_windows, "within_2": rep.within_2,
@@ -328,7 +339,11 @@ def cmd_synth(args: argparse.Namespace, cfg: Config) -> int:
     )
     corpus = dataset_io.generate_synthetic(spec)
     _make_dir(Path(args.out))
-    manifest = dataset_io.save_csv(corpus, args.out)
+    try:
+        manifest = dataset_io.save_csv(corpus, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {exc.filename or args.out}: "
+                          f"{exc.strerror}") from exc
     _print(f"wrote {len(corpus.records)} recordings, manifest {manifest}")
     return EXIT_OK
 

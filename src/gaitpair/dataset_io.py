@@ -35,7 +35,7 @@ from .errors import (
     SignalTooShort,
 )
 from .gait import CycleDetection, GaitSequence, detect_cycles, split_and_normalize
-from .signals import GRAVITY, ImuRecord, VerticalSignal, rotate_vectors
+from .signals import GRAVITY, ImuRecord, VerticalSignal, preprocess_record, rotate_vectors
 
 CSV_COLUMNS = ("timestamp_ms", "ax", "ay", "az", "gx", "gy", "gz")
 MANIFEST_NAME = "manifest.json"
@@ -54,6 +54,7 @@ _OSAKA_WARNINGS = (
 #: Where a record loaded from CSV came from: the SHA-256 of the CSV's bytes
 #: and the path of its ``.cycles`` cache entry.
 Source = tuple[bytes, Path]
+RecordKey = tuple[str, str, str]  # subject, position, recording
 
 
 @dataclass
@@ -72,10 +73,6 @@ class Corpus:
             raise ValueError("a corpus needs one source per record, or none")
 
     @property
-    def subjects(self) -> list[str]:
-        return sorted({r.subject_id for r in self.records})
-
-    @property
     def positions(self) -> list[str]:
         return sorted({r.position for r in self.records})
 
@@ -86,7 +83,7 @@ def _map_in_order(fn: Callable, items: Sequence) -> list:
     order propagates, as the loop's would; items after it may have run.
 
     Three loops run through here: ``load_csv`` reads a corpus's records,
-    ``eval_harness._preprocess_corpus`` computes their cycles and
+    ``corpus_cycles`` finds their cycles and
     ``eval_harness.coherence_analysis`` extracts their vertical signals.
     Their work is numpy, scipy, hashing and file reads, which release the
     GIL.  ``cli.cmd_preprocess`` writes its records in a plain loop.
@@ -112,7 +109,7 @@ def _read_recording_csv(base: Path, name: str) -> tuple[bytes, np.ndarray]:
     rewrites the entry under that digest, so an entry never pairs a digest
     with rows of other bytes, even if the file changes during the load.  The
     digest returned is always that of the rows returned, and it keys the
-    record's ``.cycles`` entry too (``cached_sequence``).  No success path
+    record's ``.cycles`` entry too (``corpus_cycles``).  No success path
     holds the whole file in memory; a failed read or parse re-reads it from
     the same handle to name its first bad line.  Header, finiteness and
     timestamp checks run on both paths, and a file that fails one is never
@@ -263,31 +260,43 @@ def _code_digest() -> bytes:
     return h.digest()
 
 
-def cached_sequence(source: Source | None, sample_rate: float,
-                    band: tuple[float, float], rho: int,
-                    compute: Callable[[], GaitSequence | None]) -> GaitSequence | None:
-    """``compute()``, a record's resampled gait cycles, read from its
-    ``.cycles`` entry when one holds them for these inputs.
+def corpus_cycles(corpus: Corpus, cfg: Config) -> dict[RecordKey, GaitSequence]:
+    """Each record's resampled gait cycles, in corpus order, found once per
+    record content: every window of every size is a slice of them.  A record
+    without a full cycle (fewer than 3 half-cycle boundaries) is left out.
 
-    The entry's key is the SHA-256 of the CSV's digest, the sample rate, the
-    band, rho and ``_code_digest()``; any other change misses, recomputes
-    and rewrites the one entry per CSV name.  A record without a source
-    (built in memory) always computes.  A failure or a None result is never
+    A record loaded from CSV reads its cycles from its ``.cycles`` entry
+    when one holds them for these inputs: the entry's key is the SHA-256 of
+    the CSV's digest, the sample rate, the band, rho and ``_code_digest()``.
+    A miss runs ``preprocess_record``, ``detect_cycles`` and
+    ``split_and_normalize`` and rewrites the one entry per CSV name; a record
+    built in memory always computes.  A failure or a record left out is never
     stored, so a bad record raises the same error on every call; a stored
     sequence was computed from validated samples of those bytes at that rate.
     """
-    if source is None:
-        return compute()
-    digest, entry = source
-    key = hashlib.sha256(digest + struct.pack("<3dq", sample_rate, *band, rho)
-                         + _code_digest()).digest()
-    cycles = _read_entry(entry, key, (None, rho))
-    if cycles is not None:
-        return GaitSequence(cycles=cycles, rho=rho)
-    seq = compute()
-    if seq is not None:
-        _write_entry(entry, key, seq.cycles)
-    return seq
+    def cycles(item) -> GaitSequence | None:
+        rec, source = item
+        if source is not None:
+            digest, entry = source
+            key = hashlib.sha256(digest + struct.pack("<3dq", rec.sample_rate,
+                                                      *cfg.band, cfg.rho)
+                                 + _code_digest()).digest()
+            stored = _read_entry(entry, key, (None, cfg.rho))
+            if stored is not None:
+                return GaitSequence(cycles=stored, rho=cfg.rho)
+        sig = preprocess_record(rec, band=cfg.band)
+        det = detect_cycles(sig)
+        if det.minima_indices.shape[0] < 3:
+            return None
+        seq = split_and_normalize(sig, det, cfg.rho)
+        if source is not None:
+            _write_entry(entry, key, seq.cycles)
+        return seq
+
+    sources = corpus.sources or [None] * len(corpus.records)
+    found = _map_in_order(cycles, list(zip(corpus.records, sources)))
+    return {(rec.subject_id, rec.position, rec.recording_id): seq
+            for rec, seq in zip(corpus.records, found) if seq is not None}
 
 
 def load_csv(path: str | Path) -> Corpus:

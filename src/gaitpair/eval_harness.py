@@ -16,13 +16,12 @@ import numpy as np
 from scipy import signal as sps
 
 from .config import Config
-from .dataset_io import Corpus, _map_in_order, cached_sequence
+from .dataset_io import Corpus, RecordKey, _map_in_order, corpus_cycles
 from .errors import ConfigError, InsufficientBits, InsufficientPairs, MixedSampleRates
 from .fingerprint import window_fingerprints
-from .fuzzy_ecc import choose_params, encode
-from .gait import GaitSequence, detect_cycles, split_and_normalize
+from .fuzzy_ecc import encode
 from .protocol import session_code_params
-from .signals import VerticalSignal, extract_vertical, preprocess_record
+from .signals import VerticalSignal, extract_vertical
 
 SECONDS_PER_DAY = 86400
 SWEEP_EXTRA_BITS = (0, 16, 32, 48, 64, 128)  # M = N + extra per sweep entry
@@ -132,53 +131,23 @@ class GuessworkReport:
 
 # -- pipeline helpers --------------------------------------------------------------------
 
-RecordKey = tuple[str, str, str]  # subject, position, recording
-
-
-def _preprocess_corpus(corpus: Corpus, cfg: Config
-                       ) -> dict[RecordKey, GaitSequence | None]:
-    """Run the signal pipeline, cycle detection and cycle resampling once per
-    record content.  Every window of every size is a slice of the record's
-    one resampled sequence, which is None for a record without a full cycle.
-
-    A record loaded from CSV reads its sequence from the corpus's
-    ``.cycles`` cache entry when one holds it for this sample rate, band and
-    rho, and stores it there after a miss (``cached_sequence``); a record
-    built in memory always computes.
-    """
-    def compute(rec) -> GaitSequence | None:
-        sig = preprocess_record(rec, band=cfg.band)
-        det = detect_cycles(sig)
-        return (split_and_normalize(sig, det, cfg.rho)
-                if det.minima_indices.shape[0] >= 3 else None)
-
-    def work(item):
-        rec, source = item
-        seq = cached_sequence(source, rec.sample_rate, cfg.band, cfg.rho,
-                              lambda: compute(rec))
-        return (rec.subject_id, rec.position, rec.recording_id), seq
-
-    sources = corpus.sources or [None] * len(corpus.records)
-    return dict(_map_in_order(work, list(zip(corpus.records, sources))))
-
-
-def _fingerprints(processed, cfg: Config, window_cycles: int
+def _fingerprints(cycles, cfg: Config, window_cycles: int
                   ) -> dict[RecordKey, tuple[np.ndarray, np.ndarray]]:
     """Bits and own reliability orders of every half-overlapping window, as
-    (W, M) rows per record, computed once per analysis; row w is window w.
-    A record without a full cycle is left out, and one shorter than one
-    window has W = 0.  Orders are ``argsort`` output, and ``Config`` bounds
-    ``cfg.cutoff`` by every M a caller asks for, so none is checked here."""
+    (W, M) rows per record of ``corpus_cycles``, computed once per analysis;
+    row w is window w, and a record shorter than one window has W = 0.
+    Orders are ``argsort`` output, and ``Config`` bounds ``cfg.cutoff`` by
+    every M a caller asks for, so none is checked here."""
     out = {}
-    for key, seq in processed.items():
-        if seq is not None:
-            bits, _, orders = window_fingerprints(seq, window_cycles, cfg.bits_per_cycle)
-            out[key] = bits, orders
+    for key, seq in cycles.items():
+        bits, _, orders = window_fingerprints(seq, window_cycles, cfg.bits_per_cycle)
+        out[key] = bits, orders
     return out
 
 
 def _window_pairs(fingerprints, key_pairs, N: int) -> list[PairSimilarity]:
-    """Similarity of each same-index window pair of every (key_a, key_b).
+    """Similarity of each same-index window pair of every (key_a, key_b),
+    keys of ``fingerprints``.
 
     The reliability order of key_a's window is applied to both sides, as a
     session applies the initiator's order to both ends.  A key pair
@@ -188,8 +157,6 @@ def _window_pairs(fingerprints, key_pairs, N: int) -> list[PairSimilarity]:
     """
     pairs: list[PairSimilarity] = []
     for ka, kb in key_pairs:
-        if ka not in fingerprints or kb not in fingerprints:
-            continue
         (bits_a, order_a), (bits_b, _) = fingerprints[ka], fingerprints[kb]
         n = min(len(bits_a), len(bits_b))
         differ = np.take_along_axis(bits_a[:n] != bits_b[:n], order_a[:n, :N], axis=1)
@@ -199,18 +166,18 @@ def _window_pairs(fingerprints, key_pairs, N: int) -> list[PairSimilarity]:
     return pairs
 
 
-def _intra_keys(processed) -> list[tuple[RecordKey, RecordKey]]:
+def _intra_keys(records) -> list[tuple[RecordKey, RecordKey]]:
     """Same subject and recording, different positions, in position order."""
     groups: dict[tuple[str, str], list[str]] = {}
-    for subject, position, recording in processed:
+    for subject, position, recording in records:
         groups.setdefault((subject, recording), []).append(position)
     return [((s, a, r), (s, b, r)) for (s, r), positions in groups.items()
             for a, b in itertools.combinations(sorted(positions), 2)]
 
 
-def _inter_keys(processed) -> list[tuple[RecordKey, RecordKey]]:
+def _inter_keys(records) -> list[tuple[RecordKey, RecordKey]]:
     """Same position, different subjects, in key order."""
-    return [(a, b) for a, b in itertools.combinations(sorted(processed), 2)
+    return [(a, b) for a, b in itertools.combinations(sorted(records), 2)
             if a[0] != b[0] and a[1] == b[1]]
 
 
@@ -286,13 +253,13 @@ def reliability_sweep(corpus: Corpus, cfg: Config | None = None) -> SweepReport:
     for extra in SWEEP_EXTRA_BITS:
         if (N + extra) % b != 0:
             raise InsufficientBits(f"M={N + extra} not divisible by b={b}")
-    processed = _preprocess_corpus(corpus, cfg)
-    intra_keys = _intra_keys(processed)
+    cycles = corpus_cycles(corpus, cfg)
+    intra_keys = _intra_keys(cycles)
 
     entries = []
     for extra in SWEEP_EXTRA_BITS:
         m_total = N + extra
-        fingerprints = _fingerprints(processed, cfg, m_total // b)
+        fingerprints = _fingerprints(cycles, cfg, m_total // b)
         pairs = _window_pairs(fingerprints, intra_keys, N)
         if not pairs:
             raise InsufficientBits(
@@ -315,10 +282,10 @@ def discriminability(corpus: Corpus, cfg: Config | None = None) -> SimilarityRep
     threshold.
     """
     cfg = cfg or Config()
-    processed = _preprocess_corpus(corpus, cfg)
-    fingerprints = _fingerprints(processed, cfg, cfg.cycles_per_fingerprint)
-    intra = _window_pairs(fingerprints, _intra_keys(processed), cfg.cutoff)
-    inter = _window_pairs(fingerprints, _inter_keys(processed), cfg.cutoff)
+    cycles = corpus_cycles(corpus, cfg)
+    fingerprints = _fingerprints(cycles, cfg, cfg.cycles_per_fingerprint)
+    intra = _window_pairs(fingerprints, _intra_keys(cycles), cfg.cutoff)
+    inter = _window_pairs(fingerprints, _inter_keys(cycles), cfg.cutoff)
 
     if not intra:
         raise InsufficientPairs("no intra-body pairs (need >= 2 positions)")
@@ -349,9 +316,9 @@ def position_table(corpus: Corpus, cfg: Config | None = None) -> PositionTable:
     the corpus."""
     cfg = cfg or Config()
     positions = sorted(corpus.positions)
-    processed = _preprocess_corpus(corpus, cfg)
-    fingerprints = _fingerprints(processed, cfg, cfg.cycles_per_fingerprint)
-    pairs = _window_pairs(fingerprints, _intra_keys(processed), cfg.cutoff)
+    cycles = corpus_cycles(corpus, cfg)
+    fingerprints = _fingerprints(cycles, cfg, cfg.cycles_per_fingerprint)
+    pairs = _window_pairs(fingerprints, _intra_keys(cycles), cfg.cutoff)
     if not pairs:
         raise InsufficientPairs("no intra-body pairs for the position table")
 
@@ -426,10 +393,10 @@ def key_guesswork(corpus: Corpus, cfg: Config | None = None, *,
     if k > GUESSWORK_MAX_K:
         raise ConfigError(f"guesswork scores all 2^k keys, up to k = {GUESSWORK_MAX_K}; "
                           f"this code has k = {k}")
-    processed = _preprocess_corpus(corpus, cfg)
+    cycles = corpus_cycles(corpus, cfg)
     windows = [(key, row[order[:n]], *_pair_types(order[:n], b))
                for key, (bits, orders)
-               in _fingerprints(processed, cfg, cfg.cycles_per_fingerprint).items()
+               in _fingerprints(cycles, cfg, cfg.cycles_per_fingerprint).items()
                for row, order in zip(bits, orders)]
     counts: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # equal, all per type
     for key, word, i, j, types in windows:
@@ -477,16 +444,20 @@ def key_guesswork(corpus: Corpus, cfg: Config | None = None, *,
 
 # -- security arithmetic ---------------------------------------------------------------
 
-def security_arithmetic(session_seconds: float, threshold: float, N: int) -> dict:
+def security_arithmetic(session_seconds: float, cfg: Config) -> dict:
     """Attempt budget per day and the error-correction capacity.
 
     An attacker bound to full sessions gets floor(86400 / session length)
-    tries per day.  ``t`` is the budget floor(N * (1 - threshold)) bits;
-    ``code_t`` is what the deployed code corrects, on its length 2^m - 1 <= N.
+    tries per day, which must be a finite count.  ``t`` is the budget
+    floor(N * (1 - threshold)) bits for N = ``cfg.cutoff``; ``code_t`` is
+    what the session's code (``session_code_params``) corrects, on its
+    length 2^m - 1 <= N.
     """
-    if not session_seconds > 0:  # also rejects NaN
-        raise ConfigError(f"session_seconds must be positive, got {session_seconds}")
+    if not (0 < session_seconds < math.inf  # also rejects NaN
+            and math.isfinite(SECONDS_PER_DAY // session_seconds)):
+        raise ConfigError(f"session_seconds must be positive and finite, with a finite "
+                          f"number of tries per day; got {session_seconds}")
     tries = int(SECONDS_PER_DAY // session_seconds)
-    t = int(math.floor(N * (1.0 - threshold) + 1e-9))
+    t = int(math.floor(cfg.cutoff * (1.0 - cfg.threshold) + 1e-9))
     return {"tries_per_day": tries, "t": t,
-            "code_t": choose_params(N, 1.0 - threshold).t}
+            "code_t": session_code_params(cfg).t}

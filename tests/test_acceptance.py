@@ -253,7 +253,7 @@ def test_end_to_end_protocol():
 
 def test_security_arithmetic_exact():
     with criterion("security-arithmetic"):
-        result = security_arithmetic(200.0, 0.8, 128)
+        result = security_arithmetic(200.0, Config())
         assert result == {"tries_per_day": 432, "t": 25, "code_t": 23}
 
 
@@ -268,7 +268,7 @@ def test_key_guesswork_of_todays_fingerprint():
     with criterion("key-guesswork"):
         corpus = generate_synthetic(
             SyntheticGaitSpec(n_cycles=100, n_subjects=2, rng_seed=7))
-        tries = security_arithmetic(200.0, CFG.threshold, CFG.cutoff)["tries_per_day"]
+        tries = security_arithmetic(200.0, CFG)["tries_per_day"]
         report = key_guesswork(corpus, CFG, tries_per_day=tries)
         ranks = [rank for record in report.ranks.values() for rank in record]
         print(f"  key guesswork: {report.n_windows} windows, ranks {sorted(set(ranks))}, "

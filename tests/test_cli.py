@@ -717,6 +717,43 @@ def test_an_output_path_that_is_a_file_is_a_config_error(command, corpus_dir, tm
     assert out.read_text() == "kept"
 
 
+#: id -> (argv from (corpus, output directory), an output file the command writes)
+OUTPUT_FILES = {
+    "eval-security": (OUTPUT_COMMANDS["eval-security"], "security.json"),
+    # written after discriminability.json
+    "eval-pairs-csv": (OUTPUT_COMMANDS["eval"], "discriminability_intra.csv"),
+    "preprocess": (OUTPUT_COMMANDS["preprocess"], "s00_chest_r0.json"),
+    "synth": (OUTPUT_COMMANDS["synth"], "manifest.json"),
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_FILES)
+def test_an_output_file_that_cannot_be_written_is_a_config_error(command, corpus_dir,
+                                                                tmp_path, capsys):
+    argv, name = OUTPUT_FILES[command]
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    rc = cli.main(argv(str(corpus_dir), str(out)))
+    err = capsys.readouterr().err
+    assert rc == 64, err
+    assert err.startswith("config error: ConfigError: cannot write output file "
+                          f"{out / name}: "), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seconds", ["1e-320", "inf"])
+def test_a_session_length_without_a_finite_try_count_is_a_config_error(
+        seconds, corpus_dir, tmp_path, capsys):
+    for analysis in ("security", "guesswork"):
+        rc = cli.main(["eval", str(corpus_dir), "--analysis", analysis,
+                       "--session-seconds", seconds, "--out", str(tmp_path / analysis)])
+        err = capsys.readouterr().err
+        assert rc == 64, err
+        assert err.startswith("config error: ConfigError: session_seconds "), err
+        assert err.rstrip().endswith(f"got {seconds}"), err
+        assert not (tmp_path / analysis / f"{analysis}.json").exists()
+
+
 def _run_with_closed_stdout(argv):
     """Run the CLI in a child whose stdout is a pipe with no reader, so every
     write to it fails with EPIPE."""

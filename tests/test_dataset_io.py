@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaitpair import cli, dataset_io, eval_harness
+from gaitpair import cli, dataset_io
 from gaitpair.config import Config
 from gaitpair.dataset_io import (
     CACHE_DIR,
@@ -19,6 +19,7 @@ from gaitpair.dataset_io import (
     Corpus,
     PositionSpec,
     SyntheticGaitSpec,
+    corpus_cycles,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -34,7 +35,6 @@ from gaitpair.errors import (
     SignalTooShort,
 )
 from gaitpair.fingerprint import average_cycle, quantize, reduce, reliability_order, similarity
-from gaitpair.eval_harness import _preprocess_corpus
 from gaitpair.gait import cycles_from_bounds, detect_cycles
 from gaitpair.signals import preprocess_record
 
@@ -607,13 +607,13 @@ def gait_corpus(tmp_path):
 def front_ends(monkeypatch):
     """The (subject, position) of every record the front end runs on."""
     calls = []
-    real = eval_harness.preprocess_record
+    real = dataset_io.preprocess_record
 
     def counting(rec, band):
         calls.append((rec.subject_id, rec.position))
         return real(rec, band=band)
 
-    monkeypatch.setattr(eval_harness, "preprocess_record", counting)
+    monkeypatch.setattr(dataset_io, "preprocess_record", counting)
     return calls
 
 
@@ -621,7 +621,7 @@ def refuse_front_end(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the front end ran on a cache hit")
 
-    monkeypatch.setattr(eval_harness, "preprocess_record", refuse)
+    monkeypatch.setattr(dataset_io, "preprocess_record", refuse)
 
 
 def assert_same_sequences(a, b):
@@ -640,21 +640,21 @@ def eval_reports(corpus_dir, out_dir, *flags):
 
 def test_cycles_entries_are_written_once_per_csv_and_hit(gait_corpus, front_ends,
                                                         monkeypatch):
-    cold = _preprocess_corpus(load_csv(gait_corpus), Config())
+    cold = corpus_cycles(load_csv(gait_corpus), Config())
     assert len(front_ends) == 6
     names = [f"rec_{i:04d}.csv" for i in range(6)]
     assert cache_entries(gait_corpus) == sorted(
         [f"{n}.cycles" for n in names] + [f"{n}.rows" for n in names])
-    in_memory = _preprocess_corpus(
+    in_memory = corpus_cycles(
         Corpus(records=load_csv(gait_corpus).records), Config())
     assert len(front_ends) == 12  # a corpus without sources always computes
     assert_same_sequences(in_memory, cold)
     refuse_front_end(monkeypatch)
-    assert_same_sequences(_preprocess_corpus(load_csv(gait_corpus), Config()), cold)
+    assert_same_sequences(corpus_cycles(load_csv(gait_corpus), Config()), cold)
 
 
 def test_cycles_entry_is_the_key_then_the_cycles(gait_corpus):
-    cold = _preprocess_corpus(load_csv(gait_corpus), Config())
+    cold = corpus_cycles(load_csv(gait_corpus), Config())
     key, cycles = read_entry(gait_corpus / CACHE_DIR / "rec_0001.csv.cycles")
     assert len(key) == 32
     assert key != hashlib.sha256((gait_corpus / "rec_0001.csv").read_bytes()).digest()
@@ -687,7 +687,7 @@ def set_first_rate(corpus_dir):
 ], ids=["csv-byte", "rate", "band", "rho", "code"])
 def test_each_key_part_forces_a_recompute(gait_corpus, front_ends, monkeypatch,
                                           change, cfg, recomputed):
-    _preprocess_corpus(load_csv(gait_corpus), Config())
+    corpus_cycles(load_csv(gait_corpus), Config())
     if change == "csv-byte":
         edit_first_sample(gait_corpus)
     elif change == "rate":
@@ -696,11 +696,11 @@ def test_each_key_part_forces_a_recompute(gait_corpus, front_ends, monkeypatch,
         monkeypatch.setattr(dataset_io, "_code_digest", lambda: bytes(32))
     calls = len(front_ends)
     corpus = load_csv(gait_corpus)
-    got = _preprocess_corpus(corpus, cfg)
+    got = corpus_cycles(corpus, cfg)
     assert len(front_ends) == calls + recomputed
-    assert_same_sequences(got, _preprocess_corpus(Corpus(records=corpus.records), cfg))
+    assert_same_sequences(got, corpus_cycles(Corpus(records=corpus.records), cfg))
     calls = len(front_ends)
-    assert_same_sequences(_preprocess_corpus(load_csv(gait_corpus), cfg), got)
+    assert_same_sequences(corpus_cycles(load_csv(gait_corpus), cfg), got)
     assert len(front_ends) == calls  # the entries were rewritten for the new key
     assert len(cache_entries(gait_corpus)) == 12
 
@@ -734,7 +734,7 @@ def test_fingerprint_flags_still_hit(gait_corpus, tmp_path, monkeypatch, flags):
 
 @pytest.mark.parametrize("damage", ["truncate", "wrong-key", "huge-shape"])
 def test_damaged_cycles_entry_is_recomputed_and_rewritten(gait_corpus, front_ends, damage):
-    cold = _preprocess_corpus(load_csv(gait_corpus), Config())
+    cold = corpus_cycles(load_csv(gait_corpus), Config())
     entry = gait_corpus / CACHE_DIR / "rec_0001.csv.cycles"
     key, cycles = read_entry(entry)
     if damage == "truncate":
@@ -752,7 +752,7 @@ def test_damaged_cycles_entry_is_recomputed_and_rewritten(gait_corpus, front_end
     calls = len(front_ends)
     tracemalloc.start()
     try:
-        got = _preprocess_corpus(corpus, Config())
+        got = corpus_cycles(corpus, Config())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -770,10 +770,44 @@ def test_failing_record_leaves_no_cycles_entry(gait_corpus):
     messages = []
     for _ in ("cold", "warm"):
         with pytest.raises(EmptyStream, match="inconsistent") as info:
-            _preprocess_corpus(load_csv(gait_corpus), Config())
+            corpus_cycles(load_csv(gait_corpus), Config())
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert not (gait_corpus / CACHE_DIR / "rec_0002.csv.cycles").exists()
+
+
+def test_a_record_without_a_full_cycle_is_left_out_of_every_report(tmp_path):
+    # s00 chest cut to its first 320 samples: 2 half-cycle boundaries, no cycle
+    cut = tmp_path / "cut"
+    save_csv(generate_synthetic(SyntheticGaitSpec(n_cycles=100, n_subjects=2,
+                                                  rng_seed=21)), cut)
+    csv = cut / "rec_0000.csv"
+    csv.write_text("".join(csv.read_text().splitlines(keepends=True)[:321]))
+    dropped = tmp_path / "dropped"
+    shutil.copytree(cut, dropped)
+    (dropped / "rec_0000.csv").unlink()
+    manifest = json.loads((dropped / "manifest.json").read_text())
+    manifest["recordings"] = manifest["recordings"][1:]
+    (dropped / "manifest.json").write_text(json.dumps(manifest))
+
+    corpus = load_csv(cut)
+    assert detect_cycles(preprocess_record(corpus.records[0])).minima_indices.shape[0] == 2
+    for cache in ("cold", "warm"):
+        for analysis in ("discriminability", "reliability", "positions", "guesswork"):
+            if cache == "cold":
+                for corpus_dir in (cut, dropped):
+                    shutil.rmtree(corpus_dir / CACHE_DIR, ignore_errors=True)
+            reports = []
+            for corpus_dir in (cut, dropped):
+                out = tmp_path / f"{corpus_dir.name}-{analysis}-{cache}"
+                assert cli.main(["eval", str(corpus_dir), "--analysis", analysis,
+                                 "--out", str(out)]) == 0
+                reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert reports[0] == reports[1], (analysis, cache)
+        keys = list(corpus_cycles(load_csv(cut), Config()))
+        assert keys == [(r.subject_id, r.position, r.recording_id)
+                        for r in corpus.records[1:]], cache
+    assert not (cut / CACHE_DIR / "rec_0000.csv.cycles").exists()
 
 
 def test_read_only_cache_directory_gives_equal_reports(gait_corpus, tmp_path, monkeypatch):

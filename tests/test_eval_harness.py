@@ -240,11 +240,11 @@ def half_overlapping_windows(seq, w):
 
 @pytest.mark.parametrize("window_cycles", [32, 36, 40, 44, 48, 64])
 def test_batched_pass_equals_per_window_fingerprints(uneven_corpus, cfg, window_cycles):
-    from gaitpair.eval_harness import _fingerprints, _inter_keys, _intra_keys, \
-        _preprocess_corpus, _window_pairs
+    from gaitpair.dataset_io import corpus_cycles
+    from gaitpair.eval_harness import _fingerprints, _inter_keys, _intra_keys, _window_pairs
     from gaitpair.fingerprint import compute_fingerprint, window_fingerprints
 
-    processed = _preprocess_corpus(uneven_corpus, cfg)
+    processed = corpus_cycles(uneven_corpus, cfg)
     per_window = {}
     counts = set()
     for key, seq in processed.items():
@@ -276,7 +276,7 @@ def test_batched_pass_equals_per_window_fingerprints(uneven_corpus, cfg, window_
 
 @pytest.mark.parametrize("cpus", [None, {0}], ids=["all-cpus", "one-cpu"])
 def test_preprocessed_corpus_equals_a_serial_loop(uneven_corpus, cfg, monkeypatch, cpus):
-    from gaitpair.eval_harness import _preprocess_corpus
+    from gaitpair.dataset_io import corpus_cycles
     from gaitpair.gait import split_and_normalize
 
     want = {}
@@ -287,7 +287,7 @@ def test_preprocessed_corpus_equals_a_serial_loop(uneven_corpus, cfg, monkeypatc
             split_and_normalize(sig, det, cfg.rho).cycles
     if cpus is not None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    got = _preprocess_corpus(uneven_corpus, cfg)
+    got = corpus_cycles(uneven_corpus, cfg)
     assert list(got) == list(want)
     for key, cycles in want.items():
         assert got[key].rho == cfg.rho
@@ -371,10 +371,10 @@ def test_sweep_grid_and_direction(small_corpus, cfg):
 def test_sweep_baseline_is_pure_truncation(small_corpus, cfg):
     # with M == N the reduction permutes all bits on both sides: similarity
     # equals the raw fingerprint agreement
-    from gaitpair.eval_harness import _preprocess_corpus
+    from gaitpair.dataset_io import corpus_cycles
 
     rep = reliability_sweep(small_corpus, cfg=cfg)
-    processed = _preprocess_corpus(small_corpus, cfg)
+    processed = corpus_cycles(small_corpus, cfg)
     assert rep.entries[0].M == 128
     pair = rep.entries[0].pairs[0]
 
@@ -401,7 +401,7 @@ def test_sweep_reduces_to_config_cutoff(small_corpus):
 
 def test_discriminability_counts_match_combinatorics(small_corpus, cfg):
     rep = discriminability(small_corpus, cfg=cfg)
-    subjects = len(small_corpus.subjects)
+    subjects = len({r.subject_id for r in small_corpus.records})
     positions = len(small_corpus.positions)
     windows_per_record = {}
     for p in rep.intra_pairs:
@@ -454,7 +454,7 @@ def test_position_table_consistent_with_raw_pairs(small_corpus, cfg):
 
 # -- key guesswork --------------------------------------------------------------------------
 
-TRIES_PER_DAY = security_arithmetic(200.0, 0.8, 128)["tries_per_day"]  # the CLI's default
+TRIES_PER_DAY = security_arithmetic(200.0, Config())["tries_per_day"]  # the CLI's default
 
 def _captured_fingerprints(monkeypatch, uniform_seed=None):
     """Patch ``_fingerprints`` to keep what it returns, each window's bits
@@ -566,21 +566,23 @@ def test_guesswork_refuses_a_code_it_cannot_enumerate():
 # -- security arithmetic ---------------------------------------------------------------------------
 
 def test_security_arithmetic_deployment_values():
-    assert security_arithmetic(200.0, 0.8, 128) == {"tries_per_day": 432, "t": 25,
-                                                  "code_t": 23}
+    assert security_arithmetic(200.0, Config()) == {"tries_per_day": 432, "t": 25,
+                                                    "code_t": 23}
 
 
 def test_security_arithmetic_one_try_per_day():
-    assert security_arithmetic(86400.0, 0.8, 128)["tries_per_day"] == 1
+    assert security_arithmetic(86400.0, Config())["tries_per_day"] == 1
 
 
 def test_security_arithmetic_data_floor():
     # 48 two-second cycles put a ~96 s floor under any session
-    result = security_arithmetic(96.0 + 2 * 5.0, 0.8, 128)
+    result = security_arithmetic(96.0 + 2 * 5.0, Config())
     assert result["tries_per_day"] == 86400 // 106
 
 
 def test_security_arithmetic_exact_fraction_edges():
-    assert security_arithmetic(200.0, 0.8, 10)["t"] == 2
-    with pytest.raises(ConfigError):
-        security_arithmetic(0.0, 0.8, 128)
+    assert security_arithmetic(200.0, Config(cutoff=10))["t"] == 2
+    # no session length, or none whose count of tries per day is finite
+    for seconds in (0.0, -1.0, math.nan, 1e-320, math.inf):
+        with pytest.raises(ConfigError, match=f"got {seconds}$"):
+            security_arithmetic(seconds, Config())

@@ -20,7 +20,7 @@ import shutil
 
 import pytest
 
-from gaitpair import cli, eval_harness
+from gaitpair import cli, dataset_io
 from gaitpair.dataset_io import CACHE_DIR
 
 # analysis -> file name -> sha256 of its bytes
@@ -95,5 +95,5 @@ def test_reports_match_golden(analysis, cache, corpus_dir, tmp_path, monkeypatch
         def refuse(*args, **kwargs):
             raise AssertionError("a warm eval ran the front end")
 
-        monkeypatch.setattr(eval_harness, "preprocess_record", refuse)
+        monkeypatch.setattr(dataset_io, "preprocess_record", refuse)
     assert _report_digests(corpus_dir, tmp_path / "reports", analysis) == GOLDEN[analysis]
