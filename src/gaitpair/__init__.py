@@ -20,7 +20,6 @@ from .dataset_io import (
 )
 from .fingerprint import (
     Fingerprint,
-    ReducedFingerprint,
     average_cycle,
     compute_fingerprint,
     quantize,
@@ -63,7 +62,6 @@ __all__ = [
     "save_csv",
     "sliding_windows",
     "Fingerprint",
-    "ReducedFingerprint",
     "average_cycle",
     "compute_fingerprint",
     "quantize",

@@ -282,6 +282,12 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
         _write_json(out_dir / "security.json", report)
         _print(json.dumps(report, indent=2))
         return EXIT_OK
+    if args.analysis == "reliability":  # the flag-only faults, before any I/O
+        eval_harness.sweep_sizes(cfg)
+    elif args.analysis == "guesswork":
+        tries = eval_harness.security_arithmetic(args.session_seconds,
+                                                 cfg)["tries_per_day"]
+        eval_harness.guesswork_code(cfg)
 
     _make_dir(out_dir)
     corpus = _load_corpus(args.corpus)
@@ -310,8 +316,6 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
         _write_json(out_dir / "positions.json", rep)
         summary = {"positions": ";".join(rep.positions)}
     elif args.analysis == "guesswork":
-        tries = eval_harness.security_arithmetic(args.session_seconds,
-                                                 cfg)["tries_per_day"]
         rep = eval_harness.key_guesswork(corpus, cfg, tries_per_day=tries)
         _write_json(out_dir / "guesswork.json", rep)
         summary = {"n_windows": rep.n_windows, "within_2": rep.within_2,

@@ -18,8 +18,9 @@ from scipy import signal as sps
 from .config import Config
 from .dataset_io import Corpus, RecordKey, _map_in_order, corpus_cycles
 from .errors import ConfigError, InsufficientBits, InsufficientPairs, MixedSampleRates
-from .fingerprint import window_fingerprints
-from .fuzzy_ecc import encode
+from .fingerprint import compute_fingerprint
+from .fuzzy_ecc import CodeParams, encode
+from .gait import GaitSequence
 from .protocol import session_code_params
 from .signals import VerticalSignal, extract_vertical
 
@@ -140,8 +141,10 @@ def _fingerprints(cycles, cfg: Config, window_cycles: int
     every M a caller asks for, so none is checked here."""
     out = {}
     for key, seq in cycles.items():
-        bits, _, orders = window_fingerprints(seq, window_cycles, cfg.bits_per_cycle)
-        out[key] = bits, orders
+        _, windows = seq.windows(window_cycles)
+        fp, orders = compute_fingerprint(GaitSequence(cycles=windows, rho=seq.rho),
+                                         cfg.bits_per_cycle)
+        out[key] = fp.bits, orders
     return out
 
 
@@ -183,7 +186,7 @@ def _inter_keys(records) -> list[tuple[RecordKey, RecordKey]]:
 
 # -- analyses ---------------------------------------------------------------------------
 
-def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceReport:
+def coherence_analysis(corpus: Corpus, cfg: Config) -> CoherenceReport:
     """Welch-averaged magnitude-squared coherence of gravity-aligned
     vertical signals: simultaneous same-body pairs against cross-body pairs.
 
@@ -195,7 +198,6 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
     is elevated below ``cfg.band``'s lower corner, the band the bandpass
     later removes.
     """
-    cfg = cfg or Config()
     rates = sorted({rec.sample_rate for rec in corpus.records})
     if len(rates) > 1:
         raise MixedSampleRates(
@@ -244,34 +246,42 @@ def coherence_analysis(corpus: Corpus, cfg: Config | None = None) -> CoherenceRe
     )
 
 
-def reliability_sweep(corpus: Corpus, cfg: Config | None = None) -> SweepReport:
+def sweep_sizes(cfg: Config) -> list[int]:
+    """``reliability_sweep``'s sizes M = N + extra, each whole cycles of b
+    bits; they depend on ``cfg`` alone, so the CLI checks them before any I/O."""
+    b = cfg.bits_per_cycle
+    sizes = [cfg.cutoff + extra for extra in SWEEP_EXTRA_BITS]
+    for m_total in sizes:
+        if m_total % b != 0:
+            raise ConfigError(f"reliability sweep size M={m_total} not divisible "
+                              f"by bits_per_cycle={b}")
+    return sizes
+
+
+def reliability_sweep(corpus: Corpus, cfg: Config) -> SweepReport:
     """Mean intra-body similarity for fingerprint sizes M = N + extra, one
     entry per ``SWEEP_EXTRA_BITS``, all reduced with cutoff N = ``cfg.cutoff``:
     how much discarding unreliable bits buys."""
-    cfg = cfg or Config()
     N, b = cfg.cutoff, cfg.bits_per_cycle
-    for extra in SWEEP_EXTRA_BITS:
-        if (N + extra) % b != 0:
-            raise InsufficientBits(f"M={N + extra} not divisible by b={b}")
+    sizes = sweep_sizes(cfg)
     cycles = corpus_cycles(corpus, cfg)
     intra_keys = _intra_keys(cycles)
 
     entries = []
-    for extra in SWEEP_EXTRA_BITS:
-        m_total = N + extra
+    for m_total in sizes:
         fingerprints = _fingerprints(cycles, cfg, m_total // b)
         pairs = _window_pairs(fingerprints, intra_keys, N)
         if not pairs:
             raise InsufficientBits(
                 f"no intra-body window pairs at M={m_total}: corpus too short")
         values = np.array([p.value for p in pairs])
-        entries.append(SweepEntry(M=m_total, extra_bits=extra,
+        entries.append(SweepEntry(M=m_total, extra_bits=m_total - N,
                                   summary=DistributionSummary.from_values(values),
                                   pairs=pairs))
     return SweepReport(N=N, entries=entries)
 
 
-def discriminability(corpus: Corpus, cfg: Config | None = None) -> SimilarityReport:
+def discriminability(corpus: Corpus, cfg: Config) -> SimilarityReport:
     """Intra-body versus inter-body similarity distributions at
     M = ``cfg.fingerprint_bits``, reduced to N = ``cfg.cutoff``.
 
@@ -281,7 +291,6 @@ def discriminability(corpus: Corpus, cfg: Config | None = None) -> SimilarityRep
     The collision rate counts inter-body similarities above the pairing
     threshold.
     """
-    cfg = cfg or Config()
     cycles = corpus_cycles(corpus, cfg)
     fingerprints = _fingerprints(cycles, cfg, cfg.cycles_per_fingerprint)
     intra = _window_pairs(fingerprints, _intra_keys(cycles), cfg.cutoff)
@@ -311,10 +320,9 @@ def discriminability(corpus: Corpus, cfg: Config | None = None) -> SimilarityRep
     )
 
 
-def position_table(corpus: Corpus, cfg: Config | None = None) -> PositionTable:
+def position_table(corpus: Corpus, cfg: Config) -> PositionTable:
     """Symmetric matrix of mean intra-body similarity per position pair of
     the corpus."""
-    cfg = cfg or Config()
     positions = sorted(corpus.positions)
     cycles = corpus_cycles(corpus, cfg)
     fingerprints = _fingerprints(cycles, cfg, cfg.cycles_per_fingerprint)
@@ -364,7 +372,18 @@ def _sign_table(start: np.ndarray, flips: np.ndarray) -> np.ndarray:
     return table
 
 
-def key_guesswork(corpus: Corpus, cfg: Config | None = None, *,
+def guesswork_code(cfg: Config) -> CodeParams:
+    """The session code whose 2^k keys ``key_guesswork`` enumerates, k at most
+    ``GUESSWORK_MAX_K``; it depends on ``cfg`` alone, so the CLI checks it
+    before any I/O."""
+    params = session_code_params(cfg)
+    if params.k > GUESSWORK_MAX_K:
+        raise ConfigError(f"guesswork scores all 2^k keys, up to k = {GUESSWORK_MAX_K}; "
+                          f"this code has k = {params.k}")
+    return params
+
+
+def key_guesswork(corpus: Corpus, cfg: Config, *,
                   tries_per_day: int) -> GuessworkReport:
     """How many guesses a passive listener needs for each window's key, given
     the window's opening frame (Massey, "Guessing and entropy", ISIT 1994).
@@ -387,12 +406,8 @@ def key_guesswork(corpus: Corpus, cfg: Config | None = None, *,
     stays below 2^24, so the float32 product is exact.  ``tries_per_day`` is
     one day's tries at the session rate limit (``security_arithmetic``).
     """
-    cfg = cfg or Config()
-    params = session_code_params(cfg)
+    params = guesswork_code(cfg)
     n, k, b = params.n, params.k, cfg.bits_per_cycle
-    if k > GUESSWORK_MAX_K:
-        raise ConfigError(f"guesswork scores all 2^k keys, up to k = {GUESSWORK_MAX_K}; "
-                          f"this code has k = {k}")
     cycles = corpus_cycles(corpus, cfg)
     windows = [(key, row[order[:n]], *_pair_types(order[:n], b))
                for key, (bits, orders)

@@ -48,14 +48,16 @@ class CycleDetection:
 
 @dataclass
 class GaitSequence:
-    """q contiguous full gait cycles, each resampled to rho samples."""
+    """q contiguous full gait cycles, each resampled to rho samples; a batch
+    of windows, such as the view ``windows`` cuts from a (q, rho) record, is
+    (W, q, rho)."""
 
-    cycles: np.ndarray = field(repr=False)  # shape (q, rho)
+    cycles: np.ndarray = field(repr=False)  # shape (..., q, rho)
     rho: int = 0
 
     @property
     def q(self) -> int:
-        return int(self.cycles.shape[0])
+        return int(self.cycles.shape[-2])
 
     def windows(self, window_cycles: int, overlap: float = 0.5
                 ) -> tuple[range, np.ndarray]:

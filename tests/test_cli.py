@@ -754,6 +754,34 @@ def test_a_session_length_without_a_finite_try_count_is_a_config_error(
         assert not (tmp_path / analysis / f"{analysis}.json").exists()
 
 
+#: id -> eval flags whose fault lies in the flags alone
+FLAG_ONLY_FAULTS = {
+    "guesswork-session-0": ["--analysis", "guesswork", "--session-seconds", "0"],
+    "guesswork-session-1e-320": ["--analysis", "guesswork", "--session-seconds", "1e-320"],
+    "guesswork-session-inf": ["--analysis", "guesswork", "--session-seconds", "inf"],
+    "guesswork-k-29": ["--analysis", "guesswork", "--threshold", "0.83"],
+    "reliability-M-128-b-5": ["--analysis", "reliability", "--bits-per-cycle", "5",
+                              "--fingerprint-bits", "190"],
+}
+
+
+@pytest.mark.parametrize("case", FLAG_ONLY_FAULTS)
+def test_a_flag_only_fault_is_refused_before_any_file_is_read_or_written(
+        case, corpus_dir, tmp_path, capsys, monkeypatch):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    shutil.copytree(corpus_dir, corpus, ignore=shutil.ignore_patterns(CACHE_DIR))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+    monkeypatch.setattr(cli.dataset_io, "load_csv", refuse)
+    rc = cli.main(["eval", str(corpus), *FLAG_ONLY_FAULTS[case], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 64, err
+    assert err.startswith("config error: ConfigError: ") and "Traceback" not in err, err
+    assert not out.exists()
+    assert not (corpus / CACHE_DIR).exists()
+
+
 def _run_with_closed_stdout(argv):
     """Run the CLI in a child whose stdout is a pipe with no reader, so every
     write to it fails with EPIPE."""

@@ -51,7 +51,7 @@ def test_identical_signals_have_unit_coherence():
         _imu_from_vertical(other, "s1", "chest"),
         _imu_from_vertical(other, "s1", "waist"),
     ])
-    rep = coherence_analysis(corpus)
+    rep = coherence_analysis(corpus, Config())
     assert isinstance(rep, CoherenceReport)
     assert np.all(rep.mean_same_subject > 1.0 - 1e-9)
     assert np.all(rep.mean_same_subject <= 1.0 + 1e-12)
@@ -66,7 +66,7 @@ def test_white_noise_coherence_matches_estimator_bias():
         _imu_from_vertical(rng.standard_normal(n), "s1", "chest"),
         _imu_from_vertical(rng.standard_normal(n), "s1", "waist"),
     ])
-    rep = coherence_analysis(corpus)
+    rep = coherence_analysis(corpus, Config())
     observed = float(np.mean(rep.mean_different_subject[1:-1]))
 
     # Monte-Carlo oracle: same Welch estimator on independent noise pairs
@@ -86,7 +86,7 @@ def test_white_noise_coherence_matches_estimator_bias():
 
 
 def test_same_body_coherence_elevated_in_band(tiny_corpus):
-    rep = coherence_analysis(tiny_corpus)
+    rep = coherence_analysis(tiny_corpus, Config())
     band = (rep.freqs >= 0.5) & (rep.freqs <= 12.0)
     assert float(np.mean(rep.mean_same_subject[band])) > \
         float(np.mean(rep.mean_different_subject[band])) + 0.1
@@ -113,7 +113,7 @@ def test_coherence_pairs_share_one_frequency_grid():
     corpus = generate_synthetic(SyntheticGaitSpec(n_cycles=60, rng_seed=3))
     records = [cut(r) if (r.subject_id, r.position) == ("s00", "forearm") else r
                for r in corpus.records]
-    rep = coherence_analysis(Corpus(records=records))
+    rep = coherence_analysis(Corpus(records=records), Config())
 
     z = {(r.subject_id, r.position): extract_vertical(r).z for r in records}
     nperseg = int(min(v.shape[0] for v in z.values()) / 4.5)
@@ -138,14 +138,14 @@ def test_coherence_needs_simultaneous_pairs():
         _imu_from_vertical(rng.standard_normal(2000), "s1", "chest"),
     ])
     with pytest.raises(InsufficientPairs):
-        coherence_analysis(corpus)
+        coherence_analysis(corpus, Config())
 
 
 def test_coherence_rejects_mixed_sample_rates():
     # pairs are compared sample by sample: a 50 Hz and a 100 Hz record share
     # no time base, and their bins would be added by index
     with pytest.raises(MixedSampleRates, match="50 Hz, 100 Hz"):
-        coherence_analysis(mixed_rate_corpus())
+        coherence_analysis(mixed_rate_corpus(), Config())
 
 
 # -- reference: windows resampled one by one ------------------------------------------
@@ -242,13 +242,16 @@ def half_overlapping_windows(seq, w):
 def test_batched_pass_equals_per_window_fingerprints(uneven_corpus, cfg, window_cycles):
     from gaitpair.dataset_io import corpus_cycles
     from gaitpair.eval_harness import _fingerprints, _inter_keys, _intra_keys, _window_pairs
-    from gaitpair.fingerprint import compute_fingerprint, window_fingerprints
+    from gaitpair.fingerprint import compute_fingerprint
 
     processed = corpus_cycles(uneven_corpus, cfg)
     per_window = {}
     counts = set()
     for key, seq in processed.items():
-        bits, deltas, orders = window_fingerprints(seq, window_cycles, cfg.bits_per_cycle)
+        _, view = seq.windows(window_cycles)
+        batch, orders = compute_fingerprint(GaitSequence(cycles=view, rho=seq.rho),
+                                            cfg.bits_per_cycle)
+        bits, deltas = batch.bits, batch.deltas
         wins = half_overlapping_windows(seq, window_cycles)
         assert bits.shape == deltas.shape == orders.shape \
             == (len(wins), window_cycles * cfg.bits_per_cycle)

@@ -11,7 +11,6 @@ from gaitpair.errors import (
 )
 from gaitpair.fingerprint import (
     Fingerprint,
-    ReducedFingerprint,
     average_cycle,
     quantize,
     reduce,
@@ -25,7 +24,11 @@ from helpers import delta_to_sequence
 
 def seq_from(cycles):
     cycles = np.asarray(cycles, dtype=float)
-    return GaitSequence(cycles=cycles, rho=cycles.shape[1])
+    return GaitSequence(cycles=cycles, rho=cycles.shape[-1])
+
+
+#: leading shapes: one window's (q, rho) cycles, and a batch of 3 such windows
+LEADS = ((), (3,))
 
 
 # -- average cycle -----------------------------------------------------------------
@@ -49,8 +52,9 @@ def test_average_matches_column_mean_oracle():
 
 
 def test_average_needs_two_cycles():
-    with pytest.raises(TooFewCycles):
-        average_cycle(seq_from(np.ones((1, 4))))
+    for lead in LEADS:
+        with pytest.raises(TooFewCycles):
+            average_cycle(seq_from(np.ones((*lead, 1, 4))))
 
 
 # -- quantization -------------------------------------------------------------------
@@ -100,15 +104,17 @@ def test_quantize_deployment_shape():
 
 
 def test_quantize_rejects_indivisible_segments():
-    seq = seq_from(np.ones((4, 40)))
-    with pytest.raises(IndivisibleSegments):
-        quantize(seq, np.ones(40), b=3)
+    for lead in LEADS:
+        seq = seq_from(np.ones((*lead, 4, 40)))
+        with pytest.raises(IndivisibleSegments):
+            quantize(seq, np.ones((*lead, 40)), b=3)
 
 
 def test_quantize_rejects_wrong_average_length():
-    seq = seq_from(np.ones((4, 40)))
-    with pytest.raises(LengthMismatch):
-        quantize(seq, np.ones(20), b=4)
+    for lead in LEADS:
+        seq = seq_from(np.ones((*lead, 4, 40)))
+        with pytest.raises(LengthMismatch):
+            quantize(seq, np.ones((*lead, 20)), b=4)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -167,6 +173,13 @@ def test_reduce_drops_least_reliable():
     assert red.bits.size == 24
 
 
+def test_reduce_keeps_the_kept_deltas_in_the_applied_order():
+    fp = fp_from_deltas([0.5, -3.0, 0.0, 2.0, -1.0])
+    red = reduce(fp, np.array([3, 1, 4, 0, 2]), 3)
+    assert np.array_equal(red.deltas, [2.0, -3.0, -1.0])
+    assert np.array_equal(red.bits, [1, 0, 0])
+
+
 def test_reduce_deployment_shape():
     rng = np.random.default_rng(5)
     fp = fp_from_deltas(rng.standard_normal(192))
@@ -203,7 +216,8 @@ def test_reduce_permutation_safety(seed):
 # -- similarity ---------------------------------------------------------------------------
 
 def _reduced(bits):
-    return ReducedFingerprint(bits=np.asarray(bits, dtype=np.uint8))
+    bits = np.asarray(bits, dtype=np.uint8)
+    return Fingerprint(bits=bits, deltas=np.zeros(bits.shape))
 
 
 def test_similarity_identical():
