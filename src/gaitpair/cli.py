@@ -141,15 +141,14 @@ def _output_file(path: Path, newline: str | None = None):
         raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from exc
 
 
-def _load_corpus(path: str) -> dataset_io.Corpus:
-    corpus = dataset_io.load_csv(path)
+def _warned(corpus: dataset_io.Corpus) -> dataset_io.Corpus:
     for text in corpus.warnings:
         print(f"warning: {text}", file=sys.stderr)
     return corpus
 
 
 def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
-    corpus = _load_corpus(args.input)
+    corpus = _warned(dataset_io.load_csv(args.input))
     labels: dict[str, str] = {}  # output name -> record, checked before any write
     for rec in corpus.records:
         label = f"{rec.subject_id}/{rec.position}/{rec.recording_id}"
@@ -290,7 +289,8 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
         eval_harness.guesswork_code(cfg)
 
     _make_dir(out_dir)
-    corpus = _load_corpus(args.corpus)
+    # the manifest alone: an analysis reads the samples it needs (``Corpus``)
+    corpus = _warned(dataset_io.read_manifest(args.corpus))
     if args.analysis == "coherence":
         rep = eval_harness.coherence_analysis(corpus, cfg)
         _write_json(out_dir / "coherence.json", rep)

@@ -20,7 +20,7 @@ import secrets
 import struct
 from collections.abc import Callable, Sequence
 from concurrent import futures
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,30 +51,63 @@ _OSAKA_WARNINGS = (
 )
 
 
-#: Where a record loaded from CSV came from: the SHA-256 of the CSV's bytes
-#: and the path of its ``.cycles`` cache entry.
-Source = tuple[bytes, Path]
 RecordKey = tuple[str, str, str]  # subject, position, recording
 
 
-@dataclass
-class Corpus:
-    records: list[ImuRecord]
-    warnings: list[str] = dc_field(default_factory=list)
-    #: one per record for a corpus read by ``load_csv``; empty for one built
-    #: in memory, which has no cache entries
-    sources: list[Source] = dc_field(default_factory=list)
+@dataclass(frozen=True)
+class ManifestEntry:
+    """One recording as its manifest lists it; nothing here opens its CSV."""
 
-    def __post_init__(self) -> None:
-        keys = [(r.subject_id, r.position, r.recording_id) for r in self.records]
-        if len(set(keys)) != len(keys):
+    key: RecordKey
+    sample_rate: float
+    csv: Path
+    name: str  # the file as the manifest gives it, which messages name
+
+    def cache_entry(self, suffix: str) -> Path:
+        """``.gaitpair-cache/<csv name><suffix>`` beside the CSV."""
+        return self.csv.parent / CACHE_DIR / f"{self.csv.name}{suffix}"
+
+    def record(self, rows: np.ndarray) -> ImuRecord:
+        """The record of the CSV's checked (7, n) rows, which it takes over:
+        acc and gyro hand the signal chain contiguous component rows as
+        their transposes, and the timestamps turn from ms to s in their own
+        row."""
+        subject, position, recording = self.key
+        return ImuRecord(sample_rate=self.sample_rate,
+                         t=np.divide(rows[0], 1000.0, out=rows[0]),
+                         acc=rows[1:4].T, gyro=rows[4:7].T, subject_id=subject,
+                         position=position, recording_id=recording)
+
+
+class Corpus:
+    """Records in order, and the corpus's warnings.
+
+    A corpus built in memory holds its records.  One read by
+    ``read_manifest`` holds its manifest's entries and reads their samples
+    on the first use of ``records``, every record in one pooled pass;
+    ``corpus_cycles`` reads only the samples its ``.cycles`` entries lack.
+    """
+
+    def __init__(self, records: list[ImuRecord] | None = None,
+                 warnings: list[str] | None = None,
+                 entries: list[ManifestEntry] | None = None) -> None:
+        self.warnings = list(warnings or [])
+        self.entries = list(entries or [])
+        if records is None:
+            self.keys = [entry.key for entry in self.entries]
+        else:
+            self.records = list(records)  # in place of the cached read
+            self.keys = [(r.subject_id, r.position, r.recording_id) for r in records]
+        if len(set(self.keys)) != len(self.keys):
             raise SchemaMismatch("duplicate (subject, position, recording) key")
-        if self.sources and len(self.sources) != len(self.records):
-            raise ValueError("a corpus needs one source per record, or none")
+
+    @functools.cached_property
+    def records(self) -> list[ImuRecord]:
+        return _map_in_order(lambda e: e.record(_read_recording_csv(e)[1]), self.entries)
 
     @property
     def positions(self) -> list[str]:
-        return sorted({r.position for r in self.records})
+        return sorted({position for _, position, _ in self.keys})
 
 
 def _map_in_order(fn: Callable, items: Sequence) -> list:
@@ -82,8 +115,9 @@ def _map_in_order(fn: Callable, items: Sequence) -> list:
     on (its affinity), at most one per item.  The first failure in list
     order propagates, as the loop's would; items after it may have run.
 
-    Three loops run through here: ``load_csv`` reads a corpus's records,
-    ``corpus_cycles`` finds their cycles and
+    Four loops run through here: ``Corpus.records`` reads a corpus's
+    records, ``corpus_cycles`` looks up their ``.cycles`` entries and then
+    runs the front end on the misses, and
     ``eval_harness.coherence_analysis`` extracts their vertical signals.
     Their work is numpy, scipy, hashing and file reads, which release the
     GIL.  ``cli.cmd_preprocess`` writes its records in a plain loop.
@@ -96,36 +130,42 @@ def _map_in_order(fn: Callable, items: Sequence) -> list:
 
 # -- CSV corpus -------------------------------------------------------------------
 
-def _read_recording_csv(base: Path, name: str) -> tuple[bytes, np.ndarray]:
-    """The SHA-256 of one recording's CSV and its (7, n) component rows, one
-    contiguous row per column, parsed once per file content.
+def _read_recording_csv(
+        entry: ManifestEntry,
+        stored: Callable[[bytes], np.ndarray | None] = lambda digest: None,
+) -> tuple[bytes, np.ndarray | None, np.ndarray | None]:
+    """One recording's CSV, opened once: its SHA-256 and what ``stored``
+    finds under it, ``(digest, None, found)``, or else its (7, n) component
+    rows, one contiguous row per column, ``(digest, rows, None)``.  A caller
+    whose cache is keyed by the digest so reads no samples on a hit.
 
-    The digest keys a binary copy of the rows at
+    Rows are parsed once per file content: the digest keys a binary copy at
     ``.gaitpair-cache/<csv name>.rows`` beside the CSV, one entry per CSV
-    name.  One open of the CSV serves the whole load: it is hashed, its
-    header is read from the start, and a hit reads the entry.  A missing,
-    unreadable or stale entry means a fresh parse that continues on the same
-    stream, which hashes the bytes it parses as they stream past, and
-    rewrites the entry under that digest, so an entry never pairs a digest
-    with rows of other bytes, even if the file changes during the load.  The
-    digest returned is always that of the rows returned, and it keys the
-    record's ``.cycles`` entry too (``corpus_cycles``).  No success path
-    holds the whole file in memory; a failed read or parse re-reads it from
-    the same handle to name its first bad line.  Header, finiteness and
-    timestamp checks run on both paths, and a file that fails one is never
-    cached.
+    name.  The CSV is hashed, its header read from the start and checked,
+    ``stored`` asked, and then the entry read.  A missing, unreadable or
+    stale entry means a fresh parse that continues on the same stream, which
+    hashes the bytes it parses as they stream past, and rewrites the entry
+    under that digest, so an entry never pairs a digest with rows of other
+    bytes, even if the file changes during the read: the digest returned
+    with rows is always theirs.  No success path holds the whole file in
+    memory; a failed read or parse re-reads it from the same handle to name
+    its first bad line.  The finiteness and timestamp checks run whenever
+    rows are returned, from the entry or the text, and a file that fails
+    one is never cached.
     """
-    path = base / name
-    entry = path.parent / CACHE_DIR / f"{path.name}.rows"
+    name, rows_entry = entry.name, entry.cache_entry(".rows")
     try:
-        with open(path, "rb", buffering=0) as raw:
+        with open(entry.csv, "rb", buffering=0) as raw:
             digest = hashlib.file_digest(raw, "sha256").digest()
             raw.seek(0)
             hashed = _HashingReader(raw)
             fh = io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8")
             try:
                 _check_header(name, fh.readline())
-                rows = _read_entry(entry, digest, (len(CSV_COLUMNS), None))
+                found = stored(digest)
+                if found is not None:
+                    return digest, None, found
+                rows = _read_entry(rows_entry, digest, (len(CSV_COLUMNS), None))
                 parsed = rows is None
                 if parsed:
                     data = np.loadtxt(fh, delimiter=",", ndmin=2)
@@ -143,8 +183,8 @@ def _read_recording_csv(base: Path, name: str) -> tuple[bytes, np.ndarray]:
     if rows.shape[1] >= 2 and (np.diff(rows[0] / 1000.0) <= 0).any():
         raise NonMonotoneTimestamps(f"{name}: timestamps not increasing")
     if parsed:
-        _write_entry(entry, digest, rows)
-    return digest, rows
+        _write_entry(rows_entry, digest, rows)
+    return digest, rows, None
 
 
 class _HashingReader(io.RawIOBase):
@@ -265,42 +305,61 @@ def corpus_cycles(corpus: Corpus, cfg: Config) -> dict[RecordKey, GaitSequence]:
     record content: every window of every size is a slice of them.  A record
     without a full cycle (fewer than 3 half-cycle boundaries) is left out.
 
-    A record loaded from CSV reads its cycles from its ``.cycles`` entry
-    when one holds them for these inputs: the entry's key is the SHA-256 of
-    the CSV's digest, the sample rate, the band, rho and ``_code_digest()``.
-    A miss runs ``preprocess_record``, ``detect_cycles`` and
-    ``split_and_normalize`` and rewrites the one entry per CSV name; a record
-    built in memory always computes.  A failure or a record left out is never
-    stored, so a bad record raises the same error on every call; a stored
-    sequence was computed from validated samples of those bytes at that rate.
+    A corpus read from a manifest takes two pooled passes.  The first opens
+    each CSV once, hashes it, checks its header and reads the record's
+    cycles from its ``.cycles`` entry when one holds them for these inputs:
+    the entry's key is the SHA-256 of the CSV's digest, the sample rate, the
+    band, rho and ``_code_digest()``.  Only a miss reads the record's
+    samples, with every check (``_read_recording_csv``), and keys its entry
+    by the digest of the bytes they came from.  The second pass runs
+    ``preprocess_record``, ``detect_cycles`` and ``split_and_normalize`` on
+    the misses and rewrites their one entry per CSV name.  So every schema
+    fault of the corpus is raised before any front-end fault, each the first
+    in manifest order.  A record built in memory always computes.  A failure
+    or a record left out is never stored, so a bad record raises the same
+    error on every call; a stored sequence was computed from samples of
+    those bytes that passed every check at that rate, which is why a hit
+    need not read them.
     """
-    def cycles(item) -> GaitSequence | None:
-        rec, source = item
-        if source is not None:
-            digest, entry = source
-            key = hashlib.sha256(digest + struct.pack("<3dq", rec.sample_rate,
-                                                      *cfg.band, cfg.rho)
-                                 + _code_digest()).digest()
-            stored = _read_entry(entry, key, (None, cfg.rho))
-            if stored is not None:
-                return GaitSequence(cycles=stored, rho=cfg.rho)
+    def cycles_key(digest: bytes, rate: float) -> bytes:
+        return hashlib.sha256(digest + struct.pack("<3dq", rate, *cfg.band, cfg.rho)
+                              + _code_digest()).digest()
+
+    def look_up(entry: ManifestEntry):
+        """(the stored cycles, None) on a hit; (None, the miss) otherwise."""
+        path = entry.cache_entry(".cycles")
+        digest, rows, stored = _read_recording_csv(
+            entry, lambda digest: _read_entry(path, cycles_key(digest, entry.sample_rate),
+                                              (None, cfg.rho)))
+        if stored is not None:
+            return GaitSequence(cycles=stored, rho=cfg.rho), None
+        return None, (entry.record(rows), path, cycles_key(digest, entry.sample_rate))
+
+    def compute(miss) -> GaitSequence | None:
+        rec, path, entry_key = miss
         sig = preprocess_record(rec, band=cfg.band)
         det = detect_cycles(sig)
         if det.minima_indices.shape[0] < 3:
             return None
         seq = split_and_normalize(sig, det, cfg.rho)
-        if source is not None:
-            _write_entry(entry, key, seq.cycles)
+        if path is not None:
+            _write_entry(path, entry_key, seq.cycles)
         return seq
 
-    sources = corpus.sources or [None] * len(corpus.records)
-    found = _map_in_order(cycles, list(zip(corpus.records, sources)))
-    return {(rec.subject_id, rec.position, rec.recording_id): seq
-            for rec, seq in zip(corpus.records, found) if seq is not None}
+    if corpus.entries:
+        found = _map_in_order(look_up, corpus.entries)
+    else:
+        found = [(None, (rec, None, None)) for rec in corpus.records]
+    computed = iter(_map_in_order(compute, [miss for _, miss in found
+                                            if miss is not None]))
+    seqs = [seq if miss is None else next(computed) for seq, miss in found]
+    return {key: seq for key, seq in zip(corpus.keys, seqs) if seq is not None}
 
 
-def load_csv(path: str | Path) -> Corpus:
-    """Load a corpus from a manifest file or a directory containing one."""
+def read_manifest(path: str | Path) -> Corpus:
+    """A corpus from a manifest file or a directory containing one, with
+    the manifest and each of its entries checked and no CSV opened: its
+    records are read on first use (``Corpus``)."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME if path.is_dir() else path
     try:
@@ -322,7 +381,8 @@ def load_csv(path: str | Path) -> Corpus:
         warnings = [*warnings, *_OSAKA_WARNINGS]
     base = manifest_path.parent
 
-    def read(entry) -> tuple[ImuRecord, Source]:
+    entries: dict[RecordKey, ManifestEntry] = {}
+    for entry in manifest["recordings"]:
         if not isinstance(entry, dict):
             raise SchemaMismatch(f"{manifest_path}: entry {entry!r} is not an object")
         for key in ("file", "subject_id", "position", "recording_id", "sample_rate_hz"):
@@ -335,24 +395,24 @@ def load_csv(path: str | Path) -> Corpus:
         if not (math.isfinite(rate) and rate > 0):
             raise SchemaMismatch(f"{manifest_path}: sample_rate_hz {rate} is not a "
                                  "positive finite rate")
-        # one contiguous row per column, so acc and gyro hand the signal
-        # chain contiguous component rows as their transposes; the
-        # timestamps turn from ms to s in their own row
-        csv = base / str(entry["file"])
-        digest, rows = _read_recording_csv(base, str(entry["file"]))
-        return ImuRecord(
-            sample_rate=rate,
-            t=np.divide(rows[0], 1000.0, out=rows[0]),
-            acc=rows[1:4].T,
-            gyro=rows[4:7].T,
-            subject_id=str(entry["subject_id"]),
-            position=str(entry["position"]),
-            recording_id=str(entry["recording_id"]),
-        ), (digest, csv.parent / CACHE_DIR / f"{csv.name}.cycles")
+        record = (str(entry["subject_id"]), str(entry["position"]),
+                  str(entry["recording_id"]))
+        if record in entries:
+            raise SchemaMismatch(f"{manifest_path}: duplicate (subject, position, "
+                                 f"recording) key {record}")
+        entries[record] = ManifestEntry(key=record, sample_rate=rate,
+                                        csv=base / str(entry["file"]),
+                                        name=str(entry["file"]))
+    return Corpus(warnings=warnings, entries=list(entries.values()))
 
-    loaded = _map_in_order(read, manifest["recordings"])
-    return Corpus(records=[rec for rec, _ in loaded], warnings=warnings,
-                  sources=[source for _, source in loaded])
+
+def load_csv(path: str | Path) -> Corpus:
+    """``read_manifest``, then every record read and checked: each CSV is
+    opened once, hashed and parsed or read from its ``.rows`` entry
+    (``_read_recording_csv``), in one pooled pass."""
+    corpus = read_manifest(path)
+    corpus.records  # the cached read, now
+    return corpus
 
 
 def save_csv(corpus: Corpus, out_dir: str | Path) -> Path:

@@ -22,6 +22,7 @@ from gaitpair.dataset_io import (
     corpus_cycles,
     generate_synthetic,
     load_csv,
+    read_manifest,
     save_csv,
     sliding_windows,
     synthetic_vertical_signal,
@@ -427,9 +428,10 @@ def test_invalid_file_raises_and_is_not_cached(tmp_path, text, error):
     {"recordings": [MANIFEST_ENTRY], "warnings": "check"},
     {"recordings": [MANIFEST_ENTRY], "warnings": ["check", 5]},
     {"recordings": [MANIFEST_ENTRY], "schema_version": 99},
+    {"recordings": [MANIFEST_ENTRY, MANIFEST_ENTRY]},
 ], ids=["missing", "rate-nan", "rate-inf", "rate-zero", "rate-negative",
         "warnings-not-a-list", "version-not-an-int", "warnings-a-string",
-        "warnings-not-strings", "version-99"])
+        "warnings-not-strings", "version-99", "duplicate-key"])
 def test_malformed_manifest_is_a_schema_error_naming_it(tmp_path, manifest, loadtxt_calls):
     write_one_recording(tmp_path, ",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS))
     if manifest is None:
@@ -439,6 +441,21 @@ def test_malformed_manifest_is_a_schema_error_naming_it(tmp_path, manifest, load
     with pytest.raises(SchemaMismatch, match="manifest.json"):
         load_csv(tmp_path)
     assert loadtxt_calls == []  # every fault is found before the CSV is read
+
+
+def test_duplicate_manifest_key_is_named_before_any_csv_is_read(tmp_path, monkeypatch):
+    write_one_recording(tmp_path, ",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS))
+    (tmp_path / "manifest.json").write_text(json.dumps({"recordings": [
+        MANIFEST_ENTRY, {**MANIFEST_ENTRY, "recording_id": "1"}, MANIFEST_ENTRY]}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSV was read")
+
+    monkeypatch.setattr(dataset_io, "_read_recording_csv", refuse)
+    with pytest.raises(SchemaMismatch, match=r"manifest.json: duplicate .* key "
+                                             r"\('s', 'waist', '0'\)"):
+        load_csv(tmp_path)
+    assert not (tmp_path / CACHE_DIR).exists()
 
 
 def test_cache_hit_still_checks_timestamps(tmp_path, loadtxt_calls):
@@ -834,7 +851,98 @@ def test_read_only_cache_directory_gives_equal_reports(gait_corpus, tmp_path, mo
     assert cache_entries(gait_corpus) == before
 
 
-# -- sliding windows --------------------------------------------------------------------
+def test_eval_opens_each_csv_once_and_a_warm_one_no_rows_entry(gait_corpus, tmp_path,
+                                                              monkeypatch):
+    opened = []  # shared by the pool threads; list.append is atomic
+    real_open = open
+
+    def counting(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(dataset_io, "open", counting, raising=False)
+    csvs = [f"rec_{i:04d}.csv" for i in range(6)]
+    reports = {}
+    for run in ("cold", "warm"):
+        opened.clear()
+        reports[run] = eval_reports(gait_corpus, tmp_path / run)
+        assert sorted(name for name in opened if name.endswith(".csv")) == csvs, run
+    # every .cycles entry hits: no .rows entry is read and no entry is written
+    assert sorted(opened) == sorted(csvs + [f"{name}.cycles" for name in csvs])
+    assert reports["warm"] == reports["cold"]
+
+
+def test_eval_checks_the_samples_of_a_cycles_miss(tmp_path, capsys, loadtxt_calls):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    text = ",".join(CSV_COLUMNS) + "\n" + "\n".join(GOOD_ROWS)
+    write_one_recording(corpus, text)
+    # a .rows entry for these bytes that holds a NaN, and no .cycles entry
+    rows = np.array([[float(v) for v in r.split(",")] for r in GOOD_ROWS]).T
+    rows[1, 1] = np.nan
+    (corpus / CACHE_DIR).mkdir()
+    write_entry(corpus / CACHE_DIR / "rec.csv.rows", hashlib.sha256(text.encode()).digest(),
+                rows)
+    rc = cli.main(["eval", str(corpus), "--analysis", "discriminability",
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "rec.csv: a sample is not finite" in err, err
+    assert loadtxt_calls == []  # the entry was read, not the text
+    assert cache_entries(corpus) == ["rec.csv.rows"]
+
+
+def test_a_schema_fault_wins_over_an_earlier_front_end_fault(gait_corpus, tmp_path, capsys):
+    eval_reports(gait_corpus, tmp_path / "cached")  # every entry written
+    manifest = json.loads((gait_corpus / "manifest.json").read_text())
+    manifest["recordings"][0]["sample_rate_hz"] = 100.0  # its timestamps say 50 Hz
+    (gait_corpus / "manifest.json").write_text(json.dumps(manifest))
+    argv = ["eval", str(gait_corpus), "--analysis", "discriminability",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 3, capsys.readouterr().err
+    csv = gait_corpus / "rec_0004.csv"
+    lines = csv.read_text().split("\n")
+    lines[2] = ",".join(["nan", *lines[2].split(",")[1:]])
+    csv.write_text("\n".join(lines))
+    capsys.readouterr()
+    for run in ("warm", "cold"):
+        if run == "cold":
+            shutil.rmtree(gait_corpus / CACHE_DIR)
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, (run, err)
+        assert err.startswith("schema error: SchemaMismatch: rec_0004.csv: line 3: "), err
+
+
+def test_a_csv_changed_after_hashing_keys_its_cycles_by_the_parsed_bytes(
+        gait_corpus, front_ends, monkeypatch):
+    corpus_cycles(read_manifest(gait_corpus), Config())
+    for suffix in (".cycles", ".rows"):  # so the CSV is parsed
+        (gait_corpus / CACHE_DIR / f"rec_0000.csv{suffix}").unlink()
+    csv = gait_corpus / "rec_0000.csv"
+    real_read_entry = dataset_io._read_entry
+
+    def edit_then_read(entry, key, shape):
+        # asked after the CSV is hashed and before it is parsed: edit its
+        # last sample, past the bytes already buffered
+        if entry.name == "rec_0000.csv.cycles":
+            text = csv.read_text()
+            csv.write_text(text[:-2] + str((int(text[-2]) + 1) % 10) + text[-1])
+        return real_read_entry(entry, key, shape)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dataset_io, "_read_entry", edit_then_read)
+        got = corpus_cycles(read_manifest(gait_corpus), Config())
+    digest, _ = read_entry(gait_corpus / CACHE_DIR / "rec_0000.csv.rows")
+    assert digest == hashlib.sha256(csv.read_bytes()).digest()
+    calls = len(front_ends)
+    assert_same_sequences(corpus_cycles(read_manifest(gait_corpus), Config()), got)
+    assert len(front_ends) == calls  # a hit: the entry is keyed by the edited bytes
+    assert_same_sequences(got, corpus_cycles(Corpus(records=load_csv(gait_corpus).records),
+                                             Config()))
+
+
+# -- sliding windows--------------------------------------------------------------------
 
 def processed_signal(seed=0, n_cycles=30):
     from gaitpair.signals import bandpass
