@@ -43,7 +43,6 @@ from .protocol import (
 )
 from .signals import (
     ImuRecord,
-    VerticalSignal,
     bandpass,
     extract_vertical,
     preprocess_record,
@@ -84,7 +83,6 @@ __all__ = [
     "confirm_key",
     "run_pair_in_memory",
     "ImuRecord",
-    "VerticalSignal",
     "bandpass",
     "extract_vertical",
     "preprocess_record",

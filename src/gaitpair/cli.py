@@ -26,7 +26,7 @@ from .errors import (ConfigError, GaitPairError, InsufficientData, SchemaMismatc
 from .fingerprint import compute_fingerprint, reduce, similarity
 from .gait import detect_cycles
 from .protocol import run_pair_in_memory, session_code_params
-from .signals import VerticalSignal, preprocess_record
+from .signals import ImuRecord, preprocess_record
 
 EXIT_OK = 0
 EXIT_SIGNAL = 3
@@ -77,17 +77,17 @@ def _config_from_args(args: argparse.Namespace) -> Config:
 
 # -- preprocess -----------------------------------------------------------------------
 
-def _signal_to_json(sig: VerticalSignal) -> dict:
+def _signal_to_json(rec: ImuRecord, z: np.ndarray) -> dict:
     return {
-        "subject_id": sig.subject_id,
-        "position": sig.position,
-        "recording_id": sig.recording_id,
-        "sample_rate_hz": sig.sample_rate,
-        "z": [float(v) for v in sig.z],
+        "subject_id": rec.subject_id,
+        "position": rec.position,
+        "recording_id": rec.recording_id,
+        "sample_rate_hz": rec.sample_rate,
+        "z": [float(v) for v in z],
     }
 
 
-def _signal_from_json(path: Path) -> VerticalSignal:
+def _signal_from_json(path: Path) -> np.ndarray:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         sample_rate = float(data["sample_rate_hz"])
@@ -101,13 +101,7 @@ def _signal_from_json(path: Path) -> VerticalSignal:
     if not (math.isfinite(sample_rate) and sample_rate > 0):
         raise SchemaMismatch(f"{path}: sample_rate_hz {sample_rate} is not a "
                              "positive finite rate")
-    return VerticalSignal(
-        sample_rate=sample_rate,
-        z=z,
-        subject_id=str(data.get("subject_id", "")),
-        position=str(data.get("position", "other")),
-        recording_id=str(data.get("recording_id", "0")),
-    )
+    return z
 
 
 def _print(text: str) -> None:
@@ -148,11 +142,12 @@ def _warned(corpus: dataset_io.Corpus) -> dataset_io.Corpus:
 
 
 def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
-    corpus = _warned(dataset_io.load_csv(args.input))
-    labels: dict[str, str] = {}  # output name -> record, checked before any write
-    for rec in corpus.records:
-        label = f"{rec.subject_id}/{rec.position}/{rec.recording_id}"
-        name = f"{rec.subject_id}_{rec.position}_{rec.recording_id}.json".replace("/", "-")
+    # the manifest alone: every output name is checked before any CSV is read
+    corpus = _warned(dataset_io.read_manifest(args.input))
+    labels: dict[str, str] = {}  # output name -> record
+    for subject, position, recording in corpus.keys:
+        label = f"{subject}/{position}/{recording}"
+        name = f"{subject}_{position}_{recording}.json".replace("/", "-")
         try:
             refused = "\0" in name or len(os.fsencode(name)) > 255
         except UnicodeEncodeError:  # a lone surrogate
@@ -170,15 +165,15 @@ def cmd_preprocess(args: argparse.Namespace, cfg: Config) -> int:
     failures = 0
     for rec, (name, label) in zip(corpus.records, labels.items()):
         try:
-            sig = preprocess_record(rec, band=cfg.band)
-            detect_cycles(sig)  # surface undetectable-gait diagnostics early
+            z = preprocess_record(rec, band=cfg.band)
+            detect_cycles(z)  # surface undetectable-gait diagnostics early
         except GaitPairError as exc:
             failures += 1
             print(f"signal error [{label}]: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             continue
         with _output_file(out_dir / name) as fh:
-            json.dump(_signal_to_json(sig), fh)
+            json.dump(_signal_to_json(rec, z), fh)
         _print(f"ok [{label}] -> {name}")
     if failures:
         print(f"{failures} recording(s) failed", file=sys.stderr)
@@ -195,11 +190,11 @@ def cmd_pair(args: argparse.Namespace, cfg: Config) -> int:
         raise ConfigError(f"--insecure-session-seed must be >= 0, "
                           f"got {args.insecure_session_seed}")
     params = session_code_params(cfg)  # a threshold or cutoff with no code fails here
-    sig_a = _signal_from_json(Path(args.record_a))
-    sig_b = _signal_from_json(Path(args.record_b))
+    z_a = _signal_from_json(Path(args.record_a))
+    z_b = _signal_from_json(Path(args.record_b))
     q = cfg.cycles_per_fingerprint
-    wins_a = dataset_io.sliding_windows(sig_a, q, overlap=0.5, rho=cfg.rho)
-    wins_b = dataset_io.sliding_windows(sig_b, q, overlap=0.5, rho=cfg.rho)
+    wins_a = dataset_io.sliding_windows(z_a, q, overlap=0.5, rho=cfg.rho)
+    wins_b = dataset_io.sliding_windows(z_b, q, overlap=0.5, rho=cfg.rho)
     if args.window >= min(len(wins_a), len(wins_b)):
         raise SignalTooShort(f"no window {args.window}: the records have "
                              f"{len(wins_a)} and {len(wins_b)} windows")

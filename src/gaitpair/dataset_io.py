@@ -35,7 +35,7 @@ from .errors import (
     SignalTooShort,
 )
 from .gait import CycleDetection, GaitSequence, detect_cycles, split_and_normalize
-from .signals import GRAVITY, ImuRecord, VerticalSignal, preprocess_record, rotate_vectors
+from .signals import GRAVITY, ImuRecord, preprocess_record, rotate_vectors
 
 CSV_COLUMNS = ("timestamp_ms", "ax", "ay", "az", "gx", "gy", "gz")
 MANIFEST_NAME = "manifest.json"
@@ -337,11 +337,11 @@ def corpus_cycles(corpus: Corpus, cfg: Config) -> dict[RecordKey, GaitSequence]:
 
     def compute(miss) -> GaitSequence | None:
         rec, path, entry_key = miss
-        sig = preprocess_record(rec, band=cfg.band)
-        det = detect_cycles(sig)
+        z = preprocess_record(rec, band=cfg.band)
+        det = detect_cycles(z)
         if det.minima_indices.shape[0] < 3:
             return None
-        seq = split_and_normalize(sig, det, cfg.rho)
+        seq = split_and_normalize(z, det, cfg.rho)
         if path is not None:
             _write_entry(path, entry_key, seq.cycles)
         return seq
@@ -526,8 +526,7 @@ def synthetic_vertical_signal(seed: int, n_cycles: int = 60,
                               base_period: float = 2.0,
                               sample_rate: float = 50.0,
                               snr_db: float = math.inf,
-                              subject_id: str = "synth",
-                              lead_s: float = 0.0) -> VerticalSignal:
+                              lead_s: float = 0.0) -> np.ndarray:
     """One body's raw vertical acceleration (gravity excluded), for direct
     quantizer/segmentation studies that do not need the IMU front end."""
     rng = np.random.default_rng(seed)
@@ -535,8 +534,8 @@ def synthetic_vertical_signal(seed: int, n_cycles: int = 60,
     z = _latent_walk(rng, n, sample_rate, base_period)
     if math.isfinite(snr_db):
         sigma = math.sqrt(float(np.var(z)) / (10.0 ** (snr_db / 10.0)))
-        z = z + rng.normal(0.0, sigma, size=n)
-    return VerticalSignal(sample_rate=sample_rate, z=z, subject_id=subject_id)
+        return z + rng.normal(0.0, sigma, size=n)
+    return z
 
 
 def _random_quaternion(rng: np.random.Generator) -> np.ndarray:
@@ -609,7 +608,7 @@ class Window:
     sequence: GaitSequence
 
 
-def sliding_windows(sig: VerticalSignal, window_cycles: int,
+def sliding_windows(z: np.ndarray, window_cycles: int,
                     overlap: float = 0.5, rho: int = Config.rho,
                     detection: CycleDetection | None = None) -> list[Window]:
     """Cut a processed signal into runs of ``window_cycles`` full gait cycles,
@@ -620,11 +619,11 @@ def sliding_windows(sig: VerticalSignal, window_cycles: int,
     resampled once, and each window's cycles are one read-only row of the
     view that ``GaitSequence.windows`` returns.
     """
-    det = detection if detection is not None else detect_cycles(sig)
+    det = detection if detection is not None else detect_cycles(z)
     total_cycles = (det.minima_indices.shape[0] - 1) // 2
     if total_cycles < window_cycles:
         raise SignalTooShort(
             f"{total_cycles} cycles available, window needs {window_cycles}")
-    starts, view = split_and_normalize(sig, det, rho).windows(window_cycles, overlap)
+    starts, view = split_and_normalize(z, det, rho).windows(window_cycles, overlap)
     return [Window(start_cycle=start, sequence=GaitSequence(cycles=cycles, rho=rho))
             for start, cycles in zip(starts, view)]

@@ -22,7 +22,7 @@ from .fingerprint import compute_fingerprint
 from .fuzzy_ecc import CodeParams, encode
 from .gait import GaitSequence
 from .protocol import session_code_params
-from .signals import VerticalSignal, extract_vertical
+from .signals import extract_vertical
 
 SECONDS_PER_DAY = 86400
 SWEEP_EXTRA_BITS = (0, 16, 32, 48, 64, 128)  # M = N + extra per sweep entry
@@ -203,7 +203,7 @@ def coherence_analysis(corpus: Corpus, cfg: Config) -> CoherenceReport:
         raise MixedSampleRates(
             "coherence compares records sample by sample and needs one sample "
             f"rate; the corpus has {', '.join(f'{r:g} Hz' for r in rates)}")
-    verticals: dict[RecordKey, VerticalSignal] = {
+    verticals: dict[RecordKey, np.ndarray] = {
         (rec.subject_id, rec.position, rec.recording_id): vertical
         for rec, vertical in zip(corpus.records,
                                  _map_in_order(extract_vertical, corpus.records))}
@@ -214,15 +214,15 @@ def coherence_analysis(corpus: Corpus, cfg: Config) -> CoherenceReport:
         raise InsufficientPairs("need >= 2 simultaneous same-subject recordings")
     if not diff_pairs:
         raise InsufficientPairs("need recordings from >= 2 subjects")
-    nperseg = max(8, int(min(v.z.shape[0] for v in verticals.values()) / 4.5))
+    nperseg = max(8, int(min(z.shape[0] for z in verticals.values()) / 4.5))
 
     def averaged(pair_list):
         acc = None
         for a, b in pair_list:
-            za, zb = verticals[a].z, verticals[b].z
+            za, zb = verticals[a], verticals[b]
             n = min(za.shape[0], zb.shape[0])
             freqs, c = sps.coherence(za[:n] - za[:n].mean(), zb[:n] - zb[:n].mean(),
-                                     fs=verticals[a].sample_rate, window="hann",
+                                     fs=rates[0], window="hann",
                                      nperseg=nperseg, noverlap=nperseg // 2)
             acc = c if acc is None else acc + c
         return freqs, acc / len(pair_list)

@@ -24,7 +24,6 @@ from scipy import signal as sps
 
 from .errors import (CycleTooShort, NoPeriodicity, SignalTooShort, TooFewMaxima,
                      ZeroVariance)
-from .signals import VerticalSignal
 
 #: Least prominence of an autocorrelation maximum that counts as a step.
 MIN_PROMINENCE = 0.1
@@ -82,7 +81,7 @@ class GaitSequence:
         return starts, view
 
 
-def autocorrelate(sig: VerticalSignal) -> np.ndarray:
+def autocorrelate(z: np.ndarray) -> np.ndarray:
     """Normalized discrete autocorrelation a_k = sum_t z[t+k] z[t] / ((n-k) var).
 
     For a mean-free signal a_0 is 1.  The (n-k) normalization keeps the scale
@@ -91,7 +90,7 @@ def autocorrelate(sig: VerticalSignal) -> np.ndarray:
     to at least 2n - 1 points, so the circular products never wrap, and the
     inverse transform of its power spectrum.
     """
-    z = np.asarray(sig.z, dtype=float)
+    z = np.asarray(z, dtype=float)
     n = z.shape[0]
     if n < 4:
         raise SignalTooShort(f"autocorrelation needs >= 4 samples, got {n}")
@@ -106,7 +105,7 @@ def autocorrelate(sig: VerticalSignal) -> np.ndarray:
     return raw / denom
 
 
-def detect_cycles(sig: VerticalSignal) -> CycleDetection:
+def detect_cycles(z: np.ndarray) -> CycleDetection:
     """Locate half-cycle boundaries via autocorrelation-guided minima selection.
 
     Steps:
@@ -123,8 +122,7 @@ def detect_cycles(sig: VerticalSignal) -> CycleDetection:
     signal padded with +inf so that windows clipped at 0 or n - 1 search only
     the signal.
     """
-    acorr = autocorrelate(sig)
-    z = sig.z
+    acorr = autocorrelate(z)
     n = z.shape[0]
 
     # assess periodicity on the near field only: beyond n/2 the (n-k)
@@ -232,7 +230,7 @@ def cycles_from_bounds(z: np.ndarray, bounds: np.ndarray, rho: int) -> np.ndarra
     return out
 
 
-def split_and_normalize(sig: VerticalSignal, det: CycleDetection,
+def split_and_normalize(z: np.ndarray, det: CycleDetection,
                         rho: int) -> GaitSequence:
     """Cut the signal into full cycles and resample each to rho samples.
 
@@ -245,4 +243,4 @@ def split_and_normalize(sig: VerticalSignal, det: CycleDetection,
     if bounds.shape[0] < 3:
         raise TooFewMaxima(
             f"need >= 3 half-cycle boundaries, got {bounds.shape[0]}")
-    return GaitSequence(cycles=cycles_from_bounds(sig.z, bounds, rho), rho=rho)
+    return GaitSequence(cycles=cycles_from_bounds(z, bounds, rho), rho=rho)

@@ -22,6 +22,7 @@ design itself.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -109,24 +110,6 @@ class ImuRecord:
         return bool(np.allclose(dt, dt[0], rtol=1e-6, atol=1e-12))
 
 
-@dataclass
-class VerticalSignal:
-    """Gravity-aligned acceleration amplitudes, one value per sample."""
-
-    sample_rate: float
-    z: np.ndarray
-    subject_id: str = ""
-    position: str = "other"
-    recording_id: str = "0"
-
-    def __post_init__(self) -> None:
-        self.z = np.asarray(self.z, dtype=float)
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.z.shape[0])
-
-
 # -- zero-phase filtering ----------------------------------------------------------
 
 class _ZeroPhase(NamedTuple):
@@ -148,8 +131,7 @@ def _zero_phase(sos: np.ndarray) -> _ZeroPhase:
     return _ZeroPhase(sos, sps.sosfilt_zi(sos), 3 * int(ntaps))
 
 
-def _filtfilt(design: _ZeroPhase, x: np.ndarray, recording_id: str,
-              name: str) -> np.ndarray:
+def _filtfilt(design: _ZeroPhase, x: np.ndarray, name: str) -> np.ndarray:
     """``sps.sosfiltfilt(design.sos, x)``, value for value, along the last
     axis: a signal, or (3, n) component rows.
 
@@ -160,15 +142,24 @@ def _filtfilt(design: _ZeroPhase, x: np.ndarray, recording_id: str,
     sos, zi, edge = design
     n = x.shape[-1]
     if n <= edge:
-        raise EmptyStream(
-            f"record {recording_id!r} has {n} samples, too few for the {name}: "
-            f"it pads {edge} at each end")
+        raise EmptyStream(f"{n} samples, too few for the {name}: "
+                          f"it pads {edge} at each end")
     zi = zi.reshape(zi.shape[:1] + (1,) * (x.ndim - 1) + zi.shape[1:])
     ext = np.concatenate((2 * x[..., :1] - x[..., edge:0:-1], x,
                           2 * x[..., -1:] - x[..., -2:-edge - 2:-1]), axis=-1)
     y, _ = sps.sosfilt(sos, ext, zi=zi * ext[..., :1])
     y, _ = sps.sosfilt(sos, y[..., ::-1], zi=zi * y[..., -1:])
     return y[..., ::-1][..., edge:-edge]
+
+
+@contextlib.contextmanager
+def _naming(rec: ImuRecord):
+    """Prefix ``rec``'s id to the error of a zero-phase filter given too few
+    of its samples (``_filtfilt``)."""
+    try:
+        yield
+    except EmptyStream as exc:
+        raise EmptyStream(f"record {rec.recording_id!r} has {exc}") from None
 
 
 # -- gravity alignment -------------------------------------------------------------
@@ -297,7 +288,7 @@ def _gravity_lowpass(sample_rate: float) -> _ZeroPhase:
     return _zero_phase(sps.butter(2, GRAVITY_CUTOFF_HZ, fs=sample_rate, output="sos"))
 
 
-def extract_vertical(rec: ImuRecord) -> VerticalSignal:
+def extract_vertical(rec: ImuRecord) -> np.ndarray:
     """Acceleration along the gravity estimate, sample for sample of the
     record on its uniform grid (``resample_uniform``, which validates it).
 
@@ -310,21 +301,14 @@ def extract_vertical(rec: ImuRecord) -> VerticalSignal:
     """
     rec = resample_uniform(rec)
     acc = rotate_vectors(_gyro_frame(rec), np.ascontiguousarray(rec.acc.T))
-    gravity = _filtfilt(_gravity_lowpass(rec.sample_rate), acc, rec.recording_id,
-                        "gravity low-pass")
+    with _naming(rec):
+        gravity = _filtfilt(_gravity_lowpass(rec.sample_rate), acc, "gravity low-pass")
     (ax, ay, az), (gx, gy, gz) = acc, gravity
     # summed x, y, z in turn: the order np.linalg.norm(axis=1) of (n, 3) rows
     # sums in, so the values match it bit for bit
     norm = np.sqrt((gx * gx + gy * gy) + gz * gz)
-    z = np.divide((ax * gx + ay * gy) + az * gz, norm,
-                  out=np.zeros_like(norm), where=norm > 0.0)
-    return VerticalSignal(
-        sample_rate=rec.sample_rate,
-        z=z,
-        subject_id=rec.subject_id,
-        position=rec.position,
-        recording_id=rec.recording_id,
-    )
+    return np.divide((ax * gx + ay * gy) + az * gz, norm,
+                     out=np.zeros_like(norm), where=norm > 0.0)
 
 
 # -- bandpass ---------------------------------------------------------------------
@@ -352,24 +336,17 @@ def _bandpass(sample_rate: float, lo: float, hi: float) -> _ZeroPhase:
     return _zero_phase(sos)
 
 
-def bandpass(sig: VerticalSignal, band: tuple[float, float] = Config.band
-             ) -> VerticalSignal:
-    """Zero-phase bandpass of the vertical signal.
+def bandpass(z: np.ndarray, sample_rate: float,
+             band: tuple[float, float] = Config.band) -> np.ndarray:
+    """Zero-phase bandpass of a vertical signal sampled at ``sample_rate``.
 
     Filtering runs forward and backward so minima used for cycle splitting are
     not phase-shifted.  The input mean is removed before filtering; the
     stopband handles the rest of the content below ``band[0]``.  Output length
     equals input length.
     """
-    design = _bandpass(sig.sample_rate, *band)
-    z = sig.z - float(np.mean(sig.z))
-    return VerticalSignal(
-        sample_rate=sig.sample_rate,
-        z=_filtfilt(design, z, sig.recording_id, "bandpass"),
-        subject_id=sig.subject_id,
-        position=sig.position,
-        recording_id=sig.recording_id,
-    )
+    design = _bandpass(sample_rate, *band)
+    return _filtfilt(design, z - float(np.mean(z)), "bandpass")
 
 
 # -- pipeline ---------------------------------------------------------------------
@@ -389,15 +366,14 @@ def resample_uniform(rec: ImuRecord) -> ImuRecord:
 
 
 def preprocess_record(rec: ImuRecord, band: tuple[float, float] = Config.band
-                      ) -> VerticalSignal:
+                      ) -> np.ndarray:
     """Full preprocessing chain: align to gravity on the uniform grid,
     bandpass, trim warm-up."""
     vertical = extract_vertical(rec)
     skip = int(round(TRANSIENT_DISCARD_S * rec.sample_rate))
-    if skip >= vertical.n_samples:  # before the bandpass, which needs a few samples
+    if skip >= vertical.shape[0]:  # before the bandpass, which needs a few samples
         raise EmptyStream(
             f"record {rec.recording_id!r} shorter than the "
             f"{TRANSIENT_DISCARD_S}s warm-up")
-    filtered = bandpass(vertical, band)
-    filtered.z = filtered.z[skip:]
-    return filtered
+    with _naming(rec):
+        return bandpass(vertical, rec.sample_rate, band)[skip:]

@@ -92,7 +92,7 @@ def swinging_record(seed: int = 0, n_cycles: int = 20, swing_deg: float = 30.0,
     vertical motion).
     """
     rng = np.random.default_rng(seed)
-    motion = synthetic_vertical_signal(seed, n_cycles=n_cycles, sample_rate=fs).z
+    motion = synthetic_vertical_signal(seed, n_cycles=n_cycles, sample_rate=fs)
     t = np.arange(motion.shape[0]) / fs
     w = 2.0 * np.pi / 2.0  # gait-cycle rate, rad/s
     amp = np.deg2rad(swing_deg)

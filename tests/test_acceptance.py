@@ -40,7 +40,7 @@ from gaitpair.fingerprint import (
 from gaitpair.fuzzy_ecc import choose_params, decode, encode
 from gaitpair.gait import detect_cycles
 from gaitpair.protocol import run_pair_in_memory
-from gaitpair.signals import VerticalSignal, bandpass
+from gaitpair.signals import bandpass
 
 from helpers import craft_codeword_pair, random_delta_sequence
 
@@ -124,7 +124,7 @@ def test_gait_segmentation_period_recovery():
             noise_sd = math.sqrt(0.5 / 10.0)
             z = clean + rng.normal(0.0, noise_sd, n)
             try:
-                det = detect_cycles(VerticalSignal(50.0, z))
+                det = detect_cycles(z)
             except Exception:
                 continue
             full_cycle = 2.0 * float(np.mean(np.diff(det.minima_indices)))
@@ -145,7 +145,7 @@ def test_quantizer_balance():
         seed = 0
         while len(fingerprints) < 2 * n_pairs:
             sig = bandpass(synthetic_vertical_signal(
-                seed=seed, n_cycles=q + 6, snr_db=20.0, lead_s=4.0))
+                seed=seed, n_cycles=q + 6, snr_db=20.0, lead_s=4.0), 50.0)
             seed += 1
             try:
                 det = detect_cycles(sig)

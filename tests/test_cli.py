@@ -598,6 +598,25 @@ def test_preprocess_output_names_that_collide_write_nothing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_preprocess_refuses_colliding_names_before_any_csv_is_read(tmp_path, capsys):
+    corpus = tmp_path / "c"
+    assert cli.main(["synth", str(corpus), "--subjects", "1", "--cycles", "20",
+                     "--seed", "3"]) == 0
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    for entry, (subject, position) in zip(manifest["recordings"],
+                                          [("s", "a_b"), ("s_a", "b")]):
+        entry["subject_id"], entry["position"] = subject, position
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = cli.main(["preprocess", str(corpus), str(tmp_path / "pre")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("schema error: SchemaMismatch: "), err
+    assert "would both write s_a_b_r0.json" in err, err
+    assert not (corpus / CACHE_DIR).exists()
+    assert not (tmp_path / "pre").exists()
+
+
 def test_preprocess_prints_the_name_it_writes(tmp_path, capsys):
     assert cli.main(["synth", str(tmp_path / "c"), "--subjects", "1",
                      "--cycles", "20", "--positions", "chest"]) == 0
@@ -773,7 +792,7 @@ def test_a_flag_only_fault_is_refused_before_any_file_is_read_or_written(
 
     def refuse(*args, **kwargs):
         raise AssertionError("the corpus was read")
-    monkeypatch.setattr(cli.dataset_io, "load_csv", refuse)
+    monkeypatch.setattr(cli.dataset_io, "read_manifest", refuse)
     rc = cli.main(["eval", str(corpus), *FLAG_ONLY_FAULTS[case], "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 64, err

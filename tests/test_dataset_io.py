@@ -76,7 +76,7 @@ def test_noiseless_zero_jitter_positions_are_identical():
     corpus = generate_synthetic(spec)
     sig_a = preprocess_record(corpus.records[0])
     sig_b = preprocess_record(corpus.records[1])
-    assert np.allclose(sig_a.z, sig_b.z, atol=1e-9)
+    assert np.allclose(sig_a, sig_b, atol=1e-9)
 
 
 def test_two_second_cycles_detected_near_100_samples():
@@ -947,7 +947,7 @@ def test_a_csv_changed_after_hashing_keys_its_cycles_by_the_parsed_bytes(
 def processed_signal(seed=0, n_cycles=30):
     from gaitpair.signals import bandpass
     raw = synthetic_vertical_signal(seed=seed, n_cycles=n_cycles, lead_s=2.0)
-    return bandpass(raw)
+    return bandpass(raw, 50.0)
 
 
 def test_exactly_one_window():
@@ -970,7 +970,7 @@ def test_zero_overlap_tiles_signal():
     assert [win.start_cycle for win in windows] == list(range(0, len(windows) * w, w))
     tiled = np.concatenate([win.sequence.cycles for win in windows])
     covered = det.minima_indices[: 2 * (total // w) * w + 1]
-    assert np.array_equal(tiled, cycles_from_bounds(sig.z, covered, 40))
+    assert np.array_equal(tiled, cycles_from_bounds(sig, covered, 40))
 
 
 def test_half_overlap_advances_half_window():
@@ -989,7 +989,7 @@ def test_windows_cover_whole_half_cycles():
         bounds = det.minima_indices[2 * w.start_cycle:2 * w.start_cycle + 2 * 6 + 1]
         assert len(bounds) == 2 * 6 + 1
         assert w.sequence.q == 6
-        assert np.array_equal(w.sequence.cycles, cycles_from_bounds(sig.z, bounds, 40))
+        assert np.array_equal(w.sequence.cycles, cycles_from_bounds(sig, bounds, 40))
 
 
 @pytest.mark.parametrize("overlap", [0.0, 0.5])
@@ -1006,7 +1006,7 @@ def test_windows_equal_per_window_resampling(window_cycles, overlap):
         bounds = det.minima_indices[lo:lo + 2 * window_cycles + 1]
         assert len(bounds) == 2 * window_cycles + 1
         assert np.array_equal(w.sequence.cycles,
-                              cycles_from_bounds(sig.z, bounds, 40))
+                              cycles_from_bounds(sig, bounds, 40))
 
 
 def test_window_cycles_are_read_only():

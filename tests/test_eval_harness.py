@@ -115,7 +115,7 @@ def test_coherence_pairs_share_one_frequency_grid():
                for r in corpus.records]
     rep = coherence_analysis(Corpus(records=records), Config())
 
-    z = {(r.subject_id, r.position): extract_vertical(r).z for r in records}
+    z = {(r.subject_id, r.position): extract_vertical(r) for r in records}
     nperseg = int(min(v.shape[0] for v in z.values()) / 4.5)
     fs = records[0].sample_rate
     assert np.array_equal(rep.freqs, np.fft.rfftfreq(nperseg, 1 / fs))
@@ -161,7 +161,7 @@ def _reference_fingerprints(corpus, cfg, window_cycles):
         fps = []
         for start in range(0, total - window_cycles + 1, step):
             cycles = cycles_from_bounds(
-                sig.z, bounds[2 * start:2 * (start + window_cycles) + 1], cfg.rho)
+                sig, bounds[2 * start:2 * (start + window_cycles) + 1], cfg.rho)
             seq = GaitSequence(cycles=cycles, rho=cfg.rho)
             fps.append(quantize(seq, average_cycle(seq), cfg.bits_per_cycle))
         out[rec.subject_id, rec.position, rec.recording_id] = fps

@@ -8,7 +8,6 @@ from gaitpair.errors import EmptyStream, InvalidBand, LengthMismatch, NonFiniteS
 from gaitpair.signals import (
     GRAVITY,
     ImuRecord,
-    VerticalSignal,
     _bandpass,
     _filtfilt,
     _gravity_lowpass,
@@ -33,7 +32,7 @@ from helpers import (
 
 def test_static_flat_device_recovers_gravity():
     rec = static_record(np.array([1.0, 0, 0, 0]), duration_s=10.0)
-    z = extract_vertical(rec).z
+    z = extract_vertical(rec)
     # converged tail reads ~9.81 m/s^2
     assert abs(np.mean(z[-50:]) - GRAVITY) < 0.05
 
@@ -43,7 +42,7 @@ def test_rotated_90deg_about_x_static():
     pose = quat_from_axis_angle([1.0, 0, 0], -np.pi / 2)
     rec = static_record(pose, duration_s=10.0)
     assert np.allclose(rec.acc[0], [0.0, -GRAVITY, 0.0], atol=1e-9)
-    z = extract_vertical(rec).z
+    z = extract_vertical(rec)
     assert abs(z[-1] - GRAVITY) < 0.1
     # oracle: rotating the reading by the exact pose also lands on +z
     oracle_z = (rotation_matrix(pose) @ rec.acc[-1])[2]
@@ -55,7 +54,7 @@ def test_gravity_recovery_random_static_poses(seed):
     rng = np.random.default_rng(seed)
     pose = random_unit_quaternion(rng)
     rec = static_record(pose, duration_s=6.0, noise=0.05, rng=rng)
-    z = extract_vertical(rec).z
+    z = extract_vertical(rec)
     assert abs(np.mean(z[-100:]) - GRAVITY) < 0.02 * GRAVITY
 
 
@@ -75,26 +74,19 @@ def test_fusion_rejects_empty():
         extract_vertical(rec)
 
 
-def test_extract_vertical_rejects_record_too_short_for_lowpass():
-    rec = static_record(np.array([1.0, 0, 0, 0]), duration_s=0.1)
-    assert rec.n_samples == 5
-    with pytest.raises(EmptyStream):
-        extract_vertical(rec)
-
-
 # -- vertical extraction -----------------------------------------------------------
 
 def test_extract_vertical_static_is_constant():
     rec = static_record(np.array([1.0, 0, 0, 0]), duration_s=4.0)
     sig = extract_vertical(rec)
-    assert np.allclose(sig.z, GRAVITY, atol=1e-6)
+    assert np.allclose(sig, GRAVITY, atol=1e-6)
 
 
 def test_extract_vertical_zero_acceleration():
     rec = static_record(np.array([1.0, 0, 0, 0]), duration_s=2.0)
     rec.acc[:] = 0.0
     sig = extract_vertical(rec)
-    assert np.allclose(sig.z, 0.0, atol=1e-12)
+    assert np.allclose(sig, 0.0, atol=1e-12)
 
 
 def test_extract_vertical_matches_rotation_oracle():
@@ -106,7 +98,7 @@ def test_extract_vertical_matches_rotation_oracle():
     motion = 2.0 * np.sin(2 * np.pi * 1.0 * t)
     rec = vertical_motion_record(motion, pose_q=pose)
     sig = extract_vertical(rec)
-    assert np.allclose(sig.z, GRAVITY + motion, atol=1e-6)
+    assert np.allclose(sig, GRAVITY + motion, atol=1e-6)
 
 
 def test_extract_vertical_length_mismatch():
@@ -118,8 +110,8 @@ def test_extract_vertical_length_mismatch():
 
 def _swing_correlation(rec, motion) -> float:
     """Correlation of the preprocessed record with its bandpassed true motion."""
-    got = preprocess_record(rec).z
-    want = bandpass(VerticalSignal(rec.sample_rate, motion)).z[-got.shape[0]:]
+    got = preprocess_record(rec)
+    want = bandpass(motion, rec.sample_rate)[-got.shape[0]:]
     return float(np.corrcoef(got, want)[0, 1])
 
 
@@ -238,7 +230,7 @@ def _steady_gain(freq: float, fs: float = 50.0, duration: float = 120.0) -> floa
     n = int(duration * fs)
     t = np.arange(n) / fs
     x = np.sin(2 * np.pi * freq * t)
-    y = bandpass(VerticalSignal(fs, x)).z
+    y = bandpass(x, fs)
     # analyze the middle half (edges carry filtfilt transients)
     lo, hi = n // 4, 3 * n // 4
     seg = hi - lo
@@ -250,10 +242,9 @@ def _steady_gain(freq: float, fs: float = 50.0, duration: float = 120.0) -> floa
 
 
 def test_bandpass_removes_dc():
-    sig = VerticalSignal(50.0, np.full(1000, GRAVITY))
-    out = bandpass(sig)
-    assert out.n_samples == 1000
-    assert np.max(np.abs(out.z)) < 0.01
+    out = bandpass(np.full(1000, GRAVITY), 50.0)
+    assert out.shape == (1000,)
+    assert np.max(np.abs(out)) < 0.01
 
 
 def test_bandpass_preserves_2hz():
@@ -271,8 +262,8 @@ def test_bandpass_linearity():
     y = rng.standard_normal(2000)
     a, b = 1.7, -0.6
     fs = 50.0
-    lhs = bandpass(VerticalSignal(fs, a * x + b * y)).z
-    rhs = a * bandpass(VerticalSignal(fs, x)).z + b * bandpass(VerticalSignal(fs, y)).z
+    lhs = bandpass(a * x + b * y, fs)
+    rhs = a * bandpass(x, fs) + b * bandpass(y, fs)
     scale = np.max(np.abs(lhs))
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(scale, 1.0)
 
@@ -281,29 +272,20 @@ def test_bandpass_zero_mean_output():
     rng = np.random.default_rng(3)
     t = np.arange(5000) / 50.0
     raw = GRAVITY + np.sin(2 * np.pi * 1.0 * t) + 0.3 * rng.standard_normal(5000)
-    out = bandpass(VerticalSignal(50.0, raw)).z
+    out = bandpass(raw, 50.0)
     assert abs(np.mean(out)) < 1e-3 * np.max(np.abs(out))
 
 
 @pytest.mark.parametrize("lo,hi", [(0.0, 12.0), (12.0, 0.5), (0.5, 30.0), (-1, 5)])
 def test_bandpass_invalid_band(lo, hi):
-    sig = VerticalSignal(50.0, np.zeros(100))
     with pytest.raises(InvalidBand):
-        bandpass(sig, (lo, hi))
+        bandpass(np.zeros(100), 50.0, (lo, hi))
 
 
 def test_reversed_band_raises_on_every_call():
-    sig = VerticalSignal(50.0, np.zeros(100))
     for _ in range(2):
         with pytest.raises(InvalidBand):
-            bandpass(sig, (12.0, 0.7))
-
-
-def test_bandpass_rejects_record_too_short_for_its_padding():
-    # 25 samples at 10 Hz: the 4-section bandpass pads 27 at each end
-    sig = VerticalSignal(10.0, np.zeros(25), recording_id="short")
-    with pytest.raises(EmptyStream, match="'short' has 25 samples.*bandpass"):
-        bandpass(sig, (0.5, 3.0))
+            bandpass(np.zeros(100), 50.0, (12.0, 0.7))
 
 
 # -- zero-phase filtering -------------------------------------------------------------
@@ -321,15 +303,15 @@ def test_filtfilt_equals_sosfiltfilt(name, fs, width, length):
     n = 3000 if length == "long" else design.edge + 1
     shape = (n,) if width is None else (width, n)
     x = 9.81 + np.random.default_rng(8).standard_normal(shape)
-    got = _filtfilt(design, x, "r", name)
+    got = _filtfilt(design, x, name)
     assert np.array_equal(got, sps.sosfiltfilt(design.sos, x, axis=-1))
 
 
 @pytest.mark.parametrize("name", ["lowpass", "bandpass"])
 def test_filtfilt_rejects_signal_within_its_padding(name):
     design = _design(name, 50.0)
-    with pytest.raises(EmptyStream, match=f"'r' has {design.edge} samples"):
-        _filtfilt(design, np.ones(design.edge), "r", name)
+    with pytest.raises(EmptyStream, match=f"^{design.edge} samples, too few for the {name}"):
+        _filtfilt(design, np.ones(design.edge), name)
 
 
 def test_initial_state_is_solved_once_per_design(monkeypatch):
@@ -344,9 +326,9 @@ def test_initial_state_is_solved_once_per_design(monkeypatch):
     _gravity_lowpass.cache_clear()
     _bandpass.cache_clear()
     rec, _ = swinging_record(seed=3)
-    first = preprocess_record(rec).z
+    first = preprocess_record(rec)
     for _ in range(3):
-        assert np.array_equal(preprocess_record(rec).z, first)
+        assert np.array_equal(preprocess_record(rec), first)
     assert calls == [(1, 6), (4, 6)]
 
 
@@ -403,13 +385,26 @@ def test_preprocess_record_rejects_record_within_warmup(n):
         preprocess_record(rec)
 
 
-def test_preprocess_record_rejects_record_too_short_for_the_bandpass():
-    # past the 2 s warm-up at 10 Hz, yet within the bandpass's 27-sample padding
-    rec = static_record(np.array([1.0, 0, 0, 0]), duration_s=2.5, fs=10.0)
+def _short_record(duration_s: float, fs: float) -> ImuRecord:
+    rec = static_record(np.array([1.0, 0, 0, 0]), duration_s=duration_s, fs=fs)
     rec.recording_id = "short"
-    assert rec.n_samples == 25
-    with pytest.raises(EmptyStream, match="'short' has 25 samples.*bandpass"):
-        preprocess_record(rec, band=(0.5, 3.0))
+    return rec
+
+
+# Each input lies within its filter's odd-extension padding: 5 samples at 50 Hz
+# against the gravity low-pass's 9, and 25 samples at 10 Hz, past the 2 s
+# warm-up, against the 4-section bandpass's 27.
+@pytest.mark.parametrize("run, match", [
+    (lambda: extract_vertical(_short_record(0.1, 50.0)),
+     "^record 'short' has 5 samples, too few for the gravity low-pass: it pads 9 "),
+    (lambda: preprocess_record(_short_record(2.5, 10.0), band=(0.5, 3.0)),
+     "^record 'short' has 25 samples, too few for the bandpass: it pads 27 "),
+    (lambda: bandpass(np.zeros(25), 10.0, (0.5, 3.0)),
+     "^25 samples, too few for the bandpass: it pads 27 "),
+], ids=["extract_vertical", "preprocess_record", "bandpass"])
+def test_input_too_short_for_a_filter_names_the_record_and_the_filter(run, match):
+    with pytest.raises(EmptyStream, match=match):
+        run()
 
 
 def test_preprocess_record_trims_warmup():
@@ -418,6 +413,6 @@ def test_preprocess_record_trims_warmup():
     t = np.arange(500) / 50.0
     motion = np.sin(2 * np.pi * 1.0 * t)
     rec = vertical_motion_record(motion, pose_q=pose)
-    sig = preprocess_record(rec)
-    assert sig.n_samples == 500 - 100  # 2 s discarded at 50 Hz
-    assert abs(np.mean(sig.z)) < 1e-2
+    z = preprocess_record(rec)
+    assert z.shape == (500 - 100,)  # 2 s discarded at 50 Hz
+    assert abs(np.mean(z)) < 1e-2
